@@ -6,13 +6,10 @@
 //! Flags:
 //!
 //! * `--json PATH` — also write the machine-readable `BENCH_sim.json`
-//!   (scheduler throughput, engine events/sec, quick-mode `all_figures`
-//!   wall time at `-j 1` vs `-j N`) for CI artifact upload.
-//! * `--gate` — exit nonzero if the calendar-queue scheduler is slower
-//!   than the binary-heap baseline (ratio threshold from
-//!   `EMU_PERF_GATE_RATIO`, default 0.95).
+//!   (engine events/sec, sequential and 4-shard, and quick-mode
+//!   `all_figures` wall time at `-j 1` vs `-j N`) for CI artifact upload.
 //! * `--skip-figures` — skip the quick-mode `all_figures` timing (the
-//!   slowest section; the queue gate does not need it).
+//!   slowest section).
 
 use emu_core::prelude::*;
 use membench::chase::{cpu::run_chase_cpu, run_chase_emu, ChaseConfig, ShuffleMode};
@@ -47,26 +44,6 @@ fn bench(name: &str, mut f: impl FnMut() -> u64) -> f64 {
     med
 }
 
-const QUEUE_EVENTS: u64 = 10_000;
-
-/// Push/pop `QUEUE_EVENTS` events through `q` (mixed near/far times, so
-/// the calendar backend exercises buckets and the overflow heap alike).
-fn queue_workload(mut q: desim::EventQueue<u64>) -> u64 {
-    for i in 0..QUEUE_EVENTS {
-        let t = if i % 64 == 0 {
-            1_000_000 + (i * 131) % 500_000
-        } else {
-            (i * 37) % 5000
-        };
-        q.schedule(desim::Time::from_ns(t), i);
-    }
-    let mut sum = 0u64;
-    while let Some((_, e)) = q.pop() {
-        sum = sum.wrapping_add(e);
-    }
-    sum
-}
-
 /// Run every figure once, quick mode, at the given job count; returns
 /// wall-clock seconds. Mirrors `all_figures` minus the CSV/IO.
 type FigureFn = fn() -> Result<emu_bench::output::Table, SimError>;
@@ -98,37 +75,20 @@ fn all_figures_quick(jobs: usize) -> f64 {
 
 fn main() {
     let mut json_path: Option<String> = None;
-    let mut gate = false;
     let mut skip_figures = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--json" => json_path = args.next(),
-            "--gate" => gate = true,
             "--skip-figures" => skip_figures = true,
             // `cargo bench` appends `--bench` to harness=false targets.
             "--bench" => {}
             other => {
-                eprintln!("unknown flag {other:?} (try --json PATH, --gate, --skip-figures)");
+                eprintln!("unknown flag {other:?} (try --json PATH, --skip-figures)");
                 std::process::exit(2);
             }
         }
     }
-
-    let cal_s = bench("desim/event_queue_calendar_10k", || {
-        queue_workload(desim::EventQueue::new())
-    });
-    let heap_s = bench("desim/event_queue_heap_10k", || {
-        queue_workload(desim::EventQueue::heap_backed())
-    });
-    let cal_eps = QUEUE_EVENTS as f64 / cal_s;
-    let heap_eps = QUEUE_EVENTS as f64 / heap_s;
-    println!(
-        "  calendar {:.1} M events/s vs heap {:.1} M events/s ({:.2}x)",
-        cal_eps / 1e6,
-        heap_eps / 1e6,
-        cal_eps / heap_eps
-    );
 
     {
         use xeon_sim::cache::Cache;
@@ -279,18 +239,12 @@ fn main() {
         let opt = |v: Option<f64>| v.map_or("null".to_string(), |x| format!("{x:.6}"));
         let body = format!(
             concat!(
-                "{{\"queue\":{{\"calendar_s\":{:.9},\"heap_s\":{:.9},",
-                "\"calendar_events_per_sec\":{:.1},\"heap_events_per_sec\":{:.1}}},",
-                "\"engine\":{{\"stream_events_per_sec\":{:.1},\"chase_events_per_sec\":{:.1},",
+                "{{\"engine\":{{\"stream_events_per_sec\":{:.1},\"chase_events_per_sec\":{:.1},",
                 "\"stream_events\":{},\"chase_events\":{}}},",
                 "\"pdes\":{{\"host_parallelism\":{},\"shards\":4,\"events\":{},",
                 "\"seq_events_per_sec\":{:.1},\"pdes_events_per_sec\":{:.1},\"speedup\":{:.3}}},",
                 "\"all_figures_quick\":{{\"jobs_1_s\":{},\"jobs_n\":{},\"jobs_n_s\":{},\"speedup\":{}}}}}\n"
             ),
-            cal_s,
-            heap_s,
-            cal_eps,
-            heap_eps,
             stream_eps,
             chase_eps,
             stream_events,
@@ -312,24 +266,5 @@ fn main() {
                 std::process::exit(1);
             }
         }
-    }
-
-    if gate {
-        let ratio: f64 = std::env::var("EMU_PERF_GATE_RATIO")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.95);
-        if cal_eps < ratio * heap_eps {
-            eprintln!(
-                "PERF GATE FAILED: calendar queue {:.1} M events/s < {ratio} x heap {:.1} M events/s",
-                cal_eps / 1e6,
-                heap_eps / 1e6
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "perf gate ok: calendar/heap = {:.2} (threshold {ratio})",
-            cal_eps / heap_eps
-        );
     }
 }

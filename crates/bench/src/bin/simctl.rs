@@ -807,7 +807,7 @@ fn cmd_fuzz(p: &Parsed) -> Result<(), String> {
     }) {
         Ok(n) => {
             println!(
-                "fuzz: {n} cases clean on calendar, heap, and 2-shard schedulers (seed {seed}, {:.1}s)",
+                "fuzz: {n} cases clean on sequential and 2-shard schedulers (seed {seed}, {:.1}s)",
                 t0.elapsed().as_secs_f64()
             );
             Ok(())

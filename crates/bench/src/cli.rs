@@ -139,9 +139,9 @@ COMMANDS
             and export telemetry  --bucket-us 20 --trace-out F --jsonl-out F
                                   --report-json F
   fuzz      conformance fuzzing   --cases 500 --seed N --corpus tests/corpus
-            (lockstep calendar-vs-heap queue backends, sequential-vs-
-            sharded scheduler, + run audit; a failure shrinks to a
-            minimal repro written to the corpus as a .scn scenario)
+            (lockstep sequential-vs-sharded scheduler + run audit;
+            a failure shrinks to a minimal repro written to the
+            corpus as a .scn scenario)
   scenario  conformance suite     run <path>... [--jobs N] [--cache]
             (.scn files)          [--report-json F]
                                   check <path>... | gen <dir>

@@ -1,16 +1,15 @@
 //! Deterministic configuration fuzzing for the engine.
 //!
 //! The fuzzer generates randomized-but-valid [`MachineConfig`]s, fault
-//! plans, and per-thread op scripts; runs each case three times — on the
-//! default calendar event queue, on the reference binary-heap backend,
-//! and on the sharded parallel scheduler with two workers — and demands
-//! all runs agree **exactly** (counters, occupancy, histograms,
-//! makespan, and the full event trace). Every run is then audited by
-//! [`emu_core::audit`]. Because every stochastic fault decision is
-//! keyed off a monotone draw counter, backends that pop events in the
-//! same (time, key) order must produce byte-identical reports; any
-//! divergence is a queue or barrier bug, and any audit violation is an
-//! accounting bug.
+//! plans, and per-thread op scripts; runs each case twice — on the
+//! sequential scheduler and on the sharded parallel scheduler with two
+//! workers — and demands both runs agree **exactly** (counters,
+//! occupancy, histograms, makespan, and the full event trace). Every
+//! run is then audited by [`emu_core::audit`]. Because every stochastic
+//! fault decision is keyed off a monotone draw counter, schedulers that
+//! pop events in the same (time, key) order must produce byte-identical
+//! reports; any divergence is a barrier or exchange bug, and any audit
+//! violation is an accounting bug.
 //!
 //! Failures shrink greedily to a minimal reproducer and round-trip
 //! through a plain-text codec ([`encode`]/[`decode`]) so they can be
@@ -231,19 +230,12 @@ pub fn seed_case(engine: &mut Engine, case: &FuzzCase) -> Result<(), SimError> {
     Ok(())
 }
 
-fn run_once(
-    case: &FuzzCase,
-    reference_queue: bool,
-    sim_threads: usize,
-) -> Result<RunReport, SimError> {
+fn run_once(case: &FuzzCase, sim_threads: usize) -> Result<RunReport, SimError> {
     let mut e = Engine::new(case.cfg.clone())?;
-    if reference_queue {
-        e.use_reference_queue();
-    }
     e.set_sim_threads(sim_threads);
     // The sharded leg exists to lockstep-check the threaded scheduler,
     // so pin it on: adaptive merging would otherwise collapse the pool
-    // to the inline path on a single-core host and the three-way
+    // to the inline path on a single-core host and the lockstep
     // comparison would silently lose its parallel witness.
     e.enable_merge(false);
     e.enable_trace(TRACE_CAP);
@@ -253,7 +245,7 @@ fn run_once(
 
 /// Compare two reports field group by field group, returning a message
 /// per divergence. Identical runs must match exactly (not within a
-/// tolerance): both backends consume the same seeds in the same order.
+/// tolerance): both runs consume the same seeds in the same order.
 fn diff_reports(a: &RunReport, b: &RunReport, la: &str, lb: &str) -> Vec<String> {
     let mut out = Vec::new();
     let mut check = |what: &str, x: String, y: String| {
@@ -310,43 +302,37 @@ fn diff_reports(a: &RunReport, b: &RunReport, la: &str, lb: &str) -> Vec<String>
     out
 }
 
-/// Run one case in lockstep on both queue backends and on the sharded
-/// parallel scheduler (two workers), audit every run, and return every
-/// problem found (empty = conforming).
+/// Run one case in lockstep on the sequential scheduler and on the
+/// sharded parallel scheduler (two workers), audit both runs, and
+/// return every problem found (empty = conforming).
 pub fn run_case(case: &FuzzCase) -> Vec<String> {
     let mut problems = Vec::new();
-    match (
-        run_once(case, false, 1),
-        run_once(case, true, 1),
-        run_once(case, false, 2),
-    ) {
-        (Ok(a), Ok(b), Ok(p)) => {
-            problems.extend(diff_reports(&a, &b, "calendar", "heap"));
+    match (run_once(case, 1), run_once(case, 2)) {
+        (Ok(a), Ok(p)) => {
             problems.extend(diff_reports(&a, &p, "sequential", "pdes-2shard"));
-            for (label, r) in [("calendar", &a), ("heap", &b), ("pdes-2shard", &p)] {
+            for (label, r) in [("sequential", &a), ("pdes-2shard", &p)] {
                 for v in audit(&case.cfg, r) {
                     problems.push(format!("audit ({label}): {v}"));
                 }
             }
         }
-        (Err(ea), Err(eb), Err(ep)) => {
+        (Err(ea), Err(ep)) => {
             // A deterministic rejection is fine, but it must be the
-            // same rejection on every backend.
-            if ea.to_string() != eb.to_string() || ea.to_string() != ep.to_string() {
+            // same rejection on both schedulers.
+            if ea.to_string() != ep.to_string() {
                 problems.push(format!(
-                    "errors diverged: calendar={ea}, heap={eb}, pdes-2shard={ep}"
+                    "errors diverged: sequential={ea}, pdes-2shard={ep}"
                 ));
             }
         }
-        (ra, rb, rp) => {
+        (ra, rp) => {
             let d = |r: Result<RunReport, SimError>| match r {
                 Ok(_) => "ok".to_string(),
                 Err(e) => format!("err ({e})"),
             };
             problems.push(format!(
-                "outcomes diverged: calendar={}, heap={}, pdes-2shard={}",
+                "outcomes diverged: sequential={}, pdes-2shard={}",
                 d(ra),
-                d(rb),
                 d(rp)
             ));
         }

@@ -8,7 +8,7 @@
 //!   preset, with explicit tolerance bands.
 //! - [`fuzz`] — a deterministic configuration fuzzer that generates
 //!   randomized-but-valid machine configs, fault plans, and kernel
-//!   scripts, runs the calendar and reference heap queue backends in
+//!   scripts, runs the sequential and two-worker sharded schedulers in
 //!   lockstep, audits both runs with [`emu_core::audit`], and shrinks
 //!   any failure to a minimal repro.
 //!

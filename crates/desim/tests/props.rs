@@ -153,73 +153,90 @@ fn link_monotone_and_linear() {
     });
 }
 
-/// Equal-time events pop in insertion order (FIFO) on both backends,
-/// even when scheduling interleaves with popping.
-#[test]
-fn event_queue_equal_time_fifo_both_backends() {
-    for heap in [false, true] {
-        cases(CASES, 0xF1F0_0EDE, |_case, rng| {
-            let mut q = if heap {
-                EventQueue::heap_backed()
-            } else {
-                EventQueue::new()
-            };
-            // A handful of times, many events per time, scheduled in
-            // random order; per-time pop order must follow insertion.
-            let times: Vec<Time> = (0..4u64)
-                .map(|k| Time::from_ns(100 * k + rng.gen_range(0..50u64)))
-                .collect();
-            let n = rng.gen_range(20..200usize);
-            let mut expect_per_time = vec![Vec::new(); times.len()];
-            for i in 0..n {
-                let which = rng.gen_range(0..times.len());
-                q.schedule(times[which], i);
-                expect_per_time[which].push(i);
-            }
-            let mut got_per_time = vec![Vec::new(); times.len()];
-            while let Some((t, i)) = q.pop() {
-                let which = times.iter().position(|&x| x == t).unwrap();
-                got_per_time[which].push(i);
-            }
-            assert_eq!(got_per_time, expect_per_time, "FIFO violated (heap={heap})");
-        });
+/// Pop the next event from the queue and the oracle, requiring the
+/// same event and clock; returns the new "now".
+fn pop_both(
+    q: &mut EventQueue<u64>,
+    oracle: &mut Vec<(Time, u64, u64)>,
+    keyed: bool,
+    now: Time,
+) -> Time {
+    let want = oracle.pop();
+    if keyed {
+        assert_eq!(q.pop_keyed(), want, "keyed pop diverged");
+    } else {
+        assert_eq!(q.pop(), want.map(|(t, _, id)| (t, id)), "pop diverged");
     }
+    let now = want.map_or(now, |(t, _, _)| t);
+    assert_eq!(q.now(), now, "clock diverged");
+    now
 }
 
-/// The calendar-queue backend and the reference heap backend produce
-/// identical event sequences on randomized schedules, including
-/// interleaved schedule/pop traffic and far-future (overflow) events.
+/// The event queue against a sorted-vector oracle. Each case fills a
+/// queue towards a target population (1 to 5000 pending, log-spread),
+/// interleaves schedules with pops around it, then drains. Deltas mix
+/// zero (ties at "now"), picosecond-scale ties, near-future, and
+/// far-future times; odd cases use caller keys that arrive out of
+/// order, even cases the queue's insertion counter. Every pop, peek,
+/// clock reading, and length must match the oracle exactly.
 #[test]
-fn event_queue_backends_are_equivalent() {
-    cases(CASES, 0xCA1E_0DA2, |_case, rng| {
-        let mut cal = EventQueue::new();
-        let mut heap = EventQueue::heap_backed();
-        let ops = rng.gen_range(50..500usize);
-        let mut next_id = 0usize;
-        for _ in 0..ops {
-            if rng.gen_range(0..3u32) < 2 {
-                // Mix near-future (in-window) and far-future (overflow)
-                // deltas; u64 ps resolution exercises sub-bucket ties.
-                let delta = if rng.gen_range(0..8u32) == 0 {
-                    rng.gen_range(0..100_000_000u64)
-                } else {
-                    rng.gen_range(0..20_000u64)
+fn event_queue_matches_sorted_oracle() {
+    cases(CASES, 0x0AC1_E5EE, |case, rng| {
+        let keyed = case % 2 == 1;
+        let target = match case {
+            0 => 1,
+            1 => 5000,
+            _ => {
+                let span = 1usize << rng.gen_range(1..13u32);
+                1 + rng.gen_range(0..span)
+            }
+        };
+        let mut q = if case % 4 < 2 {
+            EventQueue::with_capacity(target)
+        } else {
+            EventQueue::new()
+        };
+        // Pending `(time, key, id)`, sorted descending so the next pop
+        // is at the back.
+        let mut oracle: Vec<(Time, u64, u64)> = Vec::new();
+        let mut now = Time::ZERO;
+        let mut next_id = 0u64;
+        for _ in 0..4 * target + 16 {
+            let fill = if oracle.len() < target { 4 } else { 2 };
+            if oracle.is_empty() || rng.gen_range(0..5u32) < fill {
+                let delta = match rng.gen_range(0..16u32) {
+                    0..=2 => 0,
+                    3..=6 => rng.gen_range(0..20u64),
+                    7..=14 => rng.gen_range(0..20_000u64),
+                    _ => rng.gen_range(0..100_000_000_000u64),
                 };
-                cal.schedule_after(Time::from_ps(delta), next_id);
-                heap.schedule_after(Time::from_ps(delta), next_id);
+                let at = now + Time::from_ps(delta);
+                let key = if keyed {
+                    // Random high bits scramble arrival order; the id
+                    // in the low bits keeps keys unique.
+                    let key = (rng.gen_range(0..16u64) << 32) | next_id;
+                    q.schedule_keyed(at, key, next_id);
+                    key
+                } else {
+                    q.schedule(at, next_id);
+                    next_id
+                };
+                let i = oracle.partition_point(|&(t, k, _)| (t, k) > (at, key));
+                oracle.insert(i, (at, key, next_id));
                 next_id += 1;
             } else {
-                assert_eq!(cal.pop(), heap.pop(), "pop diverged");
-                assert_eq!(cal.now(), heap.now());
+                now = pop_both(&mut q, &mut oracle, keyed, now);
             }
-            assert_eq!(cal.len(), heap.len());
+            assert_eq!(q.len(), oracle.len(), "case {case}: length diverged");
+            assert_eq!(
+                q.peek_key(),
+                oracle.last().map(|&(t, k, _)| (t, k)),
+                "case {case}: peek diverged"
+            );
         }
-        loop {
-            let (a, b) = (cal.pop(), heap.pop());
-            assert_eq!(a, b, "drain diverged");
-            if a.is_none() {
-                break;
-            }
+        while !oracle.is_empty() {
+            now = pop_both(&mut q, &mut oracle, keyed, now);
         }
+        assert!(q.is_empty() && q.pop().is_none());
     });
 }

@@ -28,7 +28,7 @@
 //! ## Intra-run parallelism
 //!
 //! The machine is sharded **one nodelet per shard**: every nodelet owns
-//! its own calendar queue, servers, counters, and trace ring, and every
+//! its own event queue, servers, counters, and trace ring, and every
 //! handler touches only its own shard's state. Events destined for
 //! another nodelet are *sent* — buffered into a per-shard outbox and
 //! delivered into the destination's queue at a deterministic exchange
@@ -1101,22 +1101,6 @@ impl Engine {
         self.trace_capacity = capacity;
         for s in &mut self.shards {
             s.recorder = (capacity > 0).then(|| TraceRecorder::new(capacity));
-        }
-    }
-
-    /// Swap every shard's event scheduler onto the reference binary-heap
-    /// backend (see [`EventQueue::heap_backed`]). Already-scheduled
-    /// events are carried over in `(time, key)` order, so this may be
-    /// called at any point before [`Engine::run`]; a given workload must
-    /// pop the exact same event sequence on either backend, which is
-    /// what the conformance fuzzer's lockstep comparison checks.
-    pub fn use_reference_queue(&mut self) {
-        for s in &mut self.shards {
-            let mut q = EventQueue::heap_backed();
-            while let Some((at, key, ev)) = s.q.pop_keyed() {
-                q.schedule_keyed(at, key, ev);
-            }
-            s.q = q;
         }
     }
 

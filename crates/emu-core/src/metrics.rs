@@ -186,7 +186,7 @@ pub struct PdesSummary {
 pub struct PhaseBreakdown {
     /// Worker index (0-based; the inline scheduler reports worker 0).
     pub worker: u32,
-    /// Time spent draining shard calendars inside epoch windows.
+    /// Time spent draining shard event queues inside epoch windows.
     pub drain_ns: u64,
     /// Time spent blocked at the sense-reversing barrier.
     pub barrier_ns: u64,

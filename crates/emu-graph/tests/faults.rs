@@ -9,7 +9,12 @@ use emu_core::trace::{self, GlobalTelemetryGuard, TelemetryConfig};
 use emu_graph::bfs::{run_bfs_emu, BfsMode};
 use emu_graph::gen::uniform;
 use emu_graph::stinger::Stinger;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+/// Tests in one binary run on parallel threads, but the telemetry
+/// config and report collector are process-global: a BFS run from the
+/// other test would land untraced in `traced_reports`' collection.
+static GLOBAL_TELEMETRY: Mutex<()> = Mutex::new(());
 
 fn faulty_cfg() -> MachineConfig {
     let mut cfg = presets::chick_prototype();
@@ -42,6 +47,7 @@ fn traced_reports(f: impl FnOnce()) -> Vec<RunReport> {
 
 #[test]
 fn bfs_fault_counters_reconcile_with_trace() {
+    let _serial = GLOBAL_TELEMETRY.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = faulty_cfg();
     let edges = uniform(64, 256, 0xB15);
     let g = Arc::new(Stinger::build_host(&edges, 4, cfg.total_nodelets()));
@@ -86,6 +92,7 @@ fn bfs_fault_counters_reconcile_with_trace() {
 
 #[test]
 fn bfs_fault_runs_are_reproducible() {
+    let _serial = GLOBAL_TELEMETRY.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = faulty_cfg();
     let edges = uniform(48, 160, 0xB16);
     let g = Arc::new(Stinger::build_host(&edges, 4, cfg.total_nodelets()));

@@ -43,7 +43,7 @@ pub enum WorkloadKind {
     /// Laplacian SpMV: `membench::spmv_emu`.
     Spmv,
     /// Raw threadlet scripts (the fuzz-case form), run through the
-    /// three-way lockstep conformance harness.
+    /// two-way lockstep conformance harness.
     Script,
 }
 

@@ -65,7 +65,7 @@ pub enum ResolvedWorkload {
         /// Nonzeros per spawned task.
         grain: usize,
     },
-    /// Raw threadlet scripts for the three-way lockstep harness.
+    /// Raw threadlet scripts for the two-way lockstep harness.
     Script(Vec<ThreadScript>),
 }
 

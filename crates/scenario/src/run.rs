@@ -305,10 +305,10 @@ fn run_oracle(name: &str, cfg: &MachineConfig) -> Result<oracle::OracleCheck, St
 pub fn run_point(s: &Scenario, p: &Point) -> PointOutcome {
     let mut problems = Vec::new();
 
-    // The lockstep conformance harness (calendar vs reference queue vs
-    // two-shard PDES, plus trace/counter audits) runs once per point
-    // for script workloads — it is the scenario-language form of the
-    // fuzzer's check.
+    // The lockstep conformance harness (sequential vs two-shard PDES,
+    // plus trace/counter audits) runs once per point for script
+    // workloads — it is the scenario-language form of the fuzzer's
+    // check.
     if let ResolvedWorkload::Script(threads) = &p.workload {
         problems.extend(conformance::fuzz::run_case(&FuzzCase {
             cfg: p.cfg.clone(),

@@ -1,7 +1,7 @@
 //! Replay the committed fuzz corpus. Every `tests/corpus/*.scn` file —
 //! seeded exemplars and any shrunk repro `simctl fuzz` ever committed —
-//! must run clean under the full scenario runner (lockstep queue
-//! backends, sharded scheduler, run audit, expect blocks), forever.
+//! must run clean under the full scenario runner (sequential-vs-sharded
+//! scheduler lockstep, run audit, expect blocks), forever.
 //!
 //! The corpus is `.scn`-only. The `.case` text codec itself remains
 //! load-bearing (fuzz repros, `scenario promote`, and the result
