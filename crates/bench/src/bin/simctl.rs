@@ -412,7 +412,8 @@ fn cmd_mttkrp(p: &Parsed) -> Result<(), String> {
 }
 
 fn cmd_trace(p: &Parsed) -> Result<(), String> {
-    use emu_bench::telemetry;
+    use emu_bench::telemetry::report_set_json;
+    use emu_core::json::{chrome_trace, json_ok, jsonl_ok, trace_jsonl};
     use emu_core::trace::{self, TelemetryConfig, TraceKind};
     use std::path::PathBuf;
 
@@ -464,11 +465,10 @@ fn cmd_trace(p: &Parsed) -> Result<(), String> {
         .find(|r| r.trace.is_some())
         .ok_or("no traced emu run was collected")?;
 
-    let chrome = telemetry::chrome_trace(traced);
-    let jsonl = telemetry::trace_jsonl(traced);
-    let report = telemetry::report_set_json(&format!("trace_{bench}"), None, &reports);
-    if !telemetry::json_ok(&chrome) || !telemetry::json_ok(&report) || !telemetry::jsonl_ok(&jsonl)
-    {
+    let chrome = chrome_trace(traced);
+    let jsonl = trace_jsonl(traced);
+    let report = report_set_json(&format!("trace_{bench}"), None, &reports);
+    if !json_ok(&chrome) || !json_ok(&report) || !jsonl_ok(&jsonl) {
         return Err("internal error: emitted telemetry failed JSON validation".into());
     }
     emu_bench::output::write_artifact("trace-out", &trace_out, &chrome);
@@ -736,7 +736,7 @@ fn cmd_pdes_speedup(p: &Parsed) -> Result<(), String> {
     json.push_str(&format!(
         "],\"min_speedup\":{min_speedup:.3},\"pdes_events_per_sec\":{best_par:.1}}}"
     ));
-    if !emu_bench::telemetry::json_ok(&json) {
+    if !emu_core::json::json_ok(&json) {
         return Err("internal error: pdes_speedup JSON failed validation".into());
     }
     let out_path = p

@@ -274,13 +274,13 @@ pub fn run_figure_with(
     let traced = runs.iter().rev().find(|r| r.trace.is_some());
     if let Some(path) = &args.trace_out {
         match traced {
-            Some(r) => write_artifact("trace-out", path, &crate::telemetry::chrome_trace(r)),
+            Some(r) => write_artifact("trace-out", path, &emu_core::json::chrome_trace(r)),
             None => eprintln!("[trace-out] no traced emu run to export"),
         }
     }
     if let Some(path) = &args.jsonl_out {
         match traced {
-            Some(r) => write_artifact("jsonl-out", path, &crate::telemetry::trace_jsonl(r)),
+            Some(r) => write_artifact("jsonl-out", path, &emu_core::json::trace_jsonl(r)),
             None => eprintln!("[jsonl-out] no traced emu run to export"),
         }
     }

@@ -1,22 +1,17 @@
 //! Telemetry artifact export for the bench harness.
 //!
 //! The report-level serializers (report JSON, JSONL event logs, Chrome
-//! traces, the [`json_ok`]/[`jsonl_ok`] validators) live in
+//! traces, the `json_ok`/`jsonl_ok` validators) live in
 //! [`emu_core::json`] — they are pure functions of a [`RunReport`] and
 //! are shared with the `simd` daemon, which must produce byte-identical
-//! documents. They are re-exported here so bench call sites keep their
-//! historical paths. This module adds the harness-side documents that
-//! depend on [`Table`]: [`table_json`] and the [`report_set_json`]
-//! top-level artifact.
+//! documents. This module adds the harness-side documents that depend
+//! on [`Table`]: [`table_json`] and the [`report_set_json`] top-level
+//! artifact.
 
 use crate::output::Table;
+use emu_core::json::{jstr, report_json};
 use emu_core::metrics::RunReport;
 use std::fmt::Write as _;
-
-pub use emu_core::json::{
-    chrome_trace, esc, histogram_json, jarr_f64, jarr_u64, jnum, json_ok, jsonl_ok, jstr,
-    report_json, summary_json, trace_jsonl,
-};
 
 /// Serialize a [`Table`] (title/columns/rows) as a JSON object.
 pub fn table_json(t: &Table) -> String {
@@ -60,6 +55,7 @@ pub fn report_set_json(source: &str, table: Option<&Table>, runs: &[RunReport]) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emu_core::json::json_ok;
 
     #[test]
     fn table_json_is_valid() {

@@ -37,7 +37,7 @@ pub mod time;
 pub mod timeline;
 
 pub use arena::{Arena, Idx};
-pub use pdes::{EdgeRings, EpochGate, GateView, SpinBarrier, SpscRing};
+pub use pdes::{EdgeRings, EpochGate, GateView, SpscRing};
 pub use queue::EventQueue;
 pub use server::{FifoServer, Grant, Link, MultiServer};
 pub use stats::{Bandwidth, Counter, LogHistogram, Summary};

@@ -41,11 +41,12 @@
 //! window spans `[min next event, min next event + L)`, and within it
 //! every shard drains its own queue independently — conservatism
 //! guarantees no other shard can inject an event below the horizon.
-//! Workers (see [`set_sim_threads`]) each own a contiguous block of
-//! shards and exchange cross-shard events through [`Mailboxes`] at a
-//! [`SpinBarrier`] between windows. When `L == 0` (degenerate zero-hop
-//! configs) the engine falls back to a merged scheduler that interleaves
-//! the shards sequentially.
+//! Workers (see [`set_sim_threads`]) each own the shards a run-start
+//! planner assigned them, post cross-shard events on per-worker-pair
+//! [`EdgeRings`], and agree on each window with one [`EpochGate`]
+//! crossing. When `L == 0` (degenerate zero-hop configs) the engine
+//! falls back to a merged scheduler that interleaves the shards
+//! sequentially.
 //!
 //! Determinism does not depend on the worker count: every event carries
 //! an intrinsic `(time, key)` pair — the key namespaces the sending
@@ -70,7 +71,7 @@ use desim::stats::{LogHistogram, Summary};
 use desim::time::Time;
 use desim::timeline::{Gauge, Timeline};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Process-global default worker count for [`Engine::run`]; `0` means
@@ -128,116 +129,14 @@ pub fn phase_profile() -> bool {
     }
 }
 
-/// Process-global default for epoch fusion; 0 = unresolved (falls back
-/// to `EMU_PDES_FUSE`), 1 = off, 2 = on.
-static PDES_FUSE: AtomicUsize = AtomicUsize::new(0);
+/// Capacity in messages of each per-worker-pair SPSC exchange ring.
+/// Overflow spills to a mutex-guarded side list, so any capacity is
+/// correct; a bigger ring just locks less.
+const RING_CAPACITY: usize = 512;
 
-/// Set the process-global default for epoch fusion (committing clean
-/// windows on a single gate crossing instead of two), used by every
-/// subsequently constructed engine that does not call
-/// [`Engine::enable_fuse`]. Fusion changes only wall-clock behavior;
-/// results are byte-identical either way.
-pub fn set_pdes_fuse(on: bool) {
-    PDES_FUSE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-}
-
-/// The process-global epoch-fusion default: the last value passed to
-/// [`set_pdes_fuse`], else `EMU_PDES_FUSE` from the environment (`0`
-/// disables), else on.
-pub fn pdes_fuse() -> bool {
-    match PDES_FUSE.load(Ordering::Relaxed) {
-        0 => {
-            let on = std::env::var("EMU_PDES_FUSE").map_or(true, |v| v != "0");
-            PDES_FUSE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
-        v => v == 2,
-    }
-}
-
-/// Process-global default for adaptive shard merging; 0 = unresolved
-/// (falls back to `EMU_PDES_MERGE`), 1 = off, 2 = on.
-static PDES_MERGE: AtomicUsize = AtomicUsize::new(0);
-
-/// Set the process-global default for adaptive shard merging (collapsing
-/// under-loaded shards onto shared workers), used by every subsequently
-/// constructed engine that does not call [`Engine::enable_merge`].
-/// Merging changes only worker placement; results are byte-identical
-/// either way.
-pub fn set_pdes_merge(on: bool) {
-    PDES_MERGE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-}
-
-/// The process-global shard-merging default: the last value passed to
-/// [`set_pdes_merge`], else `EMU_PDES_MERGE` from the environment (`0`
-/// disables), else on.
-pub fn pdes_merge() -> bool {
-    match PDES_MERGE.load(Ordering::Relaxed) {
-        0 => {
-            let on = std::env::var("EMU_PDES_MERGE").map_or(true, |v| v != "0");
-            PDES_MERGE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
-        v => v == 2,
-    }
-}
-
-/// Process-global default per-edge ring capacity; 0 = unresolved (falls
-/// back to `EMU_PDES_RING`, then 512).
-static PDES_RING: AtomicUsize = AtomicUsize::new(0);
-
-/// Set the process-global default capacity (in messages) of each SPSC
-/// exchange ring, clamped to at least 1 and rounded up to a power of
-/// two at ring construction. Overflow past the capacity spills to a
-/// mutex-guarded side list, so any capacity is correct; bigger rings
-/// just lock less.
-pub fn set_pdes_ring(capacity: usize) {
-    PDES_RING.store(capacity.max(1), Ordering::Relaxed);
-}
-
-/// The process-global ring-capacity default: the last value passed to
-/// [`set_pdes_ring`], else `EMU_PDES_RING` from the environment, else
-/// 512.
-pub fn pdes_ring() -> usize {
-    let v = PDES_RING.load(Ordering::Relaxed);
-    if v != 0 {
-        return v;
-    }
-    let n = std::env::var("EMU_PDES_RING")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(512);
-    PDES_RING.store(n, Ordering::Relaxed);
-    n
-}
-
-/// Process-global default merge threshold, stored as `threshold + 1`;
-/// 0 = unresolved (falls back to `EMU_PDES_MERGE_MIN`, then 16).
-static PDES_MERGE_MIN: AtomicU64 = AtomicU64::new(0);
-
-/// Set the process-global merge threshold: a shard counts as *loaded*
-/// when it holds at least this many pending events at run start, and
-/// the merge planner sizes the worker pool to the loaded-shard count.
-pub fn set_pdes_merge_min(threshold: u64) {
-    PDES_MERGE_MIN.store(threshold.saturating_add(1), Ordering::Relaxed);
-}
-
-/// The process-global merge-threshold default: the last value passed to
-/// [`set_pdes_merge_min`], else `EMU_PDES_MERGE_MIN` from the
-/// environment, else 16.
-pub fn pdes_merge_min() -> u64 {
-    let v = PDES_MERGE_MIN.load(Ordering::Relaxed);
-    if v != 0 {
-        return v - 1;
-    }
-    let n = std::env::var("EMU_PDES_MERGE_MIN")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(16);
-    PDES_MERGE_MIN.store(n.saturating_add(1), Ordering::Relaxed);
-    n
-}
+/// Pending events a shard needs at run start to count as *loaded* for
+/// the merge planner (see [`Engine::enable_merge`]).
+const MERGE_MIN: u64 = 16;
 
 /// Bit position of the shard namespace within an event key. Runtime keys
 /// are `(shard + 1) << KEY_SHIFT | send_seq`; pre-run spawns use bare
@@ -248,7 +147,6 @@ const KEY_SHIFT: u32 = 40;
 /// contexts live in their shard's [`Arena`]; events carry only the
 /// 8-byte generational handle, so the hot pop loop moves no boxes and
 /// chases no per-event heap pointers.
-#[derive(Clone)]
 enum Event {
     /// Thread context arrives at a nodelet (spawn or migration); it must
     /// acquire a hardware slot before issuing.
@@ -320,37 +218,6 @@ struct Thread {
     op_kind: OpKind,
 }
 
-impl Thread {
-    /// Duplicate this context for an engine snapshot, if its kernel
-    /// (and any kernel riding in a pending `resume` op) can fork.
-    fn try_fork(&self) -> Option<Thread> {
-        let kernel = match &self.kernel {
-            Some(k) => Some(k.fork()?),
-            None => None,
-        };
-        let resume = match &self.resume {
-            Some(op) => Some(crate::kernel::fork_op(op)?),
-            None => None,
-        };
-        Some(Thread {
-            tid: self.tid,
-            kernel,
-            loc: self.loc,
-            home: self.home,
-            dest: self.dest,
-            resume,
-            in_flight_migration: self.in_flight_migration,
-            mig_issue_at: self.mig_issue_at,
-            migrations: self.migrations,
-            mig_attempts: self.mig_attempts,
-            link_attempts: self.link_attempts,
-            newborn: self.newborn,
-            op_started: self.op_started,
-            op_kind: self.op_kind,
-        })
-    }
-}
-
 /// Where a threadlet's wall time goes — the paper's §III-D "other system
 /// overheads" made measurable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -404,7 +271,6 @@ impl TimeBreakdown {
     }
 }
 
-#[derive(Clone)]
 struct Nodelet {
     cores: MultiServer,
     channel: FifoServer,
@@ -418,7 +284,6 @@ struct Nodelet {
 }
 
 /// Optional per-shard time series (enabled via [`Engine::enable_timeline`]).
-#[derive(Clone)]
 struct ShardTl {
     core: Timeline,
     channel: Timeline,
@@ -434,7 +299,7 @@ struct OutMsg {
     key: u64,
     /// Window the message was posted in, stamped by the scheduler at
     /// post time. The depth high-water mark batches deliveries by this
-    /// field rather than by drain round: a fused drain may pick up mail
+    /// field rather than by drain round: a drain may pick up mail
     /// another worker published moments after the crossing (harmless
     /// for results — the event lies beyond the open window and queues
     /// order by intrinsic key), so only the posting window is a
@@ -537,41 +402,6 @@ impl Shard {
         self.q.schedule_keyed(m.at, m.key, ev);
         self.delivered += 1;
     }
-
-    /// Duplicate this shard for an engine snapshot. Callable only at an
-    /// epoch barrier (outbox empty — in-flight mail has no stable
-    /// serialization). Returns `None` if any resident kernel declines
-    /// to fork.
-    fn try_clone(&self) -> Option<Shard> {
-        debug_assert!(self.outbox.is_empty(), "snapshot with mail in flight");
-        Some(Shard {
-            id: self.id,
-            q: self.q.clone(),
-            arena: self.arena.try_clone_with(Thread::try_fork)?,
-            nl: self.nl.clone(),
-            link: self.link.clone(),
-            mig_latency: self.mig_latency.clone(),
-            migs_per_thread: self.migs_per_thread.clone(),
-            live: self.live,
-            spawned: self.spawned,
-            next_tid: self.next_tid,
-            send_seq: self.send_seq,
-            events: self.events,
-            fault_draws: self.fault_draws,
-            cur_key: self.cur_key,
-            breakdown: self.breakdown,
-            recorder: self.recorder.clone(),
-            tl: self.tl.clone(),
-            outbox: Vec::new(),
-            sent: self.sent,
-            delivered: self.delivered,
-            mail_batch: self.mail_batch,
-            mail_hwm: self.mail_hwm,
-            min_cross_delay: self.min_cross_delay,
-            now: self.now,
-            error: self.error.clone(),
-        })
-    }
 }
 
 /// Wall-clock phase attribution for one epoch-loop worker. When
@@ -645,18 +475,15 @@ impl PhaseClock {
 /// count plus the synchronization stats that feed [`PdesSummary`] and
 /// [`PdesPhaseProfile`]. `epochs` and `clean` depend only on simulated
 /// content, so every scheduler produces the same values for the same
-/// workload; `crossings` and `fused` describe how the run was executed.
+/// workload; `crossings` describes how the run was executed.
 #[derive(Default, Clone, Copy)]
 struct SchedStats {
     /// Lookahead windows drained.
     epochs: u64,
     /// Windows after which no shard had posted cross-shard mail.
     clean: u64,
-    /// Gate/barrier crossings the workers performed (0 when inline).
+    /// Gate crossings the workers performed (0 when inline).
     crossings: u64,
-    /// Clean windows committed on a single gate crossing (0 when epoch
-    /// fusion is disabled or the run was inline/merged).
-    fused: u64,
 }
 
 /// A cooperative cancellation flag paired with the wall-clock deadline
@@ -691,56 +518,13 @@ pub struct Engine {
     /// Whether the epoch schedulers measure their wall-clock phase
     /// split (see [`Engine::enable_phase_profile`]).
     phase_profile: bool,
-    /// Whether clean windows commit on a single gate crossing (see
-    /// [`Engine::enable_fuse`]).
-    fuse: bool,
     /// Whether the run-start planner may collapse under-loaded shards
     /// onto shared workers (see [`Engine::enable_merge`]).
     merge: bool,
-    /// Pending events a shard needs at run start to count as loaded for
-    /// the merge planner.
-    merge_min: u64,
-    /// Per-edge SPSC exchange-ring capacity in messages.
-    ring_capacity: usize,
     /// Profile captured by the last run, consumed by the report.
     pending_phases: Option<PdesPhaseProfile>,
     /// Clean-window count of the last run, consumed by the report.
     pending_clean: u64,
-    /// Capture a barrier snapshot every this many epochs (0 = never).
-    checkpoint_every: u64,
-    /// Most recent barrier snapshot of the current/last run.
-    pending_snapshot: Option<EngineSnapshot>,
-    /// `(epochs, clean)` already accounted by the run a restored
-    /// snapshot came from; the next run continues from these.
-    resume_base: Option<(u64, u64)>,
-}
-
-/// A consistent cut of a running engine, captured at a PDES epoch
-/// barrier (see [`Engine::set_checkpoint_every`]): per-shard event
-/// queues, thread arenas, servers, counters, and fault-RNG draw
-/// counters, plus the scheduler progress needed to resume. Opaque —
-/// produce with [`Engine::take_snapshot`], consume with
-/// [`Engine::restore`]. A restored run replays the remaining windows
-/// exactly, so its report is byte-identical to the uninterrupted run's;
-/// one snapshot can seed many runs (warm-started variants forking from
-/// a common prefix).
-pub struct EngineSnapshot {
-    /// Debug rendering of the owning config; restore refuses a
-    /// mismatched engine.
-    cfg_key: String,
-    shards: Vec<Shard>,
-    init_seq: u64,
-    /// Epoch windows drained before the cut.
-    epochs: u64,
-    /// Clean windows counted before the cut.
-    clean: u64,
-}
-
-impl EngineSnapshot {
-    /// Epoch windows the captured run had drained at the cut.
-    pub fn epochs(&self) -> u64 {
-        self.epochs
-    }
 }
 
 /// Per-nodelet time series of one run (present when
@@ -791,15 +575,9 @@ impl Engine {
             event_cap: None,
             cancel: None,
             phase_profile: phase_profile(),
-            fuse: pdes_fuse(),
-            merge: pdes_merge(),
-            merge_min: pdes_merge_min(),
-            ring_capacity: pdes_ring(),
+            merge: true,
             pending_phases: None,
             pending_clean: 0,
-            checkpoint_every: 0,
-            pending_snapshot: None,
-            resume_base: None,
         };
         // Benchmark runners build engines internally; the process-global
         // telemetry config (see [`crate::trace::set_global`]) lets the
@@ -886,8 +664,6 @@ impl Engine {
         self.cancel = None;
         self.pending_phases = None;
         self.pending_clean = 0;
-        self.pending_snapshot = None;
-        self.resume_base = None;
         let cap = self.trace_capacity;
         if cap > 0 {
             for s in &mut self.shards {
@@ -944,111 +720,16 @@ impl Engine {
         self.phase_profile = on;
     }
 
-    /// Turn epoch fusion on or off for this engine (overriding the
-    /// process-global [`set_pdes_fuse`] default captured at
-    /// construction). Fusion commits windows after which no cross-shard
-    /// mail was posted on a single gate crossing instead of two — a
-    /// pure wall-clock optimization; results are byte-identical either
-    /// way. Survives [`Engine::reset`].
-    pub fn enable_fuse(&mut self, on: bool) {
-        self.fuse = on;
-    }
-
-    /// Turn adaptive shard merging on or off for this engine
-    /// (overriding the process-global [`set_pdes_merge`] default
-    /// captured at construction). When on, the run-start planner sizes
-    /// the worker pool to the shards that actually hold work and
+    /// Turn adaptive shard merging on (the default) or off for this
+    /// engine. When on, the run-start planner sizes the worker pool to
+    /// the host's cores and to the shards that actually hold work, and
     /// balances shards across it by pending-event count; placement is
-    /// deterministic and recorded in the phase profile. Results are
-    /// byte-identical either way. Survives [`Engine::reset`].
+    /// deterministic and recorded in the phase profile. When off, the
+    /// requested worker count is honored exactly, which is how lockstep
+    /// checks keep a real multi-worker pool on a one-core host. Results
+    /// are byte-identical either way. Survives [`Engine::reset`].
     pub fn enable_merge(&mut self, on: bool) {
         self.merge = on;
-    }
-
-    /// Override the merge planner's loaded-shard threshold for this
-    /// engine (see [`set_pdes_merge_min`]). Survives [`Engine::reset`].
-    pub fn set_merge_min(&mut self, threshold: u64) {
-        self.merge_min = threshold;
-    }
-
-    /// Override the per-edge SPSC exchange-ring capacity for this
-    /// engine (clamped to at least 1; see [`set_pdes_ring`]). Survives
-    /// [`Engine::reset`].
-    pub fn set_ring_capacity(&mut self, capacity: usize) {
-        self.ring_capacity = capacity.max(1);
-    }
-
-    /// Capture a barrier snapshot every `n` epoch windows during runs
-    /// (0 disables). Checkpointing forces the inline epoch scheduler —
-    /// the cut must be taken between windows with no worker mid-drain —
-    /// but cannot change results: every scheduler commits the identical
-    /// window sequence. Only kernels that implement
-    /// [`Kernel::fork`](crate::kernel::Kernel::fork) can be captured; a
-    /// barrier where some resident kernel declines keeps the previous
-    /// snapshot instead. Survives [`Engine::reset`] like the trace
-    /// settings.
-    pub fn set_checkpoint_every(&mut self, n: u64) {
-        self.checkpoint_every = n;
-    }
-
-    /// Take the most recent epoch-barrier snapshot captured during the
-    /// last run (then forget it). `None` if checkpointing was off, the
-    /// run never reached a checkpointed barrier, or a resident kernel
-    /// declined to fork at every eligible barrier.
-    pub fn take_snapshot(&mut self) -> Option<EngineSnapshot> {
-        self.pending_snapshot.take()
-    }
-
-    /// Rewind this engine to `snap`'s barrier cut. The next
-    /// [`Engine::run_once`] resumes the captured run from that barrier
-    /// and produces a report byte-identical to the uninterrupted run's.
-    /// The snapshot is cloned, not consumed — several engines (or
-    /// repeated runs) can fork from the same prefix.
-    ///
-    /// # Errors
-    /// [`SimError::InvalidConfig`] if `snap` came from a different
-    /// machine configuration, or if a captured kernel can no longer be
-    /// duplicated.
-    pub fn restore(&mut self, snap: &EngineSnapshot) -> Result<(), SimError> {
-        let key = format!("{:?}", self.cfg);
-        if key != snap.cfg_key {
-            return Err(SimError::InvalidConfig(
-                "snapshot was captured under a different machine configuration".into(),
-            ));
-        }
-        let mut shards = Vec::with_capacity(snap.shards.len());
-        for s in &snap.shards {
-            shards.push(s.try_clone().ok_or_else(|| {
-                SimError::InvalidConfig("snapshot holds a kernel that cannot fork".into())
-            })?);
-        }
-        self.shards = shards;
-        self.init_seq = snap.init_seq;
-        self.resume_base = Some((snap.epochs, snap.clean));
-        self.pending_snapshot = None;
-        self.pending_phases = None;
-        self.pending_clean = 0;
-        Ok(())
-    }
-
-    /// Capture the current barrier state as the pending snapshot.
-    /// Callable only between windows (outboxes empty). Silently keeps
-    /// the previous snapshot when a resident kernel declines to fork.
-    fn capture_snapshot(&mut self, epochs: u64, clean: u64) {
-        let mut shards = Vec::with_capacity(self.shards.len());
-        for s in &self.shards {
-            match s.try_clone() {
-                Some(c) => shards.push(c),
-                None => return,
-            }
-        }
-        self.pending_snapshot = Some(EngineSnapshot {
-            cfg_key: format!("{:?}", self.cfg),
-            shards,
-            init_seq: self.init_seq,
-            epochs,
-            clean,
-        });
     }
 
     /// The conservative lookahead of this machine: the minimum simulated
@@ -1211,11 +892,6 @@ impl Engine {
         let lookahead = self.lookahead();
         let workers = self.sim_threads.unwrap_or_else(sim_threads).max(1);
         let profile = self.phase_profile;
-        // Base scheduler progress from a restored snapshot: epoch marks
-        // and final counts continue from the captured run's absolutes
-        // (cloned mailbox-batch slots hold absolute marks, so a resumed
-        // run restarting at relative zero could collide with them).
-        let base = self.resume_base.take().unwrap_or((0, 0));
         let t0 = profile.then(std::time::Instant::now);
         let (stats, phase_workers, owners, groups) = if lookahead == Time::ZERO {
             self.run_merged(cap);
@@ -1226,18 +902,9 @@ impl Engine {
                 1,
             )
         } else {
-            // Checkpointing and resuming both pin the inline scheduler:
-            // the barrier cut needs no worker mid-window, and the
-            // threaded path stamps relative epoch marks that a resumed
-            // run cannot reconcile with the snapshot's absolute ones.
-            // Window sequence and results are identical either way.
-            let (owners, groups) = if self.checkpoint_every > 0 || base != (0, 0) {
-                (vec![0u32; self.shards.len()], 1)
-            } else {
-                self.plan_groups(workers)
-            };
+            let (owners, groups) = self.plan_groups(workers);
             if groups <= 1 {
-                let (stats, ph) = self.run_epochs_inline(cap, lookahead, profile, base);
+                let (stats, ph) = self.run_epochs_inline(cap, lookahead, profile);
                 (stats, ph, owners, 1)
             } else {
                 let (stats, ph) =
@@ -1247,15 +914,17 @@ impl Engine {
         };
         self.pending_phases = t0.map(|t0| PdesPhaseProfile {
             workers: phase_workers,
-            epochs: base.0 + stats.epochs,
+            epochs: stats.epochs,
             wall_ns: t0.elapsed().as_nanos() as u64,
             barrier_crossings: stats.crossings,
-            fused_windows: stats.fused,
+            // A threaded run commits every clean window on its one gate
+            // crossing, with no ring drain.
+            fused_windows: if groups > 1 { stats.clean } else { 0 },
             merge_groups: groups as u64,
             shard_owners: owners,
         });
-        self.pending_clean = base.1 + stats.clean;
-        self.finish(cap, lookahead, base.0 + stats.epochs)
+        self.pending_clean = stats.clean;
+        self.finish(cap, lookahead, stats.epochs)
     }
 
     /// Run-start placement of shards onto workers. Returns one owning
@@ -1271,7 +940,7 @@ impl Engine {
     /// request (say 4 sim-threads on a 1-core box) collapses toward
     /// the inline scheduler instead of paying synchronization for no
     /// overlap. Then, if some shards are *loaded* (at least
-    /// [`Engine::set_merge_min`] pending events), the pool shrinks to
+    /// [`MERGE_MIN`] pending events), the pool shrinks to
     /// the loaded-shard count and shards are balanced across it
     /// greedily by pending-event weight — so 64 shards with 4 busy ones
     /// get 4 workers carrying similar load instead of 64÷workers
@@ -1290,7 +959,7 @@ impl Engine {
         let loaded = if self.merge && workers > 1 {
             self.shards
                 .iter()
-                .filter(|s| s.q.len() as u64 >= self.merge_min.max(1))
+                .filter(|s| s.q.len() as u64 >= MERGE_MIN)
                 .count()
         } else {
             0
@@ -1391,7 +1060,6 @@ impl Engine {
         cap: u64,
         lookahead: Time,
         profile: bool,
-        base: (u64, u64),
     ) -> (SchedStats, Vec<PhaseBreakdown>) {
         let mut stats = SchedStats::default();
         let mut clk = PhaseClock::new(profile);
@@ -1403,10 +1071,7 @@ impl Engine {
             if drained && self.shards.iter().all(|s| s.outbox.is_empty()) {
                 stats.clean += 1;
             }
-            // Exchange marks are absolute (resume-safe): cloned
-            // mailbox-batch slots in a restored snapshot carry the
-            // original run's marks, and marks must only move forward.
-            self.deliver_all(base.0 + stats.epochs);
+            self.deliver_all(stats.epochs);
             clk.mark(Phase::Exchange);
             let any_error = self.shards.iter().any(|s| s.error.is_some());
             let total: u64 = self.shards.iter().map(|s| s.events).sum();
@@ -1421,16 +1086,6 @@ impl Engine {
                 break;
             }
             let Some(next) = next else { break };
-            // The barrier cut: mail fully delivered, nothing mutated
-            // since (peeks only), and at least one more window will
-            // run — the exact state a restored engine re-enters at.
-            let abs_epoch = base.0 + stats.epochs;
-            if self.checkpoint_every > 0
-                && abs_epoch > 0
-                && abs_epoch.is_multiple_of(self.checkpoint_every)
-            {
-                self.capture_snapshot(abs_epoch, base.1 + stats.clean);
-            }
             let end = Time::from_ps(next.ps().saturating_add(lookahead.ps()));
             stats.epochs += 1;
             for s in &mut self.shards {
@@ -1448,15 +1103,12 @@ impl Engine {
     /// moves over per-edge SPSC rings and the workers agree on every
     /// window through an [`EpochGate`].
     ///
-    /// With fusion on, one gate crossing commits each window: every
-    /// worker's digest carries `min(own queue minima, earliest mail it
-    /// just posted)`, whose gate-wide minimum equals the post-delivery
-    /// global minimum — so the window decision is correct *before*
-    /// delivery, and rings are drained only when somebody's dirty flag
-    /// says there is mail at all. With fusion off, the scheduler falls
-    /// back to the classic two crossings per window (deliver first,
-    /// then agree on the post-delivery minimum). Both commit the exact
-    /// same window sequence; only wall-clock behavior differs.
+    /// One gate crossing commits each window: every worker's digest
+    /// carries `min(own queue minima, earliest mail it just posted)`,
+    /// whose gate-wide minimum equals the post-delivery global minimum
+    /// — so the window decision is correct *before* delivery, and rings
+    /// are drained only when somebody's dirty flag says there is mail
+    /// at all. The inline scheduler commits the same window sequence.
     fn run_epochs_threaded(
         &mut self,
         cap: u64,
@@ -1478,12 +1130,11 @@ impl Engine {
         for (s, &o) in self.shards.iter_mut().zip(owners.iter()) {
             grouped[o as usize].push(s);
         }
-        let rings: EdgeRings<OutMsg> = EdgeRings::new(groups, self.ring_capacity);
+        let rings: EdgeRings<OutMsg> = EdgeRings::new(groups, RING_CAPACITY);
         let gate = EpochGate::new(groups);
         let stats_out = Mutex::new(SchedStats::default());
         let breakdowns: Vec<Mutex<Option<PhaseBreakdown>>> =
             (0..groups).map(|_| Mutex::new(None)).collect();
-        let fuse = self.fuse;
         let cfg = &self.cfg;
         let redirect = &self.redirect[..];
         let cancel = self.cancel.as_ref();
@@ -1503,9 +1154,8 @@ impl Engine {
                     loop {
                         // Digest: events, error flag, dirty flag, and
                         // the earliest time this group could still act
-                        // at — its queue minima and (fused) the mail it
-                        // posted last window, which is not yet in any
-                        // queue.
+                        // at — its queue minima and the mail it posted
+                        // last window, which is not yet in any queue.
                         let local_next = mine
                             .iter()
                             .filter_map(|s| s.q.peek_key())
@@ -1528,61 +1178,27 @@ impl Engine {
                         round += 1;
                         stats.crossings += 1;
                         clk.mark(Phase::Barrier);
-                        // Clean accounting: the dirty flags describe the
-                        // window drained just before this crossing.
-                        if drained && !view.any_dirty() {
-                            stats.clean += 1;
-                            if fuse {
-                                stats.fused += 1;
-                            }
-                        }
-                        let (total, next_ps, err) = if fuse {
-                            if view.any_dirty() {
-                                rings.drain_into(g, &mut inbox);
-                                for m in inbox.drain(..) {
-                                    let mark = m.epoch;
-                                    mine[local_idx[m.dest as usize] as usize].absorb_mail(mark, m);
-                                }
-                                clk.mark(Phase::Exchange);
-                            }
-                            (view.events, view.next_ps, view.any_error())
-                        } else {
-                            // Two-crossing fallback: deliver first, then
-                            // agree on the post-delivery minimum.
+                        // The dirty flags describe the window drained
+                        // just before this crossing: deliver its mail,
+                        // or count it clean.
+                        if view.any_dirty() {
                             rings.drain_into(g, &mut inbox);
                             for m in inbox.drain(..) {
                                 let mark = m.epoch;
                                 mine[local_idx[m.dest as usize] as usize].absorb_mail(mark, m);
                             }
                             clk.mark(Phase::Exchange);
-                            let next2 = mine
-                                .iter()
-                                .filter_map(|s| s.q.peek_key())
-                                .map(|(t, _)| t.ps())
-                                .min();
-                            let err2 = if mine.iter().any(|s| s.error.is_some()) {
-                                GATE_ERROR
-                            } else {
-                                0
-                            };
-                            let view2 = gate.sync(g, round, 0, next2, err2);
-                            round += 1;
-                            stats.crossings += 1;
-                            clk.mark(Phase::Barrier);
-                            (
-                                view.events,
-                                view2.next_ps,
-                                view.any_error() || view2.any_error(),
-                            )
-                        };
+                        } else if drained {
+                            stats.clean += 1;
+                        }
                         clk.mark(Phase::Merge);
                         // Decision: identical on every worker (it reads
                         // only gate views), so all workers break
                         // together and nobody is left at the gate.
-                        if err || total > cap {
+                        if view.any_error() || view.events > cap {
                             break;
                         }
-                        let Some(next_ps) = next_ps else { break };
+                        let Some(next_ps) = view.next_ps else { break };
                         let end = Time::from_ps(next_ps.saturating_add(lookahead.ps()));
                         stats.epochs += 1;
                         for s in mine.iter_mut() {
@@ -3342,8 +2958,8 @@ mod tests {
         pdes_workload_with(cfg, sim_threads, |_| {})
     }
 
-    /// [`pdes_workload`] with an engine-tweak hook, used to flip the
-    /// scheduler knobs (fusion, merging, ring capacity) per run.
+    /// [`pdes_workload`] with an engine-tweak hook, used to turn shard
+    /// merging off for a run.
     fn pdes_workload_with(
         cfg: MachineConfig,
         sim_threads: usize,
@@ -3401,179 +3017,58 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_knobs_produce_identical_reports() {
-        // Every execution-strategy knob — epoch fusion, adaptive shard
-        // merging, ring capacity down to the always-spilling minimum —
-        // must leave the report byte-identical: they decide how the
-        // scheduler synchronizes, never what it simulates.
+    fn merge_on_and_off_produce_identical_reports() {
+        // Shard merging decides how many workers run and which shards
+        // each owns, never what is simulated: the report must be
+        // byte-identical with the planner on and with the requested
+        // pool pinned.
         let mut cfg = presets::emu64_full_speed();
         cfg.faults.mig_nack_prob = 0.2;
         cfg.faults.mig_retry_budget = 64;
         cfg.faults.ecc_prob = 0.1;
         cfg.faults.seed = 42;
-        let base = pdes_workload(cfg.clone(), 4);
-        let unfused = pdes_workload_with(cfg.clone(), 4, |e| e.enable_fuse(false));
-        let unmerged = pdes_workload_with(cfg.clone(), 4, |e| e.enable_merge(false));
-        let merged_low = pdes_workload_with(cfg.clone(), 4, |e| {
-            e.enable_merge(true);
-            e.set_merge_min(1);
-        });
-        let tiny_rings = pdes_workload_with(cfg, 4, |e| e.set_ring_capacity(1));
+        let merged = pdes_workload(cfg.clone(), 4);
+        let unmerged = pdes_workload_with(cfg, 4, |e| e.enable_merge(false));
         let dump = |r: &RunReport| format!("{r:?}");
-        assert_eq!(dump(&base), dump(&unfused), "fusion changed the report");
-        assert_eq!(dump(&base), dump(&unmerged), "merging changed the report");
-        assert_eq!(
-            dump(&base),
-            dump(&merged_low),
-            "merge threshold changed the report"
-        );
-        assert_eq!(
-            dump(&base),
-            dump(&tiny_rings),
-            "ring capacity changed the report"
-        );
-        assert!(base.pdes.mailbox_sent > 0, "workload must cross shards");
+        assert_eq!(dump(&merged), dump(&unmerged), "merging changed the report");
+        assert!(merged.pdes.mailbox_sent > 0, "workload must cross shards");
         assert!(
-            base.pdes.clean_windows < base.pdes.epochs,
-            "workload must have dirty windows for the knobs to matter"
+            merged.pdes.clean_windows < merged.pdes.epochs,
+            "workload must have dirty windows for placement to matter"
         );
     }
 
-    /// Seed a cross-shard script workload scaled to the machine's
-    /// nodelet count, with tracing, timelines, and faults armed — the
-    /// most state a snapshot could have to carry.
-    fn seed_snapshot_workload(e: &mut Engine) {
-        e.enable_trace(1 << 12);
-        e.enable_timeline(Time::from_us(1)).unwrap();
-        let total = e.cfg().total_nodelets();
-        for n in 0..4u32 {
-            let mut ops = Vec::new();
-            for i in 0..6u32 {
-                ops.push(Op::Load {
-                    addr: GlobalAddr::new(nl((n * 13 + i * 7) % total), (i as u64) * 8),
-                    bytes: 8,
-                });
-                ops.push(Op::Store {
-                    addr: GlobalAddr::new(nl((n * 5 + i * 11) % total), 0),
-                    bytes: 8,
-                });
-            }
-            ops.push(Op::Spawn {
-                kernel: Box::new(ScriptKernel::new(vec![Op::AtomicAdd {
-                    addr: GlobalAddr::new(nl((total - 1 - n) % total), 0),
-                    bytes: 8,
-                }])),
-                place: Placement::On(nl((n * 16 + 3) % total)),
-            });
-            e.spawn_at(
-                nl((n * (total / 4).max(1)) % total),
-                Box::new(ScriptKernel::new(ops)),
-            )
-            .unwrap();
-        }
-    }
-
     #[test]
-    fn snapshot_restore_is_byte_identical_on_all_presets() {
-        let presets: [(&str, MachineConfig); 5] = [
-            ("chick", presets::chick_prototype()),
-            ("chick-sim", presets::chick_toolchain_sim()),
-            ("full-speed", presets::chick_full_speed()),
-            ("emu64", presets::emu64_full_speed()),
-            ("chick-8node", presets::chick_8node_prototype()),
-        ];
-        for (name, mut cfg) in presets {
-            cfg.faults.mig_nack_prob = 0.2;
-            cfg.faults.mig_retry_budget = 64;
-            cfg.faults.ecc_prob = 0.1;
-            cfg.faults.seed = 42;
-            let dump = |r: &RunReport| format!("{r:?}");
-
-            // The uninterrupted reference run.
-            let mut a = Engine::new(cfg.clone()).unwrap();
-            seed_snapshot_workload(&mut a);
-            let ra = a.run_once().unwrap();
-            assert!(
-                ra.pdes.epochs > 2,
-                "{name}: workload too short to checkpoint"
-            );
-
-            // Checkpointing must not perturb the run it rides on.
-            let mut b = Engine::new(cfg.clone()).unwrap();
-            b.set_checkpoint_every(2);
-            seed_snapshot_workload(&mut b);
-            let rb = b.run_once().unwrap();
-            assert_eq!(
-                dump(&ra),
-                dump(&rb),
-                "{name}: checkpointing perturbed the report"
-            );
-            let snap = b
-                .take_snapshot()
-                .expect("checkpointed run leaves a snapshot");
-            assert!(snap.epochs() > 0 && snap.epochs().is_multiple_of(2));
-
-            // A fresh engine restored from the barrier cut finishes the
-            // run byte-identically.
-            let mut c = Engine::new(cfg.clone()).unwrap();
-            c.enable_trace(1 << 12);
-            c.enable_timeline(Time::from_us(1)).unwrap();
-            c.restore(&snap).unwrap();
-            let rc = c.run_once().unwrap();
-            assert_eq!(dump(&ra), dump(&rc), "{name}: restored run diverged");
-
-            // The snapshot is reusable: a second fork from the same
-            // prefix reproduces the same bytes again.
-            let mut d = Engine::new(cfg.clone()).unwrap();
-            d.enable_trace(1 << 12);
-            d.enable_timeline(Time::from_us(1)).unwrap();
-            d.restore(&snap).unwrap();
-            let rd = d.run_once().unwrap();
-            assert_eq!(dump(&rc), dump(&rd), "{name}: second fork diverged");
-        }
-    }
-
-    #[test]
-    fn restore_rejects_a_mismatched_config() {
-        let mut b = Engine::new(presets::chick_prototype()).unwrap();
-        b.set_checkpoint_every(1);
-        seed_snapshot_workload(&mut b);
-        b.run_once().unwrap();
-        let snap = b.take_snapshot().expect("snapshot");
-        let mut other = Engine::new(presets::emu64_full_speed()).unwrap();
-        assert!(matches!(
-            other.restore(&snap),
-            Err(SimError::InvalidConfig(_))
-        ));
-    }
-
-    #[test]
-    fn unforkable_kernels_skip_capture_without_failing_the_run() {
-        // A closure kernel declines to fork; the run must complete
-        // normally with no snapshot rather than erroring.
-        let cfg = presets::chick_prototype();
-        let mut e = Engine::new(cfg).unwrap();
-        e.set_checkpoint_every(1);
-        let total = e.cfg().total_nodelets();
-        let mut step = 0u32;
-        e.spawn_at(
-            nl(0),
-            Box::new(move |_ctx: &crate::kernel::KernelCtx| {
-                step += 1;
-                if step > 8 {
-                    Op::Quit
-                } else {
-                    Op::Load {
-                        addr: GlobalAddr::new(NodeletId(step % total), 0),
-                        bytes: 8,
-                    }
+    fn ring_overflow_spills_without_changing_the_report() {
+        // 64 threads on each of nodelets 0-31 post 8 remote stores each
+        // to nodelet 63. With merging off, 2 workers split the shards
+        // 0-31 / 32-63, so one window's burst far exceeds the 512-slot
+        // ring between them and most of it takes the spill path.
+        let run = |workers: usize| {
+            let mut e = Engine::new(presets::emu64_full_speed()).unwrap();
+            e.set_sim_threads(workers);
+            e.enable_merge(false);
+            for n in 0..32u32 {
+                for _ in 0..64 {
+                    let ops = (0..8u64)
+                        .map(|i| Op::Store {
+                            addr: GlobalAddr::new(nl(63), i * 8),
+                            bytes: 8,
+                        })
+                        .collect();
+                    e.spawn_at(nl(n), Box::new(ScriptKernel::new(ops))).unwrap();
                 }
-            }),
-        )
-        .unwrap();
-        let r = e.run_once().unwrap();
-        assert!(r.pdes.epochs > 0);
-        assert!(e.take_snapshot().is_none(), "closure kernels cannot fork");
+            }
+            e.run().unwrap()
+        };
+        let one = run(1);
+        let two = run(2);
+        assert_eq!(format!("{one:?}"), format!("{two:?}"));
+        assert!(
+            two.pdes.mailbox_depth_hwm > RING_CAPACITY as u64,
+            "burst of {} never overflowed the {RING_CAPACITY}-slot ring",
+            two.pdes.mailbox_depth_hwm
+        );
     }
 
     #[test]

@@ -135,50 +135,9 @@ pub struct KernelCtx {
 pub trait Kernel: Send {
     /// Produce the next operation. Must eventually return [`Op::Quit`].
     fn step(&mut self, ctx: &KernelCtx) -> Op;
-
-    /// Duplicate this kernel at its *current* resume point, if it can.
-    ///
-    /// Engine checkpoints clone live threadlets at an epoch barrier; a
-    /// kernel that can reproduce its mid-run state returns an
-    /// independent copy that will emit the same remaining op stream.
-    /// The default declines, which makes the enclosing snapshot attempt
-    /// fail cleanly rather than silently diverge — only kernels that
-    /// opt in participate in checkpoint/restore.
-    fn fork(&self) -> Option<Box<dyn Kernel>> {
-        None
-    }
-}
-
-/// Duplicate a pending [`Op`], if every kernel it carries can fork.
-/// Everything except `Spawn` is a plain field copy; `Spawn` forks the
-/// child kernel recursively.
-pub fn fork_op(op: &Op) -> Option<Op> {
-    Some(match op {
-        Op::Load { addr, bytes } => Op::Load {
-            addr: *addr,
-            bytes: *bytes,
-        },
-        Op::Store { addr, bytes } => Op::Store {
-            addr: *addr,
-            bytes: *bytes,
-        },
-        Op::AtomicAdd { addr, bytes } => Op::AtomicAdd {
-            addr: *addr,
-            bytes: *bytes,
-        },
-        Op::Compute { cycles } => Op::Compute { cycles: *cycles },
-        Op::MigrateTo { nodelet } => Op::MigrateTo { nodelet: *nodelet },
-        Op::Spawn { kernel, place } => Op::Spawn {
-            kernel: kernel.fork()?,
-            place: *place,
-        },
-        Op::Quit => Op::Quit,
-    })
 }
 
 /// Blanket impl so closures can serve as quick kernels in tests.
-/// Closure kernels keep the default `fork` (decline): their captured
-/// state is opaque, so they cannot participate in checkpoints.
 impl<F> Kernel for F
 where
     F: FnMut(&KernelCtx) -> Op + Send,
@@ -210,19 +169,6 @@ impl Kernel for ScriptKernel {
         let op = self.ops.get_mut(self.pos).and_then(Option::take);
         self.pos += 1;
         op.unwrap_or(Op::Quit)
-    }
-
-    fn fork(&self) -> Option<Box<dyn Kernel>> {
-        // Duplicate only the un-consumed tail; already-taken slots are
-        // behind `pos` and never revisited.
-        let mut ops = Vec::with_capacity(self.ops.len() - self.pos);
-        for slot in &self.ops[self.pos..] {
-            match slot {
-                Some(op) => ops.push(Some(fork_op(op)?)),
-                None => ops.push(None),
-            }
-        }
-        Some(Box::new(ScriptKernel { ops, pos: 0 }))
     }
 }
 
@@ -270,52 +216,6 @@ mod tests {
             Op::Compute { cycles: 2 }
         ));
         assert!(matches!(Kernel::step(&mut k, &ctx), Op::Quit));
-    }
-
-    #[test]
-    fn script_kernel_fork_resumes_mid_script() {
-        let ctx = KernelCtx {
-            tid: ThreadId(0),
-            here: NodeletId(0),
-            home: NodeletId(0),
-            now: Time::ZERO,
-        };
-        let mut k = ScriptKernel::new(vec![
-            Op::Compute { cycles: 1 },
-            Op::Compute { cycles: 2 },
-            Op::Compute { cycles: 3 },
-        ]);
-        assert!(matches!(k.step(&ctx), Op::Compute { cycles: 1 }));
-        let mut forked = k.fork().expect("script kernels fork");
-        // The fork resumes exactly where the original stood, and the
-        // two advance independently.
-        assert!(matches!(forked.step(&ctx), Op::Compute { cycles: 2 }));
-        assert!(matches!(k.step(&ctx), Op::Compute { cycles: 2 }));
-        assert!(matches!(forked.step(&ctx), Op::Compute { cycles: 3 }));
-        assert!(matches!(forked.step(&ctx), Op::Quit));
-        assert!(matches!(k.step(&ctx), Op::Compute { cycles: 3 }));
-    }
-
-    #[test]
-    fn spawn_of_script_kernel_forks_recursively() {
-        let child = ScriptKernel::new(vec![Op::Compute { cycles: 7 }]);
-        let op = Op::Spawn {
-            kernel: Box::new(child),
-            place: Placement::Here,
-        };
-        let forked = fork_op(&op).expect("script children fork");
-        assert!(matches!(forked, Op::Spawn { .. }));
-    }
-
-    #[test]
-    fn closure_kernels_decline_to_fork() {
-        let k = |_ctx: &KernelCtx| Op::Quit;
-        assert!(Kernel::fork(&k).is_none());
-        let op = Op::Spawn {
-            kernel: Box::new(k),
-            place: Placement::Here,
-        };
-        assert!(fork_op(&op).is_none());
     }
 
     #[test]

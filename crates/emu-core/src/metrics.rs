@@ -154,10 +154,11 @@ pub struct PdesSummary {
     /// fallback scheduler (zero lookahead leaves no window to exploit).
     pub epochs: u64,
     /// Windows after which no shard had posted any cross-shard event —
-    /// the all-local case epoch fusion commits on a single gate
-    /// crossing. A function of the simulated event stream (which shards
-    /// talk when), not of worker placement, so it is worker-count-,
-    /// fusion-, and merge-invariant like every other field here.
+    /// the all-local case the threaded scheduler commits on its gate
+    /// crossing alone, with no ring drain. A function of the simulated
+    /// event stream (which shards talk when), not of worker placement,
+    /// so it is worker-count- and merge-invariant like every other
+    /// field here.
     pub clean_windows: u64,
     /// Cross-shard events posted to mailboxes.
     pub mailbox_sent: u64,
@@ -188,7 +189,7 @@ pub struct PhaseBreakdown {
     pub worker: u32,
     /// Time spent draining shard event queues inside epoch windows.
     pub drain_ns: u64,
-    /// Time spent blocked at the sense-reversing barrier.
+    /// Time spent blocked at the epoch gate.
     pub barrier_ns: u64,
     /// Time spent posting to and delivering from mailboxes.
     pub exchange_ns: u64,
@@ -219,11 +220,12 @@ pub struct PdesPhaseProfile {
     pub epochs: u64,
     /// Wall-clock duration of the whole epoch scheduler, in ns.
     pub wall_ns: u64,
-    /// Gate crossings the worker pool performed: one per window with
-    /// epoch fusion on, two with it off, zero for inline/merged runs.
+    /// Gate crossings the worker pool performed: one per window plus
+    /// the closing one, zero for inline/merged runs.
     pub barrier_crossings: u64,
-    /// Clean windows committed on the single-crossing fast path (zero
-    /// when fusion was off or the run was inline/merged).
+    /// Clean windows the worker pool committed on the gate crossing
+    /// alone, with no ring drain: every clean window of a threaded run,
+    /// zero for inline/merged runs.
     pub fused_windows: u64,
     /// Worker-pool size the run-start merge planner chose (1 for
     /// inline and merged runs).

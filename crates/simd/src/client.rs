@@ -6,9 +6,9 @@
 //! on busy). `shutting_down` and every typed run failure are final.
 //! Backoff is deterministic per seed so soak tests replay exactly.
 
-use crate::parse::parse;
 use crate::proto::{run_request_line, RunRequest, Spec};
 use desim::rng::{rng_from_seed, trial_seed};
+use emu_core::jsonread::parse;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;

@@ -33,7 +33,6 @@
 pub mod bench;
 pub mod client;
 pub mod exec;
-pub mod parse;
 pub mod pool;
 pub mod proto;
 pub mod scn;

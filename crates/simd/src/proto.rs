@@ -37,8 +37,8 @@
 //! {"id":1,"ok":false,"error":{"kind":"busy","message":"..."},"retry_after_ms":25}
 //! ```
 
-use crate::parse::{parse, Value};
 use emu_core::json::jstr;
+use emu_core::jsonread::{parse, Value};
 
 /// One parsed request line.
 #[derive(Debug, Clone, PartialEq)]

@@ -19,10 +19,10 @@
 //!  "fingerprints":[[1,"{...}"],[2,"{...}"]],"problems":[]}
 //! ```
 
-use crate::parse::{parse, Value};
 use crate::pool::{Pool, Reject};
 use crate::proto::{err_response, report_slice, ErrorKind, RunRequest, ScenarioRequest, Spec};
 use emu_core::json::{jnum, jstr};
+use emu_core::jsonread::{parse, Value};
 use scenario::run::PointOutcome;
 use std::sync::mpsc;
 use std::time::Duration;

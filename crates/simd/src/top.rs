@@ -13,7 +13,7 @@
 //! exits — that mode is what CI archives as an artifact.
 
 use crate::client::{request, ClientOpts};
-use crate::parse::{parse, Value};
+use emu_core::jsonread::{parse, Value};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::time::{Duration, Instant};

@@ -1,12 +1,12 @@
 //! The shared-grammar invariant: `emu_core::json::json_ok` (the
-//! artifact validator) and `simd::parse::parse` (the protocol reader)
-//! are the same strict reader, so they must accept and reject the
+//! artifact validator) and `emu_core::jsonread::parse` (the daemon's
+//! protocol reader) are the same strict reader, so they must accept and reject the
 //! exact same corpus. A document only one of them rejects would mean a
 //! daemon request that validates but does not parse (or vice versa) —
 //! the drift this satellite exists to prevent.
 
 use emu_core::json::json_ok;
-use simd::parse::parse;
+use emu_core::jsonread::parse;
 
 /// Documents both sides must reject, by failure class.
 const REJECTED: &[(&str, &str)] = &[

@@ -7,8 +7,8 @@
 //! process-global, so a second in-process daemon would pollute the
 //! deltas being reconciled.
 
+use emu_core::jsonread::{parse, Value};
 use simd::client::{request, ClientOpts};
-use simd::parse::{parse, Value};
 use simd::pool::PoolConfig;
 use simd::proto::{run_request_line, RunRequest, Spec};
 use simd::server::{metrics_exporter, serve_with, ServeOpts, ServeSummary};

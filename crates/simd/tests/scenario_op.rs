@@ -3,8 +3,8 @@
 //! block, and answers one line — pass, assertion failures as data, or
 //! a typed protocol error — then drains clean.
 
+use emu_core::jsonread::{parse, Value};
 use simd::client::{request, ClientOpts};
-use simd::parse::{parse, Value};
 use simd::pool::PoolConfig;
 use simd::proto::{run_request_line, scenario_request_line, RunRequest, ScenarioRequest, Spec};
 use simd::server::{serve_with, ServeOpts, ServeSummary};

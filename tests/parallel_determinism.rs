@@ -7,8 +7,10 @@
 //! tests within one binary share the process.
 
 use emu_bench::output::Table;
-use emu_bench::{figures, runcfg, telemetry};
+use emu_bench::telemetry::report_set_json;
+use emu_bench::{figures, runcfg};
 use emu_core::fault::SimError;
+use emu_core::json::json_ok;
 use emu_core::trace;
 use std::path::PathBuf;
 
@@ -24,7 +26,7 @@ fn run_collected(
     let table = f().expect("figure must succeed");
     let runs = trace::take_reports();
     trace::collect_reports(false);
-    let report = telemetry::report_set_json(name, Some(&table), &runs);
+    let report = report_set_json(name, Some(&table), &runs);
     std::env::set_var("EMU_RESULTS_DIR", dir);
     let path = table.write_csv(name).expect("csv write");
     std::env::remove_var("EMU_RESULTS_DIR");
@@ -52,7 +54,7 @@ fn figures_are_byte_identical_at_any_job_count() {
             rep1, rep4,
             "{name}: report JSON differs between -j1 and -j4"
         );
-        assert!(telemetry::json_ok(rep1), "{name}: report JSON invalid");
+        assert!(json_ok(rep1), "{name}: report JSON invalid");
     }
     std::env::remove_var("EMU_QUICK");
     let _ = std::fs::remove_dir_all(&base);

@@ -5,6 +5,12 @@
 //! `--sim-threads 1/2/4`.
 
 use emu_chick::prelude::*;
+use std::sync::Mutex;
+
+/// Tests in one binary run on parallel threads, but the sim-threads
+/// default and the report collector are process-global: the seeded
+/// runs of one test would land in the other's collected reports.
+static GLOBAL_RUN_STATE: Mutex<()> = Mutex::new(());
 
 /// Build a seeded, faulted engine with a deliberately small trace ring
 /// (so drop accounting is exercised) and a cross-shard-heavy workload.
@@ -48,6 +54,7 @@ fn seeded_run(mut cfg: MachineConfig, fault_seed: u64, workers: usize) -> RunRep
 
 #[test]
 fn seeded_reports_identical_at_worker_counts_1_2_4() {
+    let _serial = GLOBAL_RUN_STATE.lock().unwrap_or_else(|e| e.into_inner());
     type PresetFn = fn() -> MachineConfig;
     let presets: [(&str, PresetFn); 3] = [
         ("chick", presets::chick_prototype),
@@ -79,9 +86,13 @@ fn seeded_reports_identical_at_worker_counts_1_2_4() {
 /// process-global, and tests within one binary share the process.
 #[test]
 fn figures_are_byte_identical_at_any_sim_thread_count() {
+    use emu_bench::figures;
     use emu_bench::output::Table;
-    use emu_bench::{figures, telemetry};
+    use emu_bench::telemetry::report_set_json;
+    use emu_core::json::json_ok;
     use emu_core::trace;
+
+    let _serial = GLOBAL_RUN_STATE.lock().unwrap_or_else(|e| e.into_inner());
 
     type FigureFn = fn() -> Result<Table, emu_core::fault::SimError>;
     std::env::set_var("EMU_QUICK", "1");
@@ -95,7 +106,7 @@ fn figures_are_byte_identical_at_any_sim_thread_count() {
             let table = f().expect("figure must succeed");
             let runs = trace::take_reports();
             trace::collect_reports(false);
-            let report = telemetry::report_set_json(name, Some(&table), &runs);
+            let report = report_set_json(name, Some(&table), &runs);
             let dir = base.join(format!("{name}_s{sim_threads}"));
             std::env::set_var("EMU_RESULTS_DIR", &dir);
             let path = table.write_csv(name).expect("csv write");
@@ -105,7 +116,7 @@ fn figures_are_byte_identical_at_any_sim_thread_count() {
         emu_core::engine::set_sim_threads(1);
         let (csv1, rep1) = &outs[0];
         assert!(!csv1.is_empty(), "{name}: empty CSV");
-        assert!(telemetry::json_ok(rep1), "{name}: report JSON invalid");
+        assert!(json_ok(rep1), "{name}: report JSON invalid");
         for (i, (csv, rep)) in outs.iter().enumerate().skip(1) {
             let threads = [1, 2, 4][i];
             assert_eq!(

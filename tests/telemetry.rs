@@ -12,7 +12,8 @@
 //! the parallel test runner.
 
 use desim::time::Time;
-use emu_bench::telemetry;
+use emu_bench::telemetry::report_set_json;
+use emu_core::json::{chrome_trace, json_ok, jsonl_ok, trace_jsonl};
 use emu_core::prelude::*;
 
 fn nl(i: u32) -> NodeletId {
@@ -68,29 +69,29 @@ fn identical_runs_yield_byte_identical_artifacts() {
     let a = traced_run(presets::chick_prototype());
     let b = traced_run(presets::chick_prototype());
 
-    let jsonl_a = telemetry::trace_jsonl(&a);
-    let jsonl_b = telemetry::trace_jsonl(&b);
+    let jsonl_a = trace_jsonl(&a);
+    let jsonl_b = trace_jsonl(&b);
     assert_eq!(jsonl_a, jsonl_b, "JSONL event logs must be byte-identical");
 
-    let report_a = telemetry::report_set_json("det", None, std::slice::from_ref(&a));
-    let report_b = telemetry::report_set_json("det", None, std::slice::from_ref(&b));
+    let report_a = report_set_json("det", None, std::slice::from_ref(&a));
+    let report_b = report_set_json("det", None, std::slice::from_ref(&b));
     assert_eq!(report_a, report_b, "report JSON must be byte-identical");
 
-    let chrome_a = telemetry::chrome_trace(&a);
-    let chrome_b = telemetry::chrome_trace(&b);
+    let chrome_a = chrome_trace(&a);
+    let chrome_b = chrome_trace(&b);
     assert_eq!(chrome_a, chrome_b, "Chrome traces must be byte-identical");
 }
 
 #[test]
 fn artifacts_pass_the_json_validator() {
     let r = traced_run(presets::chick_prototype());
-    assert!(telemetry::json_ok(&telemetry::chrome_trace(&r)));
-    assert!(telemetry::json_ok(&telemetry::report_set_json(
+    assert!(json_ok(&chrome_trace(&r)));
+    assert!(json_ok(&report_set_json(
         "check",
         None,
         std::slice::from_ref(&r)
     )));
-    assert!(telemetry::jsonl_ok(&telemetry::trace_jsonl(&r)));
+    assert!(jsonl_ok(&trace_jsonl(&r)));
 }
 
 #[test]
@@ -124,8 +125,8 @@ fn nacks_and_retries_reconcile_on_a_faulted_machine() {
     // The faulted run must be deterministic too, NACK schedule and all.
     let again = traced_run(nacky_config());
     assert_eq!(
-        telemetry::trace_jsonl(&r),
-        telemetry::trace_jsonl(&again),
+        trace_jsonl(&r),
+        trace_jsonl(&again),
         "faulted-run JSONL must be byte-identical"
     );
 }
@@ -138,12 +139,12 @@ fn untraced_reports_serialize_with_null_telemetry() {
     let r = e.run().expect("run");
     assert!(r.trace.is_none());
     assert!(r.timelines.is_none());
-    let json = telemetry::report_set_json("off", None, std::slice::from_ref(&r));
-    assert!(telemetry::json_ok(&json));
+    let json = report_set_json("off", None, std::slice::from_ref(&r));
+    assert!(json_ok(&json));
     assert!(json.contains("\"trace\":null"));
     assert!(json.contains("\"timelines\":null"));
     // The JSONL degenerates to just the meta line.
-    let jsonl = telemetry::trace_jsonl(&r);
+    let jsonl = trace_jsonl(&r);
     assert_eq!(jsonl.lines().count(), 1);
-    assert!(telemetry::jsonl_ok(&jsonl));
+    assert!(jsonl_ok(&jsonl));
 }
