@@ -87,12 +87,12 @@ impl ArrayHandle {
         debug_assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
         match &self.layout {
             Layout::Local(n) => *n,
-            Layout::Striped { nodelets } => NodeletId((i % *nodelets as u64) as u32),
+            Layout::Striped { nodelets } => NodeletId(div_rem(i, *nodelets as u64).1 as u32),
             Layout::Blocked {
                 owners,
                 block_elems,
             } => {
-                let b = (i / block_elems) as usize;
+                let b = div_rem(i, *block_elems).0 as usize;
                 owners[b.min(owners.len() - 1)]
             }
             Layout::Replicated { .. } => here,
@@ -107,7 +107,7 @@ impl ArrayHandle {
             // stripe; local/blocked are contiguous per owner. Offsets are
             // approximate within the owner but unique per (alloc, index).
             Layout::Striped { nodelets } => {
-                self.base + (i / *nodelets as u64) * self.elem_bytes as u64
+                self.base + div_rem(i, *nodelets as u64).0 * self.elem_bytes as u64
             }
             _ => self.base + i * self.elem_bytes as u64,
         };
@@ -121,6 +121,19 @@ impl ArrayHandle {
             Layout::Replicated { nodelets } => one * *nodelets as u64,
             _ => one,
         }
+    }
+}
+
+/// `(i / w, i % w)` for a width `w > 0`. A power-of-two width (every
+/// preset stripes over 8 or 64 nodelets) takes a shift and a mask,
+/// since a runtime 64-bit division costs tens of cycles on the address
+/// path of every simulated access; other widths divide.
+#[inline]
+fn div_rem(i: u64, w: u64) -> (u64, u64) {
+    if w.is_power_of_two() {
+        (i >> w.trailing_zeros(), i & (w - 1))
+    } else {
+        (i / w, i % w)
     }
 }
 
@@ -277,6 +290,35 @@ mod tests {
         assert_eq!(a.owner(9, here(0)), here(5));
         assert_eq!(a.owner(10, here(0)), here(2));
         assert_eq!(a.owner(29, here(0)), here(7));
+    }
+
+    #[test]
+    fn owner_and_addr_match_division_at_any_width() {
+        let mut rng = desim::rng::Rng64::new(0xADD2);
+        for w in [1u32, 3, 6, 8, 48, 64] {
+            let a = MemSpace::new(w).striped(1 << 48, 8);
+            for _ in 0..1000 {
+                let i = rng.gen_below(a.len());
+                let n = here((i % w as u64) as u32);
+                assert_eq!(a.owner(i, here(0)), n, "width {w}, index {i}");
+                let want = GlobalAddr::new(n, a.base + i / w as u64 * 8);
+                assert_eq!(a.addr(i, here(0)), want, "width {w}, index {i}");
+            }
+        }
+        for block in [1u64, 3, 16, 100] {
+            let len = 5000u64;
+            let owners: Vec<NodeletId> = (0..len.div_ceil(block))
+                .map(|_| here(rng.gen_below(8) as u32))
+                .collect();
+            let a = MemSpace::new(8).blocked(owners.clone(), block, len, 4);
+            for _ in 0..1000 {
+                let i = rng.gen_below(len);
+                let n = owners[(i / block) as usize];
+                assert_eq!(a.owner(i, here(0)), n, "block {block}, index {i}");
+                let want = GlobalAddr::new(n, a.base + i * 4);
+                assert_eq!(a.addr(i, here(0)), want, "block {block}, index {i}");
+            }
+        }
     }
 
     #[test]

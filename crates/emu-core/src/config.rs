@@ -121,8 +121,10 @@ impl MachineConfig {
     /// NCDRAM channel occupancy of a request of `bytes` (rounded up to
     /// whole bursts), excluding the per-access overhead.
     pub fn channel_transfer(&self, bytes: u32) -> Time {
-        let burst = self.dram_burst_bytes.max(1);
-        let rounded = bytes.div_ceil(burst) * burst;
+        // Rounded in u64: within one burst of `u32::MAX` the rounded size
+        // exceeds `u32`.
+        let burst = self.dram_burst_bytes.max(1) as u64;
+        let rounded = (bytes as u64).div_ceil(burst) * burst;
         // ps = bytes * 1e12 / B/s, computed in u128 to avoid overflow.
         let ps =
             rounded as u128 * desim::time::PS_PER_S as u128 / self.ncdram_bytes_per_sec as u128;
@@ -209,6 +211,26 @@ mod tests {
         // 16 bytes = two bursts.
         assert_eq!(c.channel_transfer(16), Time::from_ns(10));
         assert!(c.channel_service(8) > c.channel_transfer(8));
+    }
+
+    #[test]
+    fn channel_transfer_is_monotone_up_to_u32_max() {
+        for burst in [1, 3, 8, 64, 1 << 20] {
+            let mut c = presets::chick_prototype();
+            c.dram_burst_bytes = burst;
+            // Powers of two, then the last two bursts below `u32::MAX`,
+            // whose rounded sizes no longer fit a `u32`.
+            let mut sizes: Vec<u32> = (0..32).map(|s| 1 << s).collect();
+            sizes.extend(u32::MAX - 2 * burst..=u32::MAX);
+            sizes.sort_unstable();
+            let mut prev = Time::ZERO;
+            for bytes in sizes {
+                let t = c.channel_transfer(bytes);
+                assert!(t >= prev, "burst {burst}: {bytes} B took {t} < {prev}");
+                prev = t;
+            }
+            assert!(prev > c.channel_transfer(8));
+        }
     }
 
     #[test]

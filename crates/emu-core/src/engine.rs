@@ -147,6 +147,7 @@ const KEY_SHIFT: u32 = 40;
 /// contexts live in their shard's [`Arena`]; events carry only the
 /// 8-byte generational handle, so the hot pop loop moves no boxes and
 /// chases no per-event heap pointers.
+#[derive(Clone, Copy)]
 enum Event {
     /// Thread context arrives at a nodelet (spawn or migration); it must
     /// acquire a hardware slot before issuing.
@@ -2312,6 +2313,26 @@ mod tests {
 
     fn run_script(ops: Vec<Op>) -> RunReport {
         run_script_on(presets::chick_prototype(), ops)
+    }
+
+    #[test]
+    fn events_fit_in_sixteen_bytes() {
+        // Each queue entry is a 16-byte packed key plus the event, and
+        // every push and pop copies entries; a fat variant would grow
+        // all of them past 32 bytes.
+        assert!(std::mem::size_of::<Event>() <= 16);
+    }
+
+    #[test]
+    fn u32_max_byte_load_outlasts_an_eight_byte_one() {
+        let load = |bytes| {
+            run_script(vec![Op::Load {
+                addr: GlobalAddr::new(nl(0), 64),
+                bytes,
+            }])
+            .makespan
+        };
+        assert!(load(u32::MAX) > load(8));
     }
 
     #[test]

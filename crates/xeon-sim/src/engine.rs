@@ -76,6 +76,7 @@ impl CpuReport {
     }
 }
 
+#[derive(Clone, Copy)]
 enum Event {
     Ready(CpuThreadId),
 }
