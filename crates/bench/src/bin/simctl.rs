@@ -115,18 +115,12 @@ fn cmd_stream(p: &Parsed) -> Result<(), String> {
         "single-nodelet",
         "stack-touch",
     ])?;
-    let cfg = cli::preset_by_name(&p.get_str("preset", "chick"))?;
-    let kernel = match p.get_str("kernel", "add").as_str() {
-        "add" => StreamKernel::Add,
-        "copy" => StreamKernel::Copy,
-        "scale" => StreamKernel::Scale,
-        "triad" => StreamKernel::Triad,
-        other => return Err(format!("unknown kernel {other:?}")),
-    };
+    let cfg = presets::by_name(&p.get_str("preset", "chick"))?;
+    let kernel = StreamKernel::from_name(&p.get_str("kernel", "add"))?;
     let sc = EmuStreamConfig {
         total_elems: p.get("elems", 1u64 << 18)?,
         nthreads: p.get("threads", 512usize)?,
-        strategy: cli::strategy_by_name(&p.get_str("strategy", "recursive-remote"))?,
+        strategy: SpawnStrategy::from_name(&p.get_str("strategy", "recursive-remote"))?,
         kernel,
         single_nodelet: p.get("single-nodelet", false)?,
         stack_touch_period: p.get("stack-touch", 4u32)?,
@@ -175,7 +169,7 @@ fn cmd_chase(p: &Parsed) -> Result<(), String> {
     }
     let r = match p.get_str("platform", "emu").as_str() {
         "emu" => {
-            let cfg = cli::preset_by_name(&p.get_str("preset", "chick"))?;
+            let cfg = presets::by_name(&p.get_str("preset", "chick"))?;
             run_chase_emu(&cfg, &cc).map_err(|e| e.to_string())?
         }
         "xeon" => cpu::run_chase_cpu(&xeon_sim::config::sandy_bridge(), &cc),
@@ -214,7 +208,7 @@ fn cmd_spmv(p: &Parsed) -> Result<(), String> {
     );
     let (bw, migrations) = match p.get_str("platform", "emu").as_str() {
         "emu" => {
-            let cfg = cli::preset_by_name(&p.get_str("preset", "chick"))?;
+            let cfg = presets::by_name(&p.get_str("preset", "chick"))?;
             let layout = match p.get_str("layout", "2d").as_str() {
                 "local" => spmv_emu::EmuLayout::Local,
                 "1d" => spmv_emu::EmuLayout::OneD,
@@ -277,7 +271,7 @@ fn verify(reference: &[f64], y: &[f64]) -> Result<(), String> {
 fn cmd_pingpong(p: &Parsed) -> Result<(), String> {
     use membench::pingpong::*;
     p.check_known(&["preset", "threads", "round-trips", "a", "b"])?;
-    let cfg = cli::preset_by_name(&p.get_str("preset", "chick"))?;
+    let cfg = presets::by_name(&p.get_str("preset", "chick"))?;
     let pc = PingPongConfig {
         nthreads: p.get("threads", 64usize)?,
         round_trips: p.get("round-trips", 2000u32)?,
@@ -309,7 +303,7 @@ fn cmd_gups(p: &Parsed) -> Result<(), String> {
     };
     let r = match p.get_str("platform", "emu").as_str() {
         "emu" => {
-            let cfg = cli::preset_by_name(&p.get_str("preset", "chick"))?;
+            let cfg = presets::by_name(&p.get_str("preset", "chick"))?;
             run_gups_emu(&cfg, &gc).map_err(|e| e.to_string())?
         }
         "xeon" => cpu::run_gups_cpu(&xeon_sim::config::sandy_bridge(), &gc),
@@ -327,7 +321,7 @@ fn cmd_bfs(p: &Parsed) -> Result<(), String> {
     use emu_graph::bfs::*;
     use emu_graph::{gen, stinger::Stinger};
     p.check_known(&["preset", "scale", "edges", "mode", "threads", "src", "seed"])?;
-    let cfg = cli::preset_by_name(&p.get_str("preset", "chick"))?;
+    let cfg = presets::by_name(&p.get_str("preset", "chick"))?;
     let scale = p.get("scale", 11u32)?;
     let edges = gen::rmat(scale, p.get("edges", 1usize << 14)?, p.get("seed", 42u64)?);
     let g = Arc::new(Stinger::build_host(
@@ -366,7 +360,7 @@ fn cmd_mttkrp(p: &Parsed) -> Result<(), String> {
     use emu_tensor::coo::{mttkrp_reference, random_tensor};
     use emu_tensor::emu::*;
     p.check_known(&["preset", "rank", "nnz", "layout", "threads", "seed", "dims"])?;
-    let cfg = cli::preset_by_name(&p.get_str("preset", "chick"))?;
+    let cfg = presets::by_name(&p.get_str("preset", "chick"))?;
     let t = Arc::new(random_tensor(
         [256, 64, 64],
         p.get("nnz", 1usize << 14)?,
@@ -431,7 +425,7 @@ fn cmd_trace(p: &Parsed) -> Result<(), String> {
         "report-json",
     ])?;
     let bench = p.get_str("bench", "stream");
-    let cfg = cli::preset_by_name(&p.get_str("preset", "chick"))?;
+    let cfg = presets::by_name(&p.get_str("preset", "chick"))?;
     let events = p.get("events", 4 * emu_bench::runcfg::DEFAULT_TRACE_EVENTS)?;
     let bucket_us = p.get("bucket-us", emu_bench::runcfg::DEFAULT_TRACE_BUCKET_US)?;
 
@@ -505,7 +499,7 @@ fn run_traced_bench(p: &Parsed, bench: &str, cfg: &MachineConfig) -> Result<(), 
             let sc = EmuStreamConfig {
                 total_elems: p.get("elems", 1u64 << 15)?,
                 nthreads: p.get("threads", 256usize)?,
-                strategy: cli::strategy_by_name(&p.get_str("strategy", "recursive-remote"))?,
+                strategy: SpawnStrategy::from_name(&p.get_str("strategy", "recursive-remote"))?,
                 kernel: StreamKernel::Add,
                 single_nodelet: false,
                 stack_touch_period: 4,
@@ -551,7 +545,7 @@ fn cmd_pdes_speedup(p: &Parsed) -> Result<(), String> {
         "preset", "shards", "threads", "elems", "gate", "out", "phases",
     ])?;
     let preset = p.get_str("preset", "emu64");
-    let cfg = cli::preset_by_name(&preset)?;
+    let cfg = presets::by_name(&preset)?;
     let shards: usize = p.get("shards", 4usize)?;
     let nthreads: usize = p.get("threads", 512usize)?;
     let elems: u64 = emu_bench::runcfg::sized(p.get("elems", 1u64 << 16)?, 1 << 12);
@@ -793,7 +787,7 @@ fn cmd_pdes_speedup(p: &Parsed) -> Result<(), String> {
 }
 
 fn cmd_fuzz(p: &Parsed) -> Result<(), String> {
-    use conformance::fuzz;
+    use scenario::fuzz;
 
     p.check_known(&["cases", "seed", "corpus"])?;
     let cases: u64 = p.get("cases", 500u64)?;
@@ -819,13 +813,10 @@ fn cmd_fuzz(p: &Parsed) -> Result<(), String> {
             }
             let dir = std::path::Path::new(&corpus);
             std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-            // Repros land in the scenario language so they can be
-            // replayed (and promoted to the registry) with
+            // The repro is a `.scn` scenario, replayed with
             // `simctl scenario run`.
-            let name = format!("fuzz-{seed}-{}", fail.case_index);
-            let scn = scenario::case::scenario_from_case(&name, &fail.minimized);
-            let path = dir.join(format!("{name}.scn"));
-            std::fs::write(&path, scenario::print(&scn)).map_err(|e| e.to_string())?;
+            let path = dir.join(format!("{}.scn", fail.minimized.name));
+            std::fs::write(&path, scenario::print(&fail.minimized)).map_err(|e| e.to_string())?;
             eprintln!("fuzz: minimized repro written to {}", path.display());
             Err(format!(
                 "{} conformance violation(s) on case {}",

@@ -16,7 +16,7 @@
 
 use runcache::Store;
 use simd::exec::{self, WarmSlot};
-use simd::proto::{RunRequest, Spec};
+use simd::proto::{parse_request, Request};
 
 /// Entry point from `simctl`; `args` excludes the `cache` word.
 /// Returns the process exit code.
@@ -129,27 +129,6 @@ fn cmd_gc(args: &[String]) -> Result<bool, String> {
 /// Re-run one recipe from scratch and return the fresh payload.
 /// `Ok(None)` means the recipe kind is not verifiable (skip).
 fn rerun(recipe: &str) -> Result<Option<String>, String> {
-    let spec = if let Some(text) = recipe.strip_prefix("case:") {
-        Some(Spec::Case { text: text.into() })
-    } else if recipe.starts_with("stream\n") {
-        Some(exec::spec_from_stream_recipe(recipe)?)
-    } else {
-        None
-    };
-    if let Some(spec) = spec {
-        let req = RunRequest {
-            id: 0,
-            spec,
-            deadline_ms: None,
-            max_events: None,
-            chaos: None,
-        };
-        // `exec::execute` never consults the cache, so this is a true
-        // re-simulation even while the cache is enabled.
-        let out = exec::execute(&mut WarmSlot::new(), &req, None)
-            .map_err(|e| format!("re-run failed: {}", e.message))?;
-        return Ok(Some(out.report_json));
-    }
     if let Some(rest) = recipe.strip_prefix("scn:") {
         let (index, text) = rest
             .split_once('\n')
@@ -161,10 +140,20 @@ fn rerun(recipe: &str) -> Result<Option<String>, String> {
             .iter()
             .find(|p| p.index == index)
             .ok_or_else(|| format!("scn recipe: no point #{index}"))?;
-        let outcome = scenario::run_point(&s, p);
-        return Ok(outcome.cache_json());
+        return Ok(Some(scenario::run_point(&s, p).to_json()));
     }
-    Ok(None)
+    // A daemon run's recipe is its own request line.
+    if !recipe.starts_with('{') {
+        return Ok(None);
+    }
+    let Request::Run(req) = parse_request(recipe)? else {
+        return Err("recipe is not a run request".into());
+    };
+    // `exec::execute` never consults the cache, so this is a true
+    // re-simulation even while the cache is enabled.
+    let out = exec::execute(&mut WarmSlot::new(), &req, None)
+        .map_err(|e| format!("re-run failed: {}", e.message))?;
+    Ok(Some(out.report_json))
 }
 
 fn cmd_verify(args: &[String]) -> Result<bool, String> {
@@ -240,21 +229,38 @@ mod tests {
     }
 
     #[test]
-    fn case_and_stream_recipes_rerun_byte_identically() {
-        // A tiny script case through the fuzz codec.
-        let mut rng = desim::rng::rng_from_seed(7);
-        let case = conformance::fuzz::gen_case(&mut rng);
-        let text = conformance::fuzz::encode(&case);
-        let fresh = rerun(&format!("case:{text}")).unwrap().unwrap();
-        let again = rerun(&format!("case:{text}")).unwrap().unwrap();
-        assert_eq!(fresh, again);
+    fn stream_and_scenario_recipes_rerun_byte_identically() {
+        use simd::proto::{run_request_line, RunRequest, Spec};
+        // A daemon stream entry: its recipe is the request's wire line
+        // (id 0, no budgets), exactly as `exec::cache_plan` renders it.
+        let req = RunRequest {
+            id: 0,
+            spec: Spec::Stream {
+                preset: "chick".into(),
+                elems: 512,
+                threads: 2,
+                kernel: "add".into(),
+                strategy: "serial".into(),
+                single_nodelet: false,
+                stack_touch_period: 0,
+            },
+            deadline_ms: None,
+            max_events: None,
+            chaos: None,
+        };
+        let stored = exec::execute(&mut WarmSlot::new(), &req, None)
+            .unwrap()
+            .report_json;
+        let recipe = run_request_line(&req);
+        assert_eq!(rerun(&recipe).unwrap(), Some(stored.clone()));
+        assert!(stored.contains("\"label\":\"run\""));
 
-        let recipe = "stream\npreset=chick\nelems=512\nthreads=2\nkernel=add\n\
-                      strategy=serial\nsingle_nodelet=false\nstack_touch_period=0";
-        let a = rerun(recipe).unwrap().unwrap();
-        let b = rerun(recipe).unwrap().unwrap();
-        assert_eq!(a, b);
-        assert!(a.contains("\"label\":\"run\""));
+        // A scenario point entry, here a script workload.
+        let scn = "scenario r\n\nmachine chick\n\nworkload script\n  thread = 0 L3:8 C5 M9\n";
+        let recipe = format!("scn:0\n{scn}");
+        let a = rerun(&recipe).unwrap().unwrap();
+        assert_eq!(rerun(&recipe).unwrap(), Some(a.clone()));
+        assert!(a.starts_with("{\"point\":0,"), "{a}");
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! (the workspace deliberately has no CLI dependency) and fully unit
 //! tested; the heavy lifting lives in the benchmark crates.
 
-use emu_core::prelude::*;
 use std::collections::BTreeMap;
 
 /// A parsed command line: a command word plus `--key value` options.
@@ -84,26 +83,8 @@ impl Parsed {
     }
 }
 
-/// Resolve a machine preset by name (shared vocabulary in
-/// [`presets::by_name`]).
-pub fn preset_by_name(name: &str) -> Result<MachineConfig, String> {
-    presets::by_name(name)
-}
-
-/// Resolve a spawn strategy by name.
-pub fn strategy_by_name(name: &str) -> Result<SpawnStrategy, String> {
-    match name {
-        "serial" => Ok(SpawnStrategy::Serial),
-        "recursive" => Ok(SpawnStrategy::Recursive),
-        "serial-remote" => Ok(SpawnStrategy::SerialRemote),
-        "recursive-remote" => Ok(SpawnStrategy::RecursiveRemote),
-        other => Err(format!(
-            "unknown strategy {other:?}; one of: serial, recursive, serial-remote, recursive-remote"
-        )),
-    }
-}
-
-/// Resolve a chase shuffle mode by name.
+/// Resolve a chase shuffle mode by name. Unlike the `.scn` spelling
+/// it also accepts the short aliases `intra`, `block`, and `full`.
 pub fn mode_by_name(name: &str) -> Result<membench::chase::ShuffleMode, String> {
     use membench::chase::ShuffleMode::*;
     match name {
@@ -234,11 +215,6 @@ mod tests {
 
     #[test]
     fn resolvers() {
-        assert!(preset_by_name("chick").is_ok());
-        assert!(preset_by_name("emu64").is_ok());
-        assert!(preset_by_name("nope").is_err());
-        assert!(strategy_by_name("recursive-remote").is_ok());
-        assert!(strategy_by_name("magic").is_err());
         assert!(mode_by_name("full").is_ok());
         assert!(mode_by_name("zigzag").is_err());
     }

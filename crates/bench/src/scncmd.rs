@@ -31,8 +31,7 @@ pub fn dispatch(args: &[String]) -> i32 {
             eprintln!(
                 "usage: simctl scenario run <path>... [--jobs N] [--cache] [--report-json FILE]\n\
                  \u{20}      simctl scenario check <path>...\n\
-                 \u{20}      simctl scenario gen <dir>\n\
-                 \u{20}      simctl scenario promote <file.case>..."
+                 \u{20}      simctl scenario gen <dir>"
             );
             2
         }
@@ -95,31 +94,8 @@ fn run(args: &[String]) -> Result<bool, String> {
         "gen" => cmd_gen(&paths),
         "check" => cmd_check(&paths),
         "run" => cmd_run(&paths, report_json.as_deref(), use_cache),
-        "promote" => cmd_promote(&paths),
         other => Err(format!("unknown subcommand {other:?}")),
     }
-}
-
-/// Lift legacy `.case` fuzz repros into sibling `.scn` scenarios — the
-/// promotion step when moving a repro into the registry.
-fn cmd_promote(paths: &[PathBuf]) -> Result<bool, String> {
-    if paths.is_empty() {
-        return Err("promote takes .case files".into());
-    }
-    for p in paths {
-        let text = std::fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))?;
-        let case = conformance::fuzz::decode(&text).map_err(|e| format!("{}: {e}", p.display()))?;
-        let name = p
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .ok_or_else(|| format!("{}: bad file name", p.display()))?;
-        let scn = scenario::case::scenario_from_case(name, &case);
-        let out = p.with_extension("scn");
-        std::fs::write(&out, scenario::print(&scn))
-            .map_err(|e| format!("{}: {e}", out.display()))?;
-        println!("promoted {} -> {}", p.display(), out.display());
-    }
-    Ok(true)
 }
 
 fn cmd_gen(paths: &[PathBuf]) -> Result<bool, String> {

@@ -1,19 +1,19 @@
 //! Conformance checking for the Emu Chick simulator.
 //!
-//! Three pillars, each attacking model error from a different side:
+//! Two pillars, each attacking model error from a different side:
 //!
 //! - [`oracle`] — closed-form queueing predictions (per-nodelet STREAM
 //!   bandwidth, migration-rate ceilings, narrow-channel DRAM peaks)
 //!   evaluated against the discrete-event engine for every machine
 //!   preset, with explicit tolerance bands.
-//! - [`fuzz`] — a deterministic configuration fuzzer that generates
-//!   randomized-but-valid machine configs, fault plans, and kernel
-//!   scripts, runs the sequential and two-worker sharded schedulers in
-//!   lockstep, audits both runs with [`emu_core::audit`], and shrinks
-//!   any failure to a minimal repro.
+//! - [`lockstep`] — a scripted run (machine config plus per-thread op
+//!   scripts) executed on the sequential and two-worker sharded
+//!   schedulers in lockstep, both runs audited with
+//!   [`emu_core::audit`].
 //!
-//! The committed corpus under `tests/corpus/` at the workspace root
-//! replays previously-shrunk failures on every `cargo test` run.
+//! This crate holds no text format. Scripted runs are written, fuzzed,
+//! and shrunk as `workload script` scenarios in the `scenario` crate,
+//! whose runner calls [`lockstep::run_case`] on every script point.
 
-pub mod fuzz;
+pub mod lockstep;
 pub mod oracle;

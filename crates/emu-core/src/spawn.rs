@@ -61,6 +61,29 @@ impl SpawnStrategy {
         }
     }
 
+    /// The keyword `.scn` files, `simctl` flags, and the daemon's wire
+    /// protocol spell this strategy with.
+    pub fn keyword(self) -> &'static str {
+        match self {
+            SpawnStrategy::Serial => "serial",
+            SpawnStrategy::Recursive => "recursive",
+            SpawnStrategy::SerialRemote => "serial-remote",
+            SpawnStrategy::RecursiveRemote => "recursive-remote",
+        }
+    }
+
+    /// Parse a [`keyword`](Self::keyword); the error lists every valid
+    /// one.
+    pub fn from_name(name: &str) -> Result<SpawnStrategy, String> {
+        Self::ALL
+            .into_iter()
+            .find(|s| s.keyword() == name)
+            .ok_or_else(|| {
+                let all: Vec<&str> = Self::ALL.iter().map(|s| s.keyword()).collect();
+                format!("unknown strategy {name:?}; one of: {}", all.join(", "))
+            })
+    }
+
     /// Whether this strategy uses remote spawns.
     pub fn is_remote(self) -> bool {
         matches!(
@@ -467,5 +490,14 @@ mod tests {
         );
         assert!(SpawnStrategy::SerialRemote.is_remote());
         assert!(!SpawnStrategy::Recursive.is_remote());
+    }
+
+    #[test]
+    fn keywords_round_trip_and_unknown_names_are_rejected() {
+        for s in SpawnStrategy::ALL {
+            assert_eq!(SpawnStrategy::from_name(s.keyword()), Ok(s));
+        }
+        let e = SpawnStrategy::from_name("serial_spawn").unwrap_err();
+        assert!(e.contains("one of: serial, recursive, serial-remote, recursive-remote"));
     }
 }

@@ -29,6 +29,37 @@ pub enum StreamKernel {
 }
 
 impl StreamKernel {
+    /// Every kernel, the paper's ADD first.
+    pub const ALL: [StreamKernel; 4] = [
+        StreamKernel::Add,
+        StreamKernel::Copy,
+        StreamKernel::Scale,
+        StreamKernel::Triad,
+    ];
+
+    /// The keyword `.scn` files, `simctl` flags, and the daemon's wire
+    /// protocol spell this kernel with.
+    pub fn keyword(self) -> &'static str {
+        match self {
+            StreamKernel::Add => "add",
+            StreamKernel::Copy => "copy",
+            StreamKernel::Scale => "scale",
+            StreamKernel::Triad => "triad",
+        }
+    }
+
+    /// Parse a [`keyword`](Self::keyword); the error lists every valid
+    /// one.
+    pub fn from_name(name: &str) -> Result<StreamKernel, String> {
+        Self::ALL
+            .into_iter()
+            .find(|k| k.keyword() == name)
+            .ok_or_else(|| {
+                let all: Vec<&str> = Self::ALL.iter().map(|k| k.keyword()).collect();
+                format!("unknown kernel {name:?}; one of: {}", all.join(", "))
+            })
+    }
+
     /// Loads per element.
     pub fn loads(self) -> u32 {
         match self {
@@ -459,6 +490,15 @@ mod tests {
                 s.name()
             );
         }
+    }
+
+    #[test]
+    fn kernel_keywords_round_trip_and_unknown_names_are_rejected() {
+        for k in StreamKernel::ALL {
+            assert_eq!(StreamKernel::from_name(k.keyword()), Ok(k));
+        }
+        let e = StreamKernel::from_name("ADD").unwrap_err();
+        assert!(e.contains("one of: add, copy, scale, triad"), "{e}");
     }
 
     #[test]

@@ -56,12 +56,7 @@ fn chase_checksum_always_right() {
 #[test]
 fn stream_checksum_always_right() {
     cases(CASES, 0x57AEA, |_case, rng| {
-        let kernel = [
-            StreamKernel::Add,
-            StreamKernel::Copy,
-            StreamKernel::Scale,
-            StreamKernel::Triad,
-        ][rng.gen_range(0..4usize)];
+        let kernel = StreamKernel::ALL[rng.gen_range(0..4usize)];
         let n = 1u64 << rng.gen_range(6..11u32);
         let threads = rng.gen_range(1..70usize);
         let strategy = SpawnStrategy::ALL[rng.gen_range(0..SpawnStrategy::ALL.len())];

@@ -14,11 +14,13 @@
 //! - [`Store`]: the on-disk object store (`.emu-cache/` by default,
 //!   `EMU_CACHE_DIR` override) with atomic tmp+rename writes, an
 //!   advisory `index.jsonl`, and mtime-ordered [`Store::gc`].
-//! - module-level [`lookup`]/[`publish`]: the gate the execution paths
-//!   call. They no-op unless caching is enabled (`EMU_CACHE=1` or
-//!   [`set_enabled`]) and they keep the session hit/miss/store
-//!   counters, mirrored into the `emu_core::obs` registry so the
-//!   daemon's metrics endpoints pick them up automatically.
+//! - module-level [`active`], [`lookup`], and [`publish`]: the gate the
+//!   execution paths call. [`active`] is the one admission guard (cache
+//!   enabled, no telemetry armed); lookups and publishes no-op unless
+//!   caching is enabled (`EMU_CACHE=1` or [`set_enabled`]) and keep the
+//!   session hit/miss/store counters, mirrored into the `emu_core::obs`
+//!   registry so the daemon's metrics endpoints pick them up
+//!   automatically.
 //!
 //! The cache stores *rendered results* (report JSON, CSV cell text,
 //! point-outcome JSON), not engine state; entries carry an optional
@@ -60,7 +62,7 @@ pub struct Key {
 
 impl Key {
     /// Start a key for one kind of cached artifact ("figure", "scn",
-    /// "simd-case", ...). The kind partitions the digest space.
+    /// "simd-stream", ...). The kind partitions the digest space.
     pub fn new(kind: &str) -> Key {
         let mut k = Key {
             material: String::with_capacity(256),
@@ -355,6 +357,19 @@ pub fn enabled() -> bool {
 /// Arm or disarm the cache for this process (beats the env default).
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
+}
+
+/// Whether a run may be served from (or published to) the cache right
+/// now: the cache is [`enabled`] and no process-global telemetry is
+/// armed. A traced, profiled, or report-collecting run must execute
+/// every point for its artifacts to mean anything. Every execution
+/// path (figure cells, scenario points, daemon runs) asks this before
+/// probing.
+pub fn active() -> bool {
+    enabled()
+        && !emu_core::trace::collecting_reports()
+        && !emu_core::trace::global().enabled()
+        && !emu_core::engine::phase_profile()
 }
 
 fn dir_override() -> &'static Mutex<Option<PathBuf>> {

@@ -6,7 +6,7 @@
 //! the executed points. Every type here derives `PartialEq` so the
 //! parser's print→parse round trip can be checked structurally.
 
-use conformance::fuzz::ThreadScript;
+use conformance::lockstep::ThreadScript;
 
 /// A complete parsed scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -15,13 +15,13 @@ pub struct Scenario {
     pub name: String,
     /// Machine preset name ([`emu_core::presets::by_name`] vocabulary).
     pub preset: String,
-    /// Inline machine overrides in file order, using the corpus codec
-    /// key vocabulary ([`conformance::fuzz::apply_config_key`]).
+    /// Inline machine overrides in file order, using the
+    /// [`crate::parse::apply_config_key`] key vocabulary.
     pub machine_overrides: Vec<(String, String)>,
     /// The workload to run at every point.
     pub workload: Workload,
-    /// Fault-plan fields in file order (codec keys without the
-    /// `fault_` prefix; empty = no injected faults).
+    /// Fault-plan fields in file order ([`crate::parse::apply_config_key`]
+    /// keys without the `fault_` prefix; empty = no injected faults).
     pub faults: Vec<(String, String)>,
     /// Swept axes (at most two), in file order.
     pub sweep: Vec<Axis>,
@@ -42,8 +42,8 @@ pub enum WorkloadKind {
     Mttkrp,
     /// Laplacian SpMV: `membench::spmv_emu`.
     Spmv,
-    /// Raw threadlet scripts (the fuzz-case form), run through the
-    /// two-way lockstep conformance harness.
+    /// Raw threadlet scripts (the fuzzer's unit of work), run through
+    /// the two-way lockstep conformance harness.
     Script,
 }
 
@@ -94,8 +94,8 @@ pub struct Workload {
 /// One swept axis: a key and the values it takes, in file order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Axis {
-    /// What is swept: a workload parameter key, `machine.<codec key>`,
-    /// or `faults.<key>`.
+    /// What is swept: a workload parameter key, `machine.<key>`, or
+    /// `faults.<key>`.
     pub key: String,
     /// The values, as written (validated against the key's schema).
     pub values: Vec<String>,

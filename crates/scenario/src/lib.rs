@@ -6,17 +6,21 @@
 //! threadlet script), an optional seeded fault plan, a sweep of up to
 //! two axes, and a block of `expect` assertions: counter bounds,
 //! closed-form oracle ratio bands, monotonicity along a swept axis,
-//! and byte-identical reports across scheduler worker counts.
+//! and byte-identical reports across scheduler worker counts. `.scn`
+//! is also the only text form of a scripted run: fuzz repros, the
+//! corpus, and the daemon's `{"op":"scenario"}` requests all use it.
 //!
 //! - [`ast`] — what a parsed scenario means.
 //! - [`parse`] — the line-oriented parser (every error carries its
-//!   line number) and the canonical printer.
+//!   line number), the canonical printer, and the machine-key and
+//!   script-op vocabulary.
 //! - [`resolve`] — lowering onto [`emu_core::config::MachineConfig`]
 //!   and the benchmark crates' own configs; sweep expansion.
 //! - [`run`] — point execution with functional verification and
-//!   physical-invariant audits, plus the *pure* assertion evaluator.
-//! - [`case`] — lifting fuzz cases to script scenarios and back, so
-//!   the fuzzer generates, shrinks, and emits repros in `.scn`.
+//!   physical-invariant audits, the *pure* assertion evaluator, and
+//!   the point outcome's JSON form.
+//! - [`fuzz`] — generating, checking, and shrinking random script
+//!   scenarios (`simctl fuzz`).
 //! - [`registry`] — the deterministic generator of the committed
 //!   `scenarios/` tree.
 //!
@@ -25,7 +29,7 @@
 //! semantics of its own.
 
 pub mod ast;
-pub mod case;
+pub mod fuzz;
 pub mod parse;
 pub mod registry;
 pub mod resolve;

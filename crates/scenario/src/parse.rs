@@ -9,7 +9,7 @@
 //! scenario stream-chick-saturated
 //!
 //! machine chick
-//!   gc_hz = 150000000          # optional codec-key overrides
+//!   gc_hz = 150000000          # optional machine-key overrides
 //!
 //! workload stream
 //!   elems = 4096
@@ -31,15 +31,18 @@
 //! ```
 //!
 //! Everything is validated at parse time — section structure, key
-//! vocabulary (shared with the fuzz-corpus codec), value types, enum
-//! spellings, sweep arity — and every rejection carries the offending
-//! line number. [`print`] renders the canonical form; `parse(print(s))
-//! == s` for every valid scenario (the seeded property test in
-//! `tests/props.rs`).
+//! vocabulary ([`apply_config_key`] for machine and fault keys,
+//! [`parse_thread`] for script threads), value types, enum spellings,
+//! sweep arity — and every rejection carries the offending line number.
+//! [`print`] renders the canonical form; `parse(print(s)) == s` for
+//! every valid scenario (the seeded property test in `tests/props.rs`).
 
 use crate::ast::*;
-use conformance::fuzz::{apply_config_key, op_token, parse_thread};
+use conformance::lockstep::{OpSpec, ThreadScript};
+use desim::time::{Clock, Time};
 use emu_core::config::MachineConfig;
+use emu_core::spawn::SpawnStrategy;
+use membench::stream::StreamKernel;
 use std::collections::BTreeMap;
 
 /// Metric names a `counter` / `monotonic` assertion may reference.
@@ -89,9 +92,130 @@ fn valid_name(s: &str) -> bool {
             .all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-'))
 }
 
+fn parse_val<T: std::str::FromStr>(v: &str, key: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("bad value for {key}: {v:?}"))
+}
+
+/// Apply one `key = value` override to `cfg`: machine geometry,
+/// clocking, and cost-model keys as written in the `machine` section,
+/// fault-plan keys with a `fault_` prefix (the `faults` section's keys
+/// and `faults.` sweep axes, prefixed by the resolver).
+pub fn apply_config_key(cfg: &mut MachineConfig, key: &str, val: &str) -> Result<(), String> {
+    match key {
+        "nodes" => cfg.nodes = parse_val(val, key)?,
+        "nodelets_per_node" => cfg.nodelets_per_node = parse_val(val, key)?,
+        "gcs_per_nodelet" => cfg.gcs_per_nodelet = parse_val(val, key)?,
+        "threadlets_per_gc" => cfg.threadlets_per_gc = parse_val(val, key)?,
+        "gc_hz" => {
+            // `Clock::from_hz` asserts a period of at least 1 ps.
+            let hz: u64 = parse_val(val, key)?;
+            if hz == 0 || hz > desim::time::PS_PER_S {
+                return Err(format!("gc_hz {hz} out of range 1..=1000000000000"));
+            }
+            cfg.gc_clock = Clock::from_hz(hz);
+        }
+        "ncdram_bytes_per_sec" => cfg.ncdram_bytes_per_sec = parse_val(val, key)?,
+        "dram_latency_ps" => cfg.dram_latency = Time::from_ps(parse_val(val, key)?),
+        "dram_access_overhead_ps" => cfg.dram_access_overhead = Time::from_ps(parse_val(val, key)?),
+        "dram_burst_bytes" => cfg.dram_burst_bytes = parse_val(val, key)?,
+        "migration_rate_per_sec" => cfg.migration_rate_per_sec = parse_val(val, key)?,
+        "intra_node_hop_ps" => cfg.intra_node_hop = Time::from_ps(parse_val(val, key)?),
+        "inter_node_hop_ps" => cfg.inter_node_hop = Time::from_ps(parse_val(val, key)?),
+        "rapidio_bytes_per_sec" => cfg.rapidio_bytes_per_sec = parse_val(val, key)?,
+        "context_bytes" => cfg.context_bytes = parse_val(val, key)?,
+        "mem_issue_cycles" => cfg.costs.mem_issue_cycles = parse_val(val, key)?,
+        "mem_pipeline_cycles" => cfg.costs.mem_pipeline_cycles = parse_val(val, key)?,
+        "compute_latency_factor" => cfg.costs.compute_latency_factor = parse_val(val, key)?,
+        "spawn_issue_cycles" => cfg.costs.spawn_issue_cycles = parse_val(val, key)?,
+        "spawn_local_latency_ps" => {
+            cfg.costs.spawn_local_latency = Time::from_ps(parse_val(val, key)?)
+        }
+        "migrate_issue_cycles" => cfg.costs.migrate_issue_cycles = parse_val(val, key)?,
+        "atomic_extra_ps" => cfg.costs.atomic_extra = Time::from_ps(parse_val(val, key)?),
+        "fault_seed" => cfg.faults.seed = parse_val(val, key)?,
+        "fault_mig_nack_prob" => cfg.faults.mig_nack_prob = parse_val(val, key)?,
+        "fault_mig_backoff_ps" => cfg.faults.mig_backoff = Time::from_ps(parse_val(val, key)?),
+        "fault_mig_retry_budget" => cfg.faults.mig_retry_budget = parse_val(val, key)?,
+        "fault_ecc_prob" => cfg.faults.ecc_prob = parse_val(val, key)?,
+        "fault_ecc_latency_ps" => cfg.faults.ecc_latency = Time::from_ps(parse_val(val, key)?),
+        "fault_link_drop_prob" => cfg.faults.link_drop_prob = parse_val(val, key)?,
+        "fault_link_retry_budget" => cfg.faults.link_retry_budget = parse_val(val, key)?,
+        "fault_max_events" => cfg.faults.max_events = parse_val(val, key)?,
+        "fault_slowdown" => {
+            cfg.faults.slowdown = val
+                .split(',')
+                .map(|x| parse_val(x, key))
+                .collect::<Result<_, _>>()?
+        }
+        "fault_dead" => {
+            cfg.faults.dead = val
+                .split(',')
+                .map(|x| Ok::<bool, String>(parse_val::<u8>(x, key)? != 0))
+                .collect::<Result<_, _>>()?
+        }
+        _ => return Err(format!("unknown key {key:?}")),
+    }
+    Ok(())
+}
+
+/// Render one [`OpSpec`] as a `thread` line token (`L0:8`, `C5`,
+/// `M3`, …) — the inverse of [`parse_op`].
+pub fn op_token(op: &OpSpec) -> String {
+    match op {
+        OpSpec::Load { nodelet, bytes } => format!("L{nodelet}:{bytes}"),
+        OpSpec::Store { nodelet, bytes } => format!("S{nodelet}:{bytes}"),
+        OpSpec::Atomic { nodelet, bytes } => format!("A{nodelet}:{bytes}"),
+        OpSpec::Compute { cycles } => format!("C{cycles}"),
+        OpSpec::Migrate { nodelet } => format!("M{nodelet}"),
+    }
+}
+
+/// Parse one `thread` line token back into an [`OpSpec`].
+pub fn parse_op(tok: &str) -> Result<OpSpec, String> {
+    if tok.is_empty() {
+        return Err("empty op token".into());
+    }
+    let (kind, rest) = tok.split_at(1);
+    let pair = |rest: &str| -> Result<(u32, u32), String> {
+        let (n, b) = rest
+            .split_once(':')
+            .ok_or_else(|| format!("bad op {tok:?}"))?;
+        Ok((parse_val(n, "op nodelet")?, parse_val(b, "op bytes")?))
+    };
+    Ok(match kind {
+        "L" => {
+            let (nodelet, bytes) = pair(rest)?;
+            OpSpec::Load { nodelet, bytes }
+        }
+        "S" => {
+            let (nodelet, bytes) = pair(rest)?;
+            OpSpec::Store { nodelet, bytes }
+        }
+        "A" => {
+            let (nodelet, bytes) = pair(rest)?;
+            OpSpec::Atomic { nodelet, bytes }
+        }
+        "C" => OpSpec::Compute {
+            cycles: parse_val(rest, "op cycles")?,
+        },
+        "M" => OpSpec::Migrate {
+            nodelet: parse_val(rest, "op nodelet")?,
+        },
+        _ => return Err(format!("unknown op {tok:?}")),
+    })
+}
+
+/// Parse one `thread = <start> <ops…>` value (the part after `=`).
+pub fn parse_thread(val: &str) -> Result<ThreadScript, String> {
+    let mut toks = val.split_whitespace();
+    let start = parse_val(toks.next().unwrap_or(""), "thread start")?;
+    let ops = toks.map(parse_op).collect::<Result<_, _>>()?;
+    Ok(ThreadScript { start, ops })
+}
+
 /// Validate one machine-override key/value by applying it to a scratch
 /// config. Rejects `fault_*` keys (those belong in the `faults`
-/// section) and the codec's `thread` key.
+/// section) and the workload section's `thread` key.
 fn check_machine_key(key: &str, val: &str) -> Result<(), String> {
     if let Some(bare) = key.strip_prefix("fault_") {
         return Err(format!(
@@ -102,8 +226,8 @@ fn check_machine_key(key: &str, val: &str) -> Result<(), String> {
     apply_config_key(&mut scratch, key, val)
 }
 
-/// Validate one fault key/value (codec key without the `fault_`
-/// prefix) by applying it to a scratch config.
+/// Validate one fault key/value (an [`apply_config_key`] key without
+/// the `fault_` prefix) by applying it to a scratch config.
 fn check_fault_key(key: &str, val: &str) -> Result<(), String> {
     let mut scratch = emu_core::presets::chick_prototype();
     apply_config_key(&mut scratch, &format!("fault_{key}"), val).map_err(|e| {
@@ -139,21 +263,11 @@ fn chk_bool01(v: &str) -> Result<(), String> {
 }
 
 fn chk_kernel(v: &str) -> Result<(), String> {
-    match v {
-        "add" | "copy" | "scale" | "triad" => Ok(()),
-        _ => Err(format!(
-            "unknown kernel {v:?}; one of: add, copy, scale, triad"
-        )),
-    }
+    StreamKernel::from_name(v).map(|_| ())
 }
 
 fn chk_strategy(v: &str) -> Result<(), String> {
-    match v {
-        "serial" | "recursive" | "serial-remote" | "recursive-remote" => Ok(()),
-        _ => Err(format!(
-            "unknown strategy {v:?}; one of: serial, recursive, serial-remote, recursive-remote"
-        )),
-    }
+    SpawnStrategy::from_name(v).map(|_| ())
 }
 
 fn chk_chase_mode(v: &str) -> Result<(), String> {
@@ -547,20 +661,6 @@ pub fn parse(text: &str) -> Result<Scenario, String> {
     // parse time, not at run time.
     crate::resolve::resolve(&s)?;
     Ok(s)
-}
-
-/// Build the scenario's base [`MachineConfig`] (preset + machine
-/// overrides + faults, no sweep applied) and validate it.
-pub fn base_config(s: &Scenario) -> Result<MachineConfig, String> {
-    let mut cfg = emu_core::presets::by_name(&s.preset)?;
-    for (k, v) in &s.machine_overrides {
-        apply_config_key(&mut cfg, k, v)?;
-    }
-    for (k, v) in &s.faults {
-        apply_config_key(&mut cfg, &format!("fault_{k}"), v)?;
-    }
-    cfg.validate()?;
-    Ok(cfg)
 }
 
 /// Render the canonical form of a scenario. `parse(print(s)) == s`.

@@ -15,7 +15,8 @@
 //! conformance suite and must stay cheap enough to run on every push.
 
 use crate::ast::*;
-use conformance::fuzz::parse_thread;
+use crate::parse::parse_thread;
+use membench::stream::StreamKernel;
 use std::collections::BTreeMap;
 
 /// The five machine presets, under their registry spellings.
@@ -213,7 +214,7 @@ pub fn generate() -> Vec<Scenario> {
 
     // -- B: STREAM kernels --------------------------------------------
     for preset in PRESETS {
-        for kernel in ["add", "copy", "scale", "triad"] {
+        for kernel in StreamKernel::ALL.map(StreamKernel::keyword) {
             out.push(
                 stream(format!("stream-kernel-{kernel}-{preset}"), preset)
                     .p("kernel", kernel)

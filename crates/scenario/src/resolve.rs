@@ -9,7 +9,8 @@
 //! parser calls it on a dry run before accepting a file.
 
 use crate::ast::*;
-use conformance::fuzz::{apply_config_key, ThreadScript};
+use crate::parse::apply_config_key;
+use conformance::lockstep::ThreadScript;
 use emu_core::config::MachineConfig;
 use emu_core::spawn::SpawnStrategy;
 use emu_graph::bfs::BfsMode;
@@ -126,19 +127,13 @@ fn build_workload(
 ) -> Result<ResolvedWorkload, String> {
     match w.kind {
         WorkloadKind::Stream => {
-            let kernel = match params.get("kernel").map(String::as_str) {
-                None | Some("add") => StreamKernel::Add,
-                Some("copy") => StreamKernel::Copy,
-                Some("scale") => StreamKernel::Scale,
-                Some("triad") => StreamKernel::Triad,
-                Some(other) => return Err(format!("kernel: unknown {other:?}")),
+            let kernel = match params.get("kernel") {
+                None => StreamKernel::Add,
+                Some(v) => StreamKernel::from_name(v)?,
             };
-            let strategy = match params.get("strategy").map(String::as_str) {
-                None | Some("recursive-remote") => SpawnStrategy::RecursiveRemote,
-                Some("serial") => SpawnStrategy::Serial,
-                Some("recursive") => SpawnStrategy::Recursive,
-                Some("serial-remote") => SpawnStrategy::SerialRemote,
-                Some(other) => return Err(format!("strategy: unknown {other:?}")),
+            let strategy = match params.get("strategy") {
+                None => SpawnStrategy::RecursiveRemote,
+                Some(v) => SpawnStrategy::from_name(v)?,
             };
             Ok(ResolvedWorkload::Stream(EmuStreamConfig {
                 total_elems: get_u64(params, "elems", 4096)?,

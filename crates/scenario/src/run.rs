@@ -16,12 +16,12 @@
 
 use crate::ast::*;
 use crate::resolve::{Point, ResolvedWorkload};
-use conformance::fuzz::FuzzCase;
-use conformance::oracle;
+use conformance::{lockstep, oracle};
 use emu_core::audit::audit;
 use emu_core::config::MachineConfig;
 use emu_core::engine::Engine;
-use emu_core::json::report_json;
+use emu_core::json::{jnum, jstr, report_json};
+use emu_core::jsonread::{parse, Value};
 use emu_core::metrics::RunReport;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -41,6 +41,110 @@ pub struct PointOutcome {
     pub fingerprints: Vec<(usize, String)>,
     /// Functional / audit / simulation problems (empty = clean run).
     pub problems: Vec<String>,
+}
+
+impl PointOutcome {
+    /// The outcome as one JSON object: the report of the daemon's
+    /// `scenario_point` response and the result cache's payload.
+    ///
+    /// ```json
+    /// {"point":0,"axes":[["elems","64"]],"metrics":{"events":42},
+    ///  "fingerprints":[[1,"{...}"],[2,"{...}"]],"problems":[]}
+    /// ```
+    ///
+    /// Metrics are written in shortest round-trip form, so a finite
+    /// metric reads back bit-exactly; a non-finite one becomes `null`,
+    /// which [`PointOutcome::from_json`] rejects.
+    pub fn to_json(&self) -> String {
+        let axes: Vec<String> = self
+            .axes
+            .iter()
+            .map(|(k, v)| format!("[{},{}]", jstr(k), jstr(v)))
+            .collect();
+        let metrics: Vec<String> = self
+            .metrics
+            .iter()
+            .map(|(k, v)| format!("{}:{}", jstr(k), jnum(*v)))
+            .collect();
+        let fps: Vec<String> = self
+            .fingerprints
+            .iter()
+            .map(|(n, fp)| format!("[{n},{}]", jstr(fp)))
+            .collect();
+        let problems: Vec<String> = self.problems.iter().map(|p| jstr(p)).collect();
+        format!(
+            "{{\"point\":{},\"axes\":[{}],\"metrics\":{{{}}},\"fingerprints\":[{}],\"problems\":[{}]}}",
+            self.index,
+            axes.join(","),
+            metrics.join(","),
+            fps.join(","),
+            problems.join(",")
+        )
+    }
+
+    /// Parse [`PointOutcome::to_json`]'s document back. Strict: any
+    /// shape mismatch is an error.
+    pub fn from_json(text: &str) -> Result<PointOutcome, String> {
+        let v = parse(text).map_err(|e| format!("bad point outcome: {e}"))?;
+        let index = v
+            .get("point")
+            .and_then(Value::as_u64)
+            .ok_or("point outcome missing \"point\"")? as usize;
+        let mut axes = Vec::new();
+        let Some(Value::Arr(items)) = v.get("axes") else {
+            return Err("point outcome missing \"axes\"".into());
+        };
+        for item in items {
+            match item {
+                Value::Arr(kv) if kv.len() == 2 => {
+                    let k = kv[0].as_str().ok_or("axis key must be a string")?;
+                    let val = kv[1].as_str().ok_or("axis value must be a string")?;
+                    axes.push((k.to_string(), val.to_string()));
+                }
+                _ => return Err("each axis must be a [key, value] pair".into()),
+            }
+        }
+        let mut metrics = BTreeMap::new();
+        let Some(Value::Obj(pairs)) = v.get("metrics") else {
+            return Err("point outcome missing \"metrics\"".into());
+        };
+        for (k, val) in pairs {
+            let x = val
+                .as_f64()
+                .ok_or_else(|| format!("metric {k:?} is not a finite number"))?;
+            metrics.insert(k.clone(), x);
+        }
+        let mut fingerprints = Vec::new();
+        let Some(Value::Arr(items)) = v.get("fingerprints") else {
+            return Err("point outcome missing \"fingerprints\"".into());
+        };
+        for item in items {
+            match item {
+                Value::Arr(pair) if pair.len() == 2 => {
+                    let n = pair[0]
+                        .as_u64()
+                        .ok_or("fingerprint worker count must be an integer")?;
+                    let fp = pair[1].as_str().ok_or("fingerprint must be a string")?;
+                    fingerprints.push((n as usize, fp.to_string()));
+                }
+                _ => return Err("each fingerprint must be a [count, report] pair".into()),
+            }
+        }
+        let mut problems = Vec::new();
+        let Some(Value::Arr(items)) = v.get("problems") else {
+            return Err("point outcome missing \"problems\"".into());
+        };
+        for item in items {
+            problems.push(item.as_str().ok_or("problems must be strings")?.to_string());
+        }
+        Ok(PointOutcome {
+            index,
+            axes,
+            metrics,
+            fingerprints,
+            problems,
+        })
+    }
 }
 
 /// Result of running one whole scenario.
@@ -208,13 +312,7 @@ fn exec_point(
                 if let Some(n) = sim_override {
                     e.set_sim_threads(n);
                 }
-                conformance::fuzz::seed_case(
-                    &mut e,
-                    &FuzzCase {
-                        cfg: p.cfg.clone(),
-                        threads: threads.clone(),
-                    },
-                )?;
+                lockstep::seed_case(&mut e, threads)?;
                 e.run()
             };
             match run() {
@@ -310,10 +408,7 @@ pub fn run_point(s: &Scenario, p: &Point) -> PointOutcome {
     // workloads — it is the scenario-language form of the fuzzer's
     // check.
     if let ResolvedWorkload::Script(threads) = &p.workload {
-        problems.extend(conformance::fuzz::run_case(&FuzzCase {
-            cfg: p.cfg.clone(),
-            threads: threads.clone(),
-        }));
+        problems.extend(lockstep::run_case(&p.cfg, threads));
     }
 
     let counts = wanted_sim_threads(s);
@@ -547,120 +642,6 @@ pub fn run_scenario(s: &Scenario) -> ScenarioOutcome {
 // Content-addressed point memoization
 // ---------------------------------------------------------------------------
 
-impl PointOutcome {
-    /// Serialize for the result cache. Declines (`None`) when a metric
-    /// is non-finite: the strict JSON reader would reject it on load.
-    pub fn cache_json(&self) -> Option<String> {
-        use emu_core::json::jstr;
-        use std::fmt::Write as _;
-        if self.metrics.values().any(|v| !v.is_finite()) {
-            return None;
-        }
-        let mut s = String::new();
-        let _ = write!(s, "{{\"index\":{},\"axes\":[", self.index);
-        for (i, (k, v)) in self.axes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "[{},{}]", jstr(k), jstr(v));
-        }
-        s.push_str("],\"metrics\":{");
-        for (i, (k, v)) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{}:{v:?}", jstr(k));
-        }
-        s.push_str("},\"fingerprints\":[");
-        for (i, (n, fp)) in self.fingerprints.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "[{n},{}]", jstr(fp));
-        }
-        s.push_str("],\"problems\":[");
-        for (i, p) in self.problems.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&jstr(p));
-        }
-        s.push_str("]}");
-        Some(s)
-    }
-
-    /// Parse a cached outcome back; strict — any shape mismatch is an
-    /// error, and the caller falls back to re-running the point.
-    pub fn from_cache_json(text: &str) -> Result<PointOutcome, String> {
-        use emu_core::jsonread::{parse, Value};
-        let v = parse(text)?;
-        let index = v
-            .get("index")
-            .and_then(Value::as_u64)
-            .ok_or("missing index")? as usize;
-        let pair = |x: &Value| -> Option<(String, String)> {
-            match x {
-                Value::Arr(kv) if kv.len() == 2 => {
-                    Some((kv[0].as_str()?.to_string(), kv[1].as_str()?.to_string()))
-                }
-                _ => None,
-            }
-        };
-        let axes = match v.get("axes") {
-            Some(Value::Arr(xs)) => xs
-                .iter()
-                .map(|x| pair(x).ok_or("bad axis pair"))
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("missing axes".into()),
-        };
-        let metrics = match v.get("metrics") {
-            Some(Value::Obj(pairs)) => pairs
-                .iter()
-                .map(|(k, x)| x.as_f64().map(|f| (k.clone(), f)).ok_or("bad metric"))
-                .collect::<Result<BTreeMap<_, _>, _>>()?,
-            _ => return Err("missing metrics".into()),
-        };
-        let fingerprints = match v.get("fingerprints") {
-            Some(Value::Arr(xs)) => xs
-                .iter()
-                .map(|x| match x {
-                    Value::Arr(nf) if nf.len() == 2 => {
-                        let n = nf[0].as_u64().ok_or("bad fingerprint count")? as usize;
-                        let fp = nf[1].as_str().ok_or("bad fingerprint body")?.to_string();
-                        Ok((n, fp))
-                    }
-                    _ => Err("bad fingerprint pair".to_string()),
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("missing fingerprints".into()),
-        };
-        let problems = match v.get("problems") {
-            Some(Value::Arr(xs)) => xs
-                .iter()
-                .map(|x| x.as_str().map(str::to_string).ok_or("bad problem"))
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("missing problems".into()),
-        };
-        Ok(PointOutcome {
-            index,
-            axes,
-            metrics,
-            fingerprints,
-            problems,
-        })
-    }
-}
-
-/// Whether scenario points may be served from the result cache: the
-/// cache must be on and no process-global telemetry armed (a traced or
-/// report-collecting run must execute every point).
-fn cache_active() -> bool {
-    runcache::enabled()
-        && !emu_core::trace::collecting_reports()
-        && !emu_core::trace::global().enabled()
-        && !emu_core::engine::phase_profile()
-}
-
 /// The scenario text hashed into cache keys: the canonical print of a
 /// copy whose machine-override and fault lines are stable-sorted by
 /// key. Reordering semantically order-free lines must not change the
@@ -681,7 +662,7 @@ pub fn digest_form(s: &Scenario) -> String {
 /// always re-evaluated over the (cached or fresh) outcomes. With the
 /// cache disabled this is exactly [`run_scenario`].
 pub fn run_scenario_cached(s: &Scenario) -> ScenarioOutcome {
-    if !cache_active() {
+    if !runcache::active() {
         return run_scenario(s);
     }
     let points = match crate::resolve::resolve(s) {
@@ -705,18 +686,19 @@ pub fn run_scenario_cached(s: &Scenario) -> ScenarioOutcome {
             k.record_debug("point", p);
             let digest = k.digest();
             if let Some(e) = runcache::lookup(&digest) {
-                if let Ok(o) = PointOutcome::from_cache_json(&e.payload) {
+                if let Ok(o) = PointOutcome::from_json(&e.payload) {
                     return o;
                 }
             }
             let o = run_point(s, p);
-            if let Some(payload) = o.cache_json() {
+            // A non-finite metric would not decode on load: decline it.
+            if o.metrics.values().all(|v| v.is_finite()) {
                 runcache::publish(
                     &digest,
                     &runcache::Entry {
                         kind: "scn-point".into(),
                         label: format!("{} #{}", s.name, p.index),
-                        payload,
+                        payload: o.to_json(),
                         recipe: Some(format!("scn:{}\n{printed}", p.index)),
                     },
                 );
@@ -729,5 +711,64 @@ pub fn run_scenario_cached(s: &Scenario) -> ScenarioOutcome {
         name: s.name.clone(),
         points: outcomes,
         failures,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use emu_core::json::json_ok;
+
+    fn sample() -> PointOutcome {
+        let mut metrics = BTreeMap::new();
+        metrics.insert("events".to_string(), 42.0);
+        metrics.insert("bandwidth_bps".to_string(), 1.25e9);
+        metrics.insert("oracle:stream-saturated".to_string(), 0.993);
+        PointOutcome {
+            index: 3,
+            axes: vec![("elems".into(), "64".into())],
+            metrics,
+            fingerprints: vec![
+                (1, "{\"label\":\"s\"}".into()),
+                (2, "{\"label\":\"s\"}".into()),
+            ],
+            problems: vec!["audit: \"quoted\" detail".into()],
+        }
+    }
+
+    #[test]
+    fn point_outcomes_round_trip_through_json() {
+        let empty = PointOutcome {
+            index: 0,
+            axes: vec![],
+            metrics: BTreeMap::new(),
+            fingerprints: vec![],
+            problems: vec![],
+        };
+        for o in [sample(), empty] {
+            let doc = o.to_json();
+            assert!(json_ok(&doc), "{doc}");
+            assert_eq!(PointOutcome::from_json(&doc).unwrap(), o);
+        }
+    }
+
+    #[test]
+    fn metrics_round_trip_bit_exactly() {
+        let mut o = sample();
+        for x in [1e-7, 1e21, -0.0, f64::MIN_POSITIVE, 0.1 + 0.2] {
+            o.metrics.insert("x".into(), x);
+            let back = PointOutcome::from_json(&o.to_json()).unwrap();
+            assert_eq!(back.metrics["x"].to_bits(), x.to_bits(), "{x:e}");
+        }
+    }
+
+    #[test]
+    fn malformed_outcomes_are_rejected() {
+        let mut o = sample();
+        o.metrics.insert("bad".into(), f64::NAN);
+        assert!(PointOutcome::from_json(&o.to_json()).is_err());
+        assert!(PointOutcome::from_json("{}").is_err());
+        assert!(PointOutcome::from_json("{\"point\":0}").is_err());
+        assert!(PointOutcome::from_json("not json").is_err());
     }
 }

@@ -15,16 +15,21 @@ fn committed_cross_shard_nack_scenario_exercises_the_fault_path() {
     // The corpus exemplar for the sharded scheduler must actually
     // produce cross-shard mailbox traffic and migration NACKs.
     let s = load("cross-shard-nack.scn");
-    let case = scenario::case::case_from_scenario(&s).unwrap();
-    let mut e = Engine::new(case.cfg.clone()).unwrap();
+    let [p] = &scenario::resolve(&s).unwrap()[..] else {
+        panic!("the exemplar is one point");
+    };
+    let scenario::ResolvedWorkload::Script(threads) = &p.workload else {
+        panic!("the exemplar is a script scenario");
+    };
+    let mut e = Engine::new(p.cfg.clone()).unwrap();
     e.set_sim_threads(2);
     e.enable_merge(false);
-    conformance::fuzz::seed_case(&mut e, &case).unwrap();
+    conformance::lockstep::seed_case(&mut e, threads).unwrap();
     let report = e.run().unwrap();
     assert!(report.fault_totals().nacks > 0, "case must NACK");
     assert!(report.pdes.mailbox_sent > 0, "case must cross shards");
     assert!(report.total_migrations() > 0, "case must migrate");
-    assert!(conformance::fuzz::run_case(&case).is_empty());
+    assert!(scenario::fuzz::check(&s).is_empty());
 }
 
 #[test]

@@ -10,7 +10,7 @@ use test_support::cases;
 fn gen_random(case: u64, rng: &mut desim::rng::Rng64) -> Scenario {
     // Script scenarios come from the fuzzer's own generator.
     if rng.gen_range(0..4u32) == 0 {
-        return scenario::case::gen_scenario(&format!("prop-script-{case}"), rng);
+        return scenario::fuzz::gen_scenario(&format!("prop-script-{case}"), rng);
     }
     let presets = scenario::registry::PRESETS;
     let preset = presets[rng.gen_range(0..presets.len() as u32) as usize];
@@ -33,11 +33,8 @@ fn gen_random(case: u64, rng: &mut desim::rng::Rng64) -> Scenario {
     match kind {
         WorkloadKind::Stream => {
             text.push_str(&format!("  elems = {}\n", 64 << rng.gen_range(0..4u32)));
-            let kernels = ["add", "copy", "scale", "triad"];
-            text.push_str(&format!(
-                "  kernel = {}\n",
-                kernels[rng.gen_range(0..4u32) as usize]
-            ));
+            let kernel = membench::stream::StreamKernel::ALL[rng.gen_range(0..4u32) as usize];
+            text.push_str(&format!("  kernel = {}\n", kernel.keyword()));
         }
         WorkloadKind::Chase => {
             text.push_str("  elems_per_list = 64\n  block = 16\n");
@@ -128,6 +125,11 @@ fn rejections_carry_line_numbers() {
         "scenario x\nmachine chick\n  frobnicate = 3\nworkload stream\n",
         3,
         "unknown key",
+    );
+    rejects_at(
+        "scenario x\nmachine chick\n  gc_hz = 0\nworkload stream\n",
+        3,
+        "gc_hz 0 out of range",
     );
     rejects_at(
         "scenario x\nmachine chick\nworkload quicksort\n",

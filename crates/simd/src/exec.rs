@@ -1,17 +1,19 @@
 //! Request execution on a (possibly warm) engine slot.
 //!
-//! Each pool worker owns one [`WarmSlot`]. A run request resolves to a
-//! [`MachineConfig`] plus a seeding step; if the slot holds an engine
-//! built for an identical config it is [`Engine::reset`] and reused
-//! (`warm`), otherwise a fresh engine is built (`cold`). Warm reuse is
-//! byte-identical to cold by the `reset_reuse` regression suite in
-//! emu-core, and every successful report is re-checked here against
-//! the audit invariants before it leaves the daemon.
+//! Each pool worker owns one [`WarmSlot`]. A stream request resolves to
+//! a [`MachineConfig`] plus a STREAM config; if the slot holds an
+//! engine built for an identical config it is [`Engine::reset`] and
+//! reused (`warm`), otherwise a fresh engine is built (`cold`). Warm
+//! reuse is byte-identical to cold by the `reset_reuse` regression
+//! suite in emu-core, and every successful report is re-checked here
+//! against the audit invariants before it leaves the daemon. A
+//! scenario point runs on engines of its own and leaves the slot as it
+//! found it.
 //!
 //! Any failed run discards the slot's engine: a partially drained or
 //! faulted engine is never reused.
 
-use crate::proto::{ErrorKind, RunRequest, Spec};
+use crate::proto::{run_request_line, ErrorKind, RunRequest, Spec};
 use emu_core::json::report_json;
 use emu_core::prelude::*;
 use membench::stream::{run_stream_on, stream_checksum, EmuStreamConfig, StreamKernel};
@@ -26,6 +28,12 @@ impl WarmSlot {
     /// An empty (cold) slot.
     pub fn new() -> Self {
         WarmSlot(None)
+    }
+
+    /// The config key (see [`spec_key`]) of the parked engine, if any:
+    /// what the pool advertises to its sticky router.
+    pub fn key(&self) -> Option<&str> {
+        self.0.as_ref().map(|(k, _)| k.as_str())
     }
 }
 
@@ -50,74 +58,32 @@ impl ExecError {
 /// A successful execution.
 #[derive(Debug, Clone)]
 pub struct ExecOutcome {
-    /// The exact [`report_json`] document for the run, labeled `"run"`.
+    /// The exact [`report_json`] document for the run, labeled `"run"`
+    /// (for a scenario point, the point outcome's JSON form).
     pub report_json: String,
     /// Whether a warm engine was reused (vs built cold).
     pub warm: bool,
-    /// The config key the engine was parked under (see [`spec_key`]) —
-    /// the pool publishes it for sticky routing.
-    pub config_key: String,
 }
 
 /// The warm-slot key a spec resolves to: the debug rendering of its
 /// [`MachineConfig`]. Two requests with the same key can share a warm
 /// engine, which is what the pool's sticky router matches on. `None`
-/// when the spec does not resolve (the run would fail as `proto`
-/// anyway, so routing it anywhere is fine).
+/// for a scenario point (it never runs on the warm slot) and when the
+/// spec does not resolve (the run would fail as `proto` anyway, so
+/// routing it anywhere is fine).
 pub fn spec_key(spec: &Spec) -> Option<String> {
-    let plan = resolve(spec).ok()?;
-    let cfg = match &plan {
-        Plan::Case(case) => &case.cfg,
-        Plan::Stream(cfg, _) => cfg,
-        Plan::ScenarioPoint(_, point) => &point.cfg,
+    if let Spec::ScenarioPoint { .. } = spec {
+        return None;
+    }
+    let Ok(Plan::Stream(cfg, _)) = resolve(spec) else {
+        return None;
     };
     Some(format!("{cfg:?}"))
 }
 
-/// Resolve a preset name using the same vocabulary as the bench CLI
-/// (shared resolver in [`presets::by_name`]).
-pub fn preset_by_name(name: &str) -> Result<MachineConfig, String> {
-    presets::by_name(name)
-}
-
-fn kernel_by_name(name: &str) -> Result<StreamKernel, String> {
-    match name {
-        "add" => Ok(StreamKernel::Add),
-        "copy" => Ok(StreamKernel::Copy),
-        "scale" => Ok(StreamKernel::Scale),
-        "triad" => Ok(StreamKernel::Triad),
-        other => Err(format!(
-            "unknown kernel {other:?}; one of: add, copy, scale, triad"
-        )),
-    }
-}
-
-fn strategy_by_name(name: &str) -> Result<SpawnStrategy, String> {
-    match name {
-        "serial" => Ok(SpawnStrategy::Serial),
-        "recursive" => Ok(SpawnStrategy::Recursive),
-        "serial-remote" => Ok(SpawnStrategy::SerialRemote),
-        "recursive-remote" => Ok(SpawnStrategy::RecursiveRemote),
-        other => Err(format!(
-            "unknown strategy {other:?}; one of: serial, recursive, serial-remote, recursive-remote"
-        )),
-    }
-}
-
 enum Plan {
-    Case(conformance::fuzz::FuzzCase),
     Stream(MachineConfig, EmuStreamConfig),
     ScenarioPoint(Box<scenario::Scenario>, scenario::Point),
-}
-
-/// Whether daemon runs may be served from (or published to) the result
-/// cache right now: the cache must be enabled and no process-global
-/// telemetry armed.
-fn cache_active() -> bool {
-    runcache::enabled()
-        && !emu_core::trace::collecting_reports()
-        && !emu_core::trace::global().enabled()
-        && !emu_core::engine::phase_profile()
 }
 
 /// Everything the pool needs to cache one run: the content digest, a
@@ -128,111 +94,55 @@ pub struct CachePlan {
     pub digest: String,
     /// Human-readable label for `cache stats`.
     pub label: String,
-    /// Re-run recipe (`case:…` or `stream\nk=v…`).
+    /// Re-run recipe: the request's own wire line
+    /// ([`run_request_line`], read back by
+    /// [`crate::proto::parse_request`]) with id 0 and no budgets.
     pub recipe: String,
 }
 
 /// The cache plan for a run request, or `None` when the request is not
-/// cacheable: cache off, telemetry armed, unresolvable spec, or a
+/// cacheable: cache not [`runcache::active`], unresolvable spec, or a
 /// scenario point (those go through the scenario crate's own cache).
 ///
-/// The digest hashes fully-resolved content — the decoded case
-/// re-encoded in canonical form, or the resolved machine + stream
-/// configs — so formatting differences hash identically and a preset
-/// definition change lands on a new key. Event/deadline budgets are
-/// excluded: they do not alter the report of a run that completes.
+/// The digest hashes fully-resolved content — the resolved machine and
+/// stream configs — so formatting differences hash identically and a
+/// preset definition change lands on a new key. Event/deadline budgets
+/// are excluded: they do not alter the report of a run that completes.
 pub fn cache_plan(spec: &Spec) -> Option<CachePlan> {
-    if !cache_active() {
+    if !runcache::active() {
         return None;
     }
-    match resolve(spec).ok()? {
-        Plan::Case(case) => {
-            let text = conformance::fuzz::encode(&case);
-            let mut k = runcache::Key::new("simd-case");
-            k.record("case", &text);
-            Some(CachePlan {
-                digest: k.digest(),
-                label: format!(
-                    "case {}n/{}t",
-                    case.cfg.total_nodelets(),
-                    case.threads.len()
-                ),
-                recipe: format!("case:{text}"),
-            })
-        }
-        Plan::Stream(cfg, sc) => {
-            let Spec::Stream {
-                preset,
-                elems,
-                threads,
-                kernel,
-                strategy,
-                single_nodelet,
-                stack_touch_period,
-            } = spec
-            else {
-                return None;
-            };
-            let mut k = runcache::Key::new("simd-stream");
-            k.record_debug("machine", &cfg);
-            k.record_debug("stream", &sc);
-            Some(CachePlan {
-                digest: k.digest(),
-                label: format!("stream {preset} {elems}x{threads}"),
-                recipe: format!(
-                    "stream\npreset={preset}\nelems={elems}\nthreads={threads}\n\
-                     kernel={kernel}\nstrategy={strategy}\nsingle_nodelet={single_nodelet}\n\
-                     stack_touch_period={stack_touch_period}"
-                ),
-            })
-        }
-        Plan::ScenarioPoint(..) => None,
-    }
-}
-
-/// Rebuild the [`Spec`] a `stream` recipe describes (the inverse of
-/// [`cache_plan`]'s recipe rendering). Used by `simctl cache verify`.
-pub fn spec_from_stream_recipe(recipe: &str) -> Result<Spec, String> {
-    let mut preset = None;
-    let mut elems = None;
-    let mut threads = None;
-    let mut kernel = None;
-    let mut strategy = None;
-    let mut single_nodelet = None;
-    let mut stack_touch_period = None;
-    for line in recipe.lines().skip(1) {
-        let (key, val) = line
-            .split_once('=')
-            .ok_or_else(|| format!("bad recipe line {line:?}"))?;
-        match key {
-            "preset" => preset = Some(val.to_string()),
-            "elems" => elems = val.parse().ok(),
-            "threads" => threads = val.parse().ok(),
-            "kernel" => kernel = Some(val.to_string()),
-            "strategy" => strategy = Some(val.to_string()),
-            "single_nodelet" => single_nodelet = val.parse().ok(),
-            "stack_touch_period" => stack_touch_period = val.parse().ok(),
-            other => return Err(format!("unknown recipe key {other:?}")),
-        }
-    }
-    Ok(Spec::Stream {
-        preset: preset.ok_or("recipe missing preset")?,
-        elems: elems.ok_or("recipe missing elems")?,
-        threads: threads.ok_or("recipe missing threads")?,
-        kernel: kernel.ok_or("recipe missing kernel")?,
-        strategy: strategy.ok_or("recipe missing strategy")?,
-        single_nodelet: single_nodelet.ok_or("recipe missing single_nodelet")?,
-        stack_touch_period: stack_touch_period.ok_or("recipe missing stack_touch_period")?,
+    let Spec::Stream {
+        preset,
+        elems,
+        threads,
+        ..
+    } = spec
+    else {
+        return None;
+    };
+    let Ok(Plan::Stream(cfg, sc)) = resolve(spec) else {
+        return None;
+    };
+    let mut k = runcache::Key::new("simd-stream");
+    k.record_debug("machine", &cfg);
+    k.record_debug("stream", &sc);
+    Some(CachePlan {
+        digest: k.digest(),
+        label: format!("stream {preset} {elems}x{threads}"),
+        recipe: run_request_line(&RunRequest {
+            id: 0,
+            spec: spec.clone(),
+            deadline_ms: None,
+            max_events: None,
+            chaos: None,
+        }),
     })
 }
 
 fn resolve(spec: &Spec) -> Result<Plan, ExecError> {
+    let proto = |e| ExecError::new(ErrorKind::Proto, e);
     match spec {
-        Spec::Case { text } => {
-            let case = conformance::fuzz::decode(text)
-                .map_err(|e| ExecError::new(ErrorKind::Proto, format!("bad case: {e}")))?;
-            Ok(Plan::Case(case))
-        }
         Spec::Stream {
             preset,
             elems,
@@ -242,26 +152,21 @@ fn resolve(spec: &Spec) -> Result<Plan, ExecError> {
             single_nodelet,
             stack_touch_period,
         } => {
-            let proto = |e| ExecError::new(ErrorKind::Proto, e);
-            let cfg = preset_by_name(preset).map_err(proto)?;
+            let cfg = presets::by_name(preset).map_err(proto)?;
             if *elems == 0 || *threads == 0 {
-                return Err(ExecError::new(
-                    ErrorKind::Proto,
-                    "stream spec needs elems > 0 and threads > 0",
-                ));
+                return Err(proto("stream spec needs elems > 0 and threads > 0".into()));
             }
             let sc = EmuStreamConfig {
                 total_elems: *elems,
                 nthreads: *threads,
-                strategy: strategy_by_name(strategy).map_err(proto)?,
-                kernel: kernel_by_name(kernel).map_err(proto)?,
+                strategy: SpawnStrategy::from_name(strategy).map_err(proto)?,
+                kernel: StreamKernel::from_name(kernel).map_err(proto)?,
                 single_nodelet: *single_nodelet,
                 stack_touch_period: *stack_touch_period,
             };
             Ok(Plan::Stream(cfg, sc))
         }
         Spec::ScenarioPoint { text, index } => {
-            let proto = |e| ExecError::new(ErrorKind::Proto, e);
             let s = scenario::parse(text).map_err(|e| proto(format!("bad scenario: {e}")))?;
             let mut points = scenario::resolve(&s).map_err(proto)?;
             if *index >= points.len() {
@@ -290,41 +195,36 @@ fn sim_error(e: SimError) -> ExecError {
 /// `cancel` is the watchdog flag armed by the pool's deadline timer;
 /// the engine polls it cooperatively and raises
 /// [`SimError::DeadlineExceeded`] when it trips. On any error the
-/// slot's engine is discarded; on success it is parked for the next
-/// request with a matching config.
+/// slot is left empty; a stream run that completes and passes its
+/// audit parks its engine for the next request with a matching config.
 pub fn execute(
     slot: &mut WarmSlot,
     req: &RunRequest,
     cancel: Option<(Arc<AtomicBool>, u64)>,
 ) -> Result<ExecOutcome, ExecError> {
-    let plan = resolve(&req.spec)?;
-
-    // A scenario point runs through the scenario crate's own runner
-    // (which builds the workload's engines, audits every report, and
-    // verifies the result against the functional oracle), so it never
-    // touches this worker's parked engine. Deadline and event budgets
-    // do not reach inside `run_point`; problems travel back as data in
-    // the outcome document so the server can evaluate the scenario's
-    // expect block over every point (see `crate::scn`).
-    if let Plan::ScenarioPoint(s, point) = &plan {
-        let outcome = scenario::run_point(s, point);
-        return Ok(ExecOutcome {
-            report_json: crate::scn::point_outcome_json(&outcome),
-            warm: false,
-            config_key: format!("{:?}", point.cfg),
-        });
-    }
-
-    let cfg = match &plan {
-        Plan::Case(case) => &case.cfg,
-        Plan::Stream(cfg, _) => cfg,
-        Plan::ScenarioPoint(..) => unreachable!("handled above"),
+    let parked = slot.0.take();
+    let (cfg, sc) = match resolve(&req.spec)? {
+        // A scenario point runs through the scenario crate's own runner
+        // (which builds the workload's engines, audits every report,
+        // and verifies the result against the functional oracle), so
+        // the parked engine stays as it was. Deadline and event budgets
+        // do not reach inside `run_point`; problems travel back as data
+        // in the outcome document so the server can evaluate the
+        // scenario's expect block over every point (see `crate::scn`).
+        Plan::ScenarioPoint(s, point) => {
+            slot.0 = parked;
+            return Ok(ExecOutcome {
+                report_json: scenario::run_point(&s, &point).to_json(),
+                warm: false,
+            });
+        }
+        Plan::Stream(cfg, sc) => (cfg, sc),
     };
     let key = format!("{cfg:?}");
 
     // Warm path: identical config => reset and reuse. Anything else is
     // a cold build (the old engine, if any, is simply replaced).
-    let (mut engine, warm) = match slot.0.take() {
+    let (mut engine, warm) = match parked {
         Some((k, mut e)) if k == key => {
             e.reset();
             (e, true)
@@ -337,42 +237,31 @@ pub fn execute(
         engine.set_cancel(flag, ms);
     }
 
-    let report = match &plan {
-        Plan::Case(case) => {
-            conformance::fuzz::seed_case(&mut engine, case).map_err(sim_error)?;
-            engine.run_once().map_err(sim_error)?
-        }
-        Plan::Stream(_, sc) => {
-            let res = run_stream_on(&mut engine, sc).map_err(sim_error)?;
-            let want = stream_checksum(sc.total_elems, sc.kernel);
-            if res.checksum != want {
-                return Err(ExecError::new(
-                    ErrorKind::Audit,
-                    format!(
-                        "stream checksum mismatch: got {:#x}, want {:#x}",
-                        res.checksum, want
-                    ),
-                ));
-            }
-            res.report
-        }
-        Plan::ScenarioPoint(..) => unreachable!("handled above"),
-    };
+    let res = run_stream_on(&mut engine, &sc).map_err(sim_error)?;
+    let want = stream_checksum(sc.total_elems, sc.kernel);
+    if res.checksum != want {
+        return Err(ExecError::new(
+            ErrorKind::Audit,
+            format!(
+                "stream checksum mismatch: got {:#x}, want {:#x}",
+                res.checksum, want
+            ),
+        ));
+    }
 
     // A finished engine is drained but structurally sound; audit the
     // report before vouching for it, then park the engine for reuse.
-    let violations = audit(cfg, &report);
+    let violations = audit(&cfg, &res.report);
     if !violations.is_empty() {
         let joined: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
         return Err(ExecError::new(ErrorKind::Audit, joined.join("; ")));
     }
     engine.clear_cancel();
-    slot.0 = Some((key.clone(), engine));
+    slot.0 = Some((key, engine));
 
     Ok(ExecOutcome {
-        report_json: report_json("run", &report),
+        report_json: report_json("run", &res.report),
         warm,
-        config_key: key,
     })
 }
 
@@ -414,37 +303,17 @@ mod tests {
     }
 
     #[test]
-    fn case_spec_executes_and_reuses() {
-        let case = "# case\nthread=0 L0:8 C5 S1:8 M0\nthread=3 A2:8 C9\n";
-        let req = RunRequest {
-            id: 7,
-            spec: Spec::Case { text: case.into() },
-            deadline_ms: None,
-            max_events: None,
-            chaos: None,
-        };
+    fn proto_errors_are_typed_and_empty_the_slot() {
         let mut slot = WarmSlot::new();
-        let a = execute(&mut slot, &req, None).unwrap();
-        assert!(!a.warm);
-        let b = execute(&mut slot, &req, None).unwrap();
-        assert!(b.warm);
-        assert_eq!(a.report_json, b.report_json);
-    }
-
-    #[test]
-    fn proto_errors_are_typed() {
-        let mut slot = WarmSlot::new();
-        let bad = RunRequest {
-            id: 1,
-            spec: Spec::Case {
-                text: "nodes=0\n".into(),
-            },
-            deadline_ms: None,
-            max_events: None,
-            chaos: None,
+        execute(&mut slot, &stream_req(1, 512), None).unwrap();
+        let mut bad = stream_req(2, 0);
+        bad.spec = Spec::ScenarioPoint {
+            text: "scenario s\n\nmachine chick\n  nodes = 0\n\nworkload stream\n".into(),
+            index: 0,
         };
         let e = execute(&mut slot, &bad, None).unwrap_err();
         assert_eq!(e.kind, ErrorKind::Proto);
+        assert_eq!(slot.key(), None);
 
         let mut req = stream_req(2, 1024);
         req.spec = Spec::Stream {

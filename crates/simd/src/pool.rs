@@ -139,7 +139,7 @@ pub struct PoolStats {
     pub rejected_draining: AtomicU64,
     /// Runs that finished and passed the audit.
     pub completed_ok: AtomicU64,
-    /// Failures: bad case/spec after admission.
+    /// Failures: bad spec after admission.
     pub failed_proto: AtomicU64,
     /// Failures: the simulation faulted.
     pub failed_sim: AtomicU64,
@@ -633,9 +633,6 @@ fn handle_run(idx: usize, slot: &mut WarmSlot, run: RunJob, shared: &Shared, wob
         wobs.busy_ns.add(busy);
         wobs.jobs.inc();
     }
-    // The key the router may sticky-match next: set on success, cleared
-    // on any failure (a failed run discards the worker's engine).
-    let mut parked_key: Option<String> = None;
     let line = match result {
         Ok(out) => {
             let mut ok = true;
@@ -659,7 +656,6 @@ fn handle_run(idx: usize, slot: &mut WarmSlot, run: RunJob, shared: &Shared, wob
                     stats.cold_builds.fetch_add(1, Ordering::SeqCst);
                     m.cold_builds.inc();
                 }
-                parked_key = Some(out.config_key.clone());
                 // Publish for future `submit` probes. No-op unless the
                 // cache is on and the run is cacheable (`cache_plan`).
                 if req.chaos.is_none() {
@@ -677,6 +673,9 @@ fn handle_run(idx: usize, slot: &mut WarmSlot, run: RunJob, shared: &Shared, wob
                 }
                 ok_response(id, idx, out.warm, &out.report_json)
             } else {
+                // A warm engine that diverged from a cold run is never
+                // reused.
+                *slot = WarmSlot::new();
                 stats.failed_audit.fetch_add(1, Ordering::SeqCst);
                 m.failed_audit.inc();
                 err_response(
@@ -700,11 +699,13 @@ fn handle_run(idx: usize, slot: &mut WarmSlot, run: RunJob, shared: &Shared, wob
             err_response(id, e.kind, &e.message, None)
         }
     };
-    // Publish the warm key before answering, so a client that submits
-    // its next request after reading this response is routed sticky.
+    // Advertise the engine the slot now holds (none after a failure; a
+    // scenario point leaves it as it was) before answering, so a client
+    // that submits its next request after reading this response is
+    // routed sticky.
     *shared.warm_keys[idx]
         .lock()
-        .expect("warm key lock never poisoned") = parked_key;
+        .expect("warm key lock never poisoned") = slot.key().map(str::to_string);
     stats.in_flight.fetch_sub(1, Ordering::SeqCst);
     m.in_flight.add(-1);
     let _ = resp.send(line);
@@ -896,6 +897,47 @@ mod tests {
         );
         assert_eq!(s.warm_hits, 4);
         assert_eq!(s.routed_sticky, 4, "{s:?}");
+        assert!(pool.stats().reconcile().is_empty());
+    }
+
+    #[test]
+    fn a_scenario_point_keeps_the_workers_warm_engine_advertised() {
+        let pool = Pool::start(PoolConfig {
+            workers: 2,
+            queue_cap: 8,
+            ..PoolConfig::default()
+        });
+        let stream = |id, preset: &str| {
+            let mut r = stream_req(id, 512);
+            if let Spec::Stream { preset: p, .. } = &mut r.spec {
+                *p = preset.into();
+            }
+            r
+        };
+        let mut point = stream_req(3, 0);
+        point.spec = Spec::ScenarioPoint {
+            text: "scenario p\n\nmachine full-speed\n\nworkload stream\n  elems = 64\n".into(),
+            index: 0,
+        };
+        let replies: Vec<String> = [
+            stream(1, "chick"),
+            stream(2, "chick-sim"),
+            point,
+            stream(4, "chick"),
+            stream(5, "full-speed"),
+        ]
+        .into_iter()
+        .map(|r| submit_and_wait(&pool, r))
+        .collect();
+        for r in &replies {
+            assert!(r.contains("\"ok\":true"), "{r}");
+        }
+        // The point ran on worker 0 next to its parked `chick` engine,
+        // which must still be advertised and reused.
+        assert!(replies[3].contains("\"warm\":true"), "{}", replies[3]);
+        assert!(pool.drain(Duration::from_secs(10)));
+        let s = pool.stats().snapshot();
+        assert!(s.routed_sticky <= s.warm_hits, "{s:?}");
         assert!(pool.stats().reconcile().is_empty());
     }
 

@@ -11,16 +11,18 @@
 //! {"op":"shutdown","id":4}
 //! ```
 //!
-//! A `run` spec is either a scripted case in the conformance fuzz
-//! codec, `{"kind":"case","case":"<codec text>"}`, or a STREAM point,
-//! `{"kind":"stream","preset":"chick","elems":4096,"threads":64,...}`.
+//! A `run` spec is a STREAM point,
+//! `{"kind":"stream","preset":"chick","elems":4096,"threads":64,...}`,
+//! or one point of a scenario,
+//! `{"kind":"scenario_point","scenario":"<.scn text>","index":0}`.
 //!
 //! A `scenario` request carries a complete `.scn` document (the
 //! declarative conformance language in the `scenario` crate); the
 //! server resolves its sweep and routes every point through the warm
-//! pool as an internal `{"kind":"scenario_point"}` spec, then
-//! evaluates the `expect` block over the collected outcomes
-//! (see [`crate::scn`]).
+//! pool as a `scenario_point` spec, then evaluates the `expect` block
+//! over the collected outcomes (see [`crate::scn`]). A scripted run —
+//! a machine plus per-threadlet op scripts — is a `workload script`
+//! scenario sent this way.
 //!
 //! Successful run responses put the report object **last** so its
 //! bytes can be compared verbatim against a direct
@@ -96,12 +98,6 @@ pub struct ScenarioRequest {
 /// A run payload.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Spec {
-    /// A scripted workload in the conformance fuzz text codec
-    /// (machine config plus per-thread op scripts).
-    Case {
-        /// The codec text, decoded server-side by `conformance::fuzz::decode`.
-        text: String,
-    },
     /// One Emu STREAM point on a named preset.
     Stream {
         /// Preset name (same vocabulary as the bench CLI: `chick`,
@@ -284,15 +280,6 @@ fn parse_spec(v: &Value) -> Result<Spec, String> {
         .and_then(Value::as_str)
         .ok_or("spec missing \"kind\"")?;
     match kind {
-        "case" => {
-            let text = v
-                .get("case")
-                .and_then(Value::as_str)
-                .ok_or("case spec missing \"case\" text")?;
-            Ok(Spec::Case {
-                text: text.to_string(),
-            })
-        }
         "stream" => {
             let field = |k: &str| v.get(k).and_then(Value::as_str).map(str::to_string);
             let num = |k: &str, d: u64| v.get(k).and_then(Value::as_u64).unwrap_or(d);
@@ -330,7 +317,6 @@ fn parse_spec(v: &Value) -> Result<Spec, String> {
 /// Render a run request line (the client side of [`parse_request`]).
 pub fn run_request_line(req: &RunRequest) -> String {
     let spec = match &req.spec {
-        Spec::Case { text } => format!("{{\"kind\":\"case\",\"case\":{}}}", jstr(text)),
         Spec::Stream {
             preset,
             elems,
@@ -410,11 +396,13 @@ mod tests {
     }
 
     #[test]
-    fn case_spec_survives_newlines() {
+    fn scenario_point_spec_survives_newlines() {
         let req = RunRequest {
             id: 1,
-            spec: Spec::Case {
-                text: "# case\nseed=3\nthread=0 L0:8 C5\n".into(),
+            spec: Spec::ScenarioPoint {
+                text: "scenario s\n\nmachine chick\n\nworkload script\n  thread = 0 L0:8 C5\n"
+                    .into(),
+                index: 0,
             },
             deadline_ms: None,
             max_events: None,

@@ -7,7 +7,7 @@
 //! cache; the pool's other suites assume it is off.
 
 use simd::pool::{Pool, PoolConfig};
-use simd::proto::{report_slice, RunRequest, Spec};
+use simd::proto::{parse_request, report_slice, Request, RunRequest, Spec};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -78,6 +78,21 @@ fn repeat_requests_are_served_from_cache_and_reconcile() {
         pool.stats().reconcile()
     );
     assert!(s.json().contains("\"served_from_cache\":3"), "{}", s.json());
+
+    // Each stored entry's recipe is its request's own wire line (id 0,
+    // no budgets), which `simctl cache verify` re-runs.
+    let store = runcache::Store::open_default();
+    let mut specs = Vec::new();
+    for o in store.scan() {
+        let recipe = store.load(&o.digest).unwrap().recipe.unwrap();
+        let Ok(Request::Run(req)) = parse_request(&recipe) else {
+            panic!("recipe is not a run request line: {recipe}");
+        };
+        assert_eq!((req.id, req.deadline_ms, req.max_events), (0, None, None));
+        specs.push(req.spec);
+    }
+    assert_eq!(specs.len(), 2);
+    assert!(specs.contains(&stream_req(0).spec), "{specs:?}");
 
     runcache::set_enabled(false);
     runcache::set_dir(None);

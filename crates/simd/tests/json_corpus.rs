@@ -55,7 +55,7 @@ const ACCEPTED: &[(&str, &str)] = &[
     ("same-key-different-objects", r#"[{"a":1},{"a":2}]"#),
     (
         "protocol-request",
-        r#"{"op":"run","id":7,"spec":{"kind":"case","case":"a\nb"},"deadline_ms":250}"#,
+        r#"{"op":"run","id":7,"spec":{"kind":"scenario_point","scenario":"a\nb","index":0},"deadline_ms":250}"#,
     ),
     (
         "protocol-response",

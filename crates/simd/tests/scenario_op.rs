@@ -109,6 +109,16 @@ fn scenario_op_runs_sweeps_through_the_pool() {
     assert!(reply.contains("\"ok\":false"), "{reply}");
     assert!(reply.contains("\"kind\":\"proto\""), "{reply}");
 
+    // A scripted run is a `workload script` scenario; `case` is not a
+    // run spec kind.
+    let script = "scenario scripted\n\nmachine chick\n  nodes = 2\n\n\
+                  workload script\n  thread = 0 L9:8 C5 M3\n  thread = 12 A1:8\n";
+    let reply = request(&opts, &scenario_req(5, script)).unwrap();
+    assert!(reply.contains("\"pass\":true"), "{reply}");
+    let case = r#"{"op":"run","id":6,"spec":{"kind":"case","case":"thread=0 C1"}}"#;
+    let reply = request(&opts, case).unwrap();
+    assert!(reply.contains("\"kind\":\"proto\""), "{reply}");
+
     // A single point replays through the ordinary run op, carrying the
     // outcome document as its report.
     let reply = request(
