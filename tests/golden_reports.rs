@@ -10,6 +10,13 @@
 //! change that shifted these bytes would otherwise be served stale
 //! without any error.
 //!
+//! The Xeon model's `CpuReport` has no JSON form, so its points render
+//! every report field explicitly (`cpu_digest`) and pin the SHA-256 of
+//! that text: STREAM and SpMV on both Xeon presets, a Sandy Bridge with a
+//! 1 MiB L3 so dirty last-level evictions are pinned, a read-modify-write
+//! script for the dirty bit a store hit sets, and pointer chasing (whose
+//! `ChaseResult` carries no `CpuReport`) by makespan and checksum.
+//!
 //! If an assertion fails, the change altered simulated behaviour. When
 //! that is intended, re-pin the printed digests here, bump
 //! `runcache::KEY_VERSION` so cached results are orphaned, and say why
@@ -17,9 +24,17 @@
 
 use emu_chick::prelude::*;
 use emu_core::json::report_json;
+use membench::chase::cpu::run_chase_cpu;
 use membench::chase::{run_chase_emu, ChaseConfig, ShuffleMode};
+use membench::spmv_cpu::{run_spmv_cpu, CpuSpmvConfig, CpuStrategy};
+use membench::stream::cpu::{run_stream_cpu, CpuStreamConfig};
+use membench::stream::StreamKernel;
 use membench::stream::{run_stream_emu, EmuStreamConfig};
 use runcache::sha256::hex_digest;
+use spmat::{laplacian, LaplacianSpec};
+use std::sync::Arc;
+use xeon_sim::dram::DramStats;
+use xeon_sim::engine::CpuCounters;
 
 fn digest(label: &str, r: &RunReport) -> String {
     hex_digest(report_json(label, r).as_bytes())
@@ -178,4 +193,204 @@ fn faulted_script_report_at_two_sim_threads() {
             digest("script-faulted-st2", &r),
         )],
     );
+}
+
+/// Every `CpuReport` field as text, hashed. The destructuring names each
+/// field, so a field added to the report fails to compile here until it
+/// is rendered too.
+fn cpu_digest(label: &str, r: &CpuReport) -> String {
+    let CpuReport {
+        makespan,
+        counters:
+            CpuCounters {
+                l1_hits,
+                l2_hits,
+                l3_hits,
+                prefetch_hits,
+                dram_loads,
+                stores,
+                nt_stores,
+                writebacks,
+                prefetches,
+            },
+        dram:
+            DramStats {
+                reads,
+                writes,
+                row_hits,
+                row_misses,
+            },
+        dram_bus_utilization,
+        threads,
+    } = r;
+    let text = format!(
+        "{label} makespan_ps={} l1_hits={l1_hits} l2_hits={l2_hits} l3_hits={l3_hits} \
+         prefetch_hits={prefetch_hits} dram_loads={dram_loads} stores={stores} \
+         nt_stores={nt_stores} writebacks={writebacks} prefetches={prefetches} \
+         dram_reads={reads} dram_writes={writes} row_hits={row_hits} \
+         row_misses={row_misses} bus_utilization_bits={:016x} threads={threads}",
+        makespan.ps(),
+        dram_bus_utilization.to_bits(),
+    );
+    hex_digest(text.as_bytes())
+}
+
+fn cpu_stream(cfg: &CpuConfig, total_elems: u64, nt_stores: bool) -> CpuReport {
+    let sc = CpuStreamConfig {
+        total_elems,
+        nthreads: cfg.cores as usize,
+        kernel: StreamKernel::Add,
+        nt_stores,
+    };
+    run_stream_cpu(cfg, &sc).report
+}
+
+fn cpu_spmv(cfg: &CpuConfig, strategy: CpuStrategy) -> CpuReport {
+    let m = Arc::new(laplacian(LaplacianSpec::paper(32)));
+    let sc = CpuSpmvConfig {
+        strategy,
+        nthreads: cfg.cores as usize,
+    };
+    run_spmv_cpu(cfg, m, &sc).report
+}
+
+/// STREAM and SpMV `CpuReport`s on both Xeon presets, plus dirty
+/// last-level evictions on a Sandy Bridge with a 1 MiB L3.
+#[test]
+fn cpu_reports_on_both_xeons() {
+    const GOLDEN: [(&str, &str); 10] = [
+        (
+            "stream-nt-sandy",
+            "3076ce6133148cb3688eeca7f8758087e975cb132a8c0173a6fea00f62afb09c",
+        ),
+        (
+            "stream-cached-sandy",
+            "b8963d2174c44b4753c646391802a29533fb9e976c311ac93c05848409eeb18d",
+        ),
+        (
+            "spmv-mkl-sandy",
+            "2a27174eb0ea69ab86a6b8112e430939115e76d2b463ed98938e109693661aca",
+        ),
+        (
+            "spmv-spawn16-sandy",
+            "49911ab40ad6145956a051e3c5f312205e5be6a2d48ad1c55906732e0e7b27eb",
+        ),
+        (
+            "stream-nt-haswell",
+            "377ee34ec4ae647731463a962e4621b689f907f12f0b1e623d121c079b2adbf8",
+        ),
+        (
+            "stream-cached-haswell",
+            "0f6e5be62ec79e6ea536086e3de65520844d0638226d8cd1d20bba5dde4d450f",
+        ),
+        (
+            "spmv-mkl-haswell",
+            "390e539da91fca829ff1a94cfbb72a966fd2b782d413b60734e026a8fd2ae825",
+        ),
+        (
+            "spmv-spawn16-haswell",
+            "3a7bf6cc9d0b1fa12f0287c9b6413c06cf9175a7e138f0bb841066ae26c2ab55",
+        ),
+        (
+            "stream-cached-l3-1m-sandy",
+            "98d5245165a13aaf3531fa0d6ef92494952da282f89eaac3acba221e60bc16b3",
+        ),
+        (
+            "rmw-l3-1m-sandy",
+            "c48be1790725303cf3205d20277b06e67720dec3c932c9a9b68fd3ba389e196e",
+        ),
+    ];
+    let mut got = Vec::new();
+    for (name, cfg) in [("sandy", sandy_bridge()), ("haswell", haswell())] {
+        let points = [
+            ("stream-nt", cpu_stream(&cfg, 1 << 14, true)),
+            ("stream-cached", cpu_stream(&cfg, 1 << 14, false)),
+            ("spmv-mkl", cpu_spmv(&cfg, CpuStrategy::MklLike)),
+            (
+                "spmv-spawn16",
+                cpu_spmv(&cfg, CpuStrategy::CilkSpawn { grain: 16 }),
+            ),
+        ];
+        for (point, r) in points {
+            let label = format!("{point}-{name}");
+            got.push((label.clone(), cpu_digest(&label, &r)));
+        }
+    }
+    // A 1 MiB L3 under a 1.5 MiB cached-store STREAM: the stored lines
+    // leave the last level dirty and are written back.
+    let mut small_l3 = sandy_bridge();
+    small_l3.l3.capacity = 1 << 20;
+    let r = cpu_stream(&small_l3, 1 << 16, false);
+    let mut writebacks = vec![r.counters.writebacks];
+    got.push((
+        "stream-cached-l3-1m-sandy".into(),
+        cpu_digest("stream-cached-l3-1m-sandy", &r),
+    ));
+    // Random read-modify-write over 4 MiB on the same small L3: each
+    // store hits the clean line its load just brought in, so every
+    // writeback here depends on that hit setting the dirty bit.
+    let mut e = CpuEngine::new(small_l3);
+    for t in 0..4 {
+        let ops = desim::rng::uniform_indices(8192, 1 << 16, 11 + t)
+            .into_iter()
+            .flat_map(|line| {
+                let addr = line * 64;
+                [
+                    CpuOp::Load { addr, bytes: 8 },
+                    CpuOp::Store { addr, bytes: 8 },
+                ]
+            })
+            .collect();
+        e.add_thread(Box::new(CpuScript::new(ops)));
+    }
+    let r = e.run();
+    writebacks.push(r.counters.writebacks);
+    got.push(("rmw-l3-1m-sandy".into(), cpu_digest("rmw-l3-1m-sandy", &r)));
+    check(&GOLDEN, &got);
+    assert!(writebacks.iter().all(|&w| w > 0), "{writebacks:?}");
+}
+
+/// Pointer chasing at blocks 1 and 512 on both Xeon presets.
+#[test]
+fn cpu_chase_on_both_xeons() {
+    const GOLDEN: [(&str, &str); 4] = [
+        (
+            "chase-b1-sandy",
+            "7caee74327c8461c5bf03df18708a4805bd0231e3a3b399c50124d79d828ae79",
+        ),
+        (
+            "chase-b512-sandy",
+            "c358e342a4c2849eb1b85d9088420d26adf3e2c4e06e71dc0fe2ded6349f34af",
+        ),
+        (
+            "chase-b1-haswell",
+            "a9a15107d307e040f09dc9855f7cd4e0eb8af4e40a789aa7da4c832458d24427",
+        ),
+        (
+            "chase-b512-haswell",
+            "16f0463cd211de7be5a1b9ade82ded6a29be4ac7be16d0bfe1b2796b47d27976",
+        ),
+    ];
+    let mut got = Vec::new();
+    for (name, cfg) in [("sandy", sandy_bridge()), ("haswell", haswell())] {
+        for block in [1, 512] {
+            let cc = ChaseConfig {
+                elems_per_list: 1024,
+                nlists: 16,
+                block_elems: block,
+                mode: ShuffleMode::FullBlock,
+                seed: 7,
+            };
+            let r = run_chase_cpu(&cfg, &cc);
+            assert_eq!(r.checksum, cc.expected_checksum());
+            let label = format!("chase-b{block}-{name}");
+            let text = format!(
+                "{label} makespan_ps={} checksum={}",
+                r.makespan.ps(),
+                r.checksum
+            );
+            got.push((label, hex_digest(text.as_bytes())));
+        }
+    }
+    check(&GOLDEN, &got);
 }
