@@ -101,11 +101,16 @@ impl CpuConfig {
             return Err("cores must be > 0 and contexts >= cores".into());
         }
         for (name, g) in [("l1", self.l1), ("l2", self.l2), ("l3", self.l3)] {
+            // Both checks come before `sets()`, which divides by their
+            // product.
+            if g.assoc == 0 {
+                return Err(format!("{name}: assoc must be > 0"));
+            }
+            if !g.line_bytes.is_power_of_two() {
+                return Err(format!("{name}: line size must be a power of two"));
+            }
             if g.sets() == 0 {
                 return Err(format!("{name}: capacity too small for assoc x line"));
-            }
-            if g.line_bytes == 0 || !g.line_bytes.is_power_of_two() {
-                return Err(format!("{name}: line size must be a power of two"));
             }
         }
         if self.l1.line_bytes != self.l2.line_bytes || self.l2.line_bytes != self.l3.line_bytes {
@@ -113,6 +118,9 @@ impl CpuConfig {
         }
         if self.dram.channels == 0 || self.dram.banks_per_channel == 0 {
             return Err("dram: channels and banks must be > 0".into());
+        }
+        if self.dram.channel_bytes_per_sec == 0 {
+            return Err("dram: channel_bytes_per_sec must be > 0".into());
         }
         if !self.dram.row_bytes.is_power_of_two() {
             return Err("dram: row_bytes must be a power of two".into());
@@ -251,6 +259,27 @@ mod tests {
     fn validate_rejects_mixed_line_sizes() {
         let mut c = sandy_bridge();
         c.l2.line_bytes = 128;
+        assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_zero_assoc() {
+        let mut c = sandy_bridge();
+        c.l2.assoc = 0;
+        assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_zero_line_size() {
+        let mut c = sandy_bridge();
+        c.l3.line_bytes = 0;
+        assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_zero_channel_bandwidth() {
+        let mut c = sandy_bridge();
+        c.dram.channel_bytes_per_sec = 0;
         assert!(c.validate().is_err());
     }
 
