@@ -4,6 +4,22 @@
 //! comparison depends on *real* capacity/conflict behaviour (blocks that
 //! fit in a level get their lines reused; bigger blocks thrash), so the
 //! tag arrays are simulated exactly rather than approximated.
+//!
+//! **Recency-ordered sets.** Each way is one `u64`: 0 for an empty way,
+//! else `(tag + 1) << 1 | dirty`. A set keeps its ways in recency order,
+//! most recent first, with empty ways at the tail. A hit moves its way
+//! to the front; an install shifts the set down by one and takes the
+//! front, so the way it shifts out of the last slot is the victim: an
+//! empty way while the set has one, else the least recently used line.
+//! That is exactly true LRU, with no per-way timestamp. The tag array is
+//! allocated zeroed (`vec![0u64; n]`), so building a cache never writes
+//! its pages: a 20 MiB, 16-way L3 holds 2.5 MiB of tags, touched only
+//! where lines land.
+//!
+//! **Set index.** Sets are `tag % sets`, and real LLCs have set counts
+//! that are not powers of two (Sandy Bridge's 20 MiB L3 has 20,480), so
+//! no mask will do. [`Reciprocal`] computes the remainder exactly by
+//! multiplication.
 
 use crate::config::CacheGeometry;
 
@@ -30,46 +46,93 @@ impl Access {
     }
 }
 
-#[derive(Clone, Copy, Default)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Monotonic timestamp of last touch (true LRU).
-    lru: u64,
+/// A divisor `d` for `n % d` without a divide, exact for every `u64`
+/// `n` and `d >= 1`: `n % Reciprocal::new(d) == n % d`.
+///
+/// A power of two takes a mask. Any other `d` takes Lemire, Kaser and
+/// Kurz's direct remainder ("Faster Remainder by Direct Computation",
+/// 2019) with a 128-bit reciprocal `m = ceil(2^128 / d)`: the low 128
+/// bits of `m * n` are the fraction `n / d` scaled by 2^128, and
+/// multiplying that fraction by `d` leaves the remainder in the bits
+/// above 2^128. Two 64-bit and one 128-bit multiply replace a 64-bit
+/// divide.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reciprocal {
+    d: u64,
+    /// `ceil(2^128 / d)`, or 0 when `d` is a power of two.
+    m: u128,
+}
+
+impl Reciprocal {
+    /// The reciprocal of `d`.
+    ///
+    /// # Panics
+    /// Panics if `d` is zero.
+    pub fn new(d: u64) -> Self {
+        assert!(d > 0, "remainder by zero");
+        let m = if d.is_power_of_two() {
+            0
+        } else {
+            u128::MAX / d as u128 + 1
+        };
+        Reciprocal { d, m }
+    }
+}
+
+impl std::ops::Rem<Reciprocal> for u64 {
+    type Output = u64;
+
+    #[inline]
+    fn rem(self, r: Reciprocal) -> u64 {
+        if r.m == 0 {
+            return self & (r.d - 1);
+        }
+        let frac = r.m.wrapping_mul(self as u128);
+        let d = r.d as u128;
+        // Bits 128.. of the 192-bit product `frac * d`; the sum cannot
+        // overflow because the high product is below 2^128 - 2^64.
+        let low = (frac as u64 as u128 * d) >> 64;
+        (((frac >> 64) * d + low) >> 64) as u64
+    }
 }
 
 /// A set-associative, write-back, write-allocate cache level.
 pub struct Cache {
-    ways: Vec<Way>, // sets x assoc, row-major by set
+    /// `sets x assoc` ways, row-major by set, each set in recency order
+    /// (see the module docs for the encoding).
+    ways: Vec<u64>,
     assoc: usize,
-    sets: u64,
+    sets: Reciprocal,
     line_shift: u32,
-    tick: u64,
     hits: u64,
     misses: u64,
 }
+
+/// Bit 0 of a way: the line is dirty.
+const DIRTY: u64 = 1;
 
 impl Cache {
     /// Build a cache with `geom`etry.
     ///
     /// # Panics
-    /// Panics if the geometry has zero sets or a non-power-of-two line
-    /// size. Non-power-of-two set counts are fine (indexed by modulo), as
-    /// real LLCs like Sandy Bridge's 20 MiB slice-hashed L3 have them.
+    /// Panics if the geometry has zero sets or a line size that is not a
+    /// power of two of at least 4 bytes: a way holds `(tag + 1) << 1`,
+    /// which fits in 64 bits for every address only when the line offset
+    /// takes at least two address bits. Non-power-of-two set counts are
+    /// fine, as real LLCs like Sandy Bridge's 20 MiB slice-hashed L3
+    /// have them.
     pub fn new(geom: CacheGeometry) -> Self {
+        assert!(
+            geom.line_bytes.is_power_of_two() && geom.line_bytes >= 4,
+            "line size must be a power of two of at least 4 bytes"
+        );
         let sets = geom.sets();
         assert!(sets > 0, "cache must have at least one set");
-        assert!(
-            geom.line_bytes.is_power_of_two(),
-            "line size must be a power of two"
-        );
         Cache {
-            ways: vec![Way::default(); (sets * geom.assoc as u64) as usize],
+            ways: vec![0; (sets * geom.assoc as u64) as usize],
             assoc: geom.assoc as usize,
-            sets,
+            sets: Reciprocal::new(sets),
             line_shift: geom.line_bytes.trailing_zeros(),
-            tick: 0,
             hits: 0,
             misses: 0,
         }
@@ -81,29 +144,35 @@ impl Cache {
         addr >> self.line_shift << self.line_shift
     }
 
+    /// The way key of `addr`'s line (`tag + 1`, so never 0) and its set.
     #[inline]
-    fn set_range(&self, line: u64) -> std::ops::Range<usize> {
-        let set = ((line >> self.line_shift) % self.sets) as usize;
-        set * self.assoc..(set + 1) * self.assoc
+    fn locate(&self, addr: u64) -> (u64, std::ops::Range<usize>) {
+        let tag = addr >> self.line_shift;
+        let set = (tag % self.sets) as usize;
+        (tag + 1, set * self.assoc..(set + 1) * self.assoc)
     }
 
     /// Probe without filling: true if the line holding `addr` is present
     /// (touches LRU, sets dirty on writes).
     pub fn probe(&mut self, addr: u64, write: bool) -> bool {
-        self.tick += 1;
-        let line = self.line_of(addr);
-        let tag = line >> self.line_shift;
-        let range = self.set_range(line);
-        for w in &mut self.ways[range] {
-            if w.valid && w.tag == tag {
-                w.lru = self.tick;
-                w.dirty |= write;
+        let (key, range) = self.locate(addr);
+        let set = &mut self.ways[range];
+        match set.iter().position(|&w| w >> 1 == key) {
+            Some(i) => {
+                // Move the hit to the front, shifting the more recent
+                // ways down one.
+                let mut moving = set[i] | write as u64;
+                for w in &mut set[..=i] {
+                    moving = std::mem::replace(w, moving);
+                }
                 self.hits += 1;
-                return true;
+                true
+            }
+            None => {
+                self.misses += 1;
+                false
             }
         }
-        self.misses += 1;
-        false
     }
 
     /// Look up `addr`; on miss, install its line (LRU victim). Returns
@@ -118,45 +187,30 @@ impl Cache {
     /// Install the line holding `addr` (no hit check — caller knows it
     /// missed). Returns the miss flavour.
     pub fn install(&mut self, addr: u64, dirty: bool) -> Access {
-        self.tick += 1;
-        let line = self.line_of(addr);
-        let tag = line >> self.line_shift;
-        let line_shift = self.line_shift;
-        let tick = self.tick;
-        let range = self.set_range(line);
+        debug_assert!(!self.contains(addr), "installing a resident line");
+        let (key, range) = self.locate(addr);
         let set = &mut self.ways[range];
-        // Prefer an invalid way; otherwise evict true-LRU.
-        let victim = set
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, w)| (w.valid, w.lru))
-            .map(|(i, _)| i)
-            .expect("nonzero associativity");
-        let w = &mut set[victim];
-        let result = if !w.valid {
+        // Shift the whole set down one; what falls out of the last way
+        // is the victim.
+        let mut moving = key << 1 | dirty as u64;
+        for w in set.iter_mut() {
+            moving = std::mem::replace(w, moving);
+        }
+        if moving == 0 {
             Access::Miss
-        } else if w.dirty {
+        } else if moving & DIRTY != 0 {
             Access::MissEvictDirty {
-                line: w.tag << line_shift,
+                line: ((moving >> 1) - 1) << self.line_shift,
             }
         } else {
             Access::MissEvictClean
-        };
-        *w = Way {
-            tag,
-            valid: true,
-            dirty,
-            lru: tick,
-        };
-        result
+        }
     }
 
     /// Whether the line holding `addr` is present (no LRU side effects).
     pub fn contains(&self, addr: u64) -> bool {
-        let line = self.line_of(addr);
-        let tag = line >> self.line_shift;
-        let range = self.set_range(line);
-        self.ways[range].iter().any(|w| w.valid && w.tag == tag)
+        let (key, range) = self.locate(addr);
+        self.ways[range].iter().any(|&w| w >> 1 == key)
     }
 
     /// (hits, misses) since construction.
@@ -193,13 +247,13 @@ mod tests {
     #[test]
     fn lru_evicts_least_recent() {
         let mut c = tiny();
-        // Set 0 holds lines with (line_addr >> 6) even.
+        // With 2 sets, set = (addr >> 6) % 2: lines 0x000 (0), 0x080 (2)
+        // and 0x100 (4) all map to set 0.
         c.install(0x000, false);
-        c.install(0x080, false); // same set (2 sets: set = bit 6.. wait)
-                                 // set index = (addr>>6) & 1, so 0x000 -> set 0, 0x080 -> set 0? 0x80>>6 = 2 -> set 0.
+        c.install(0x080, false);
         assert!(c.contains(0x000) && c.contains(0x080));
         c.probe(0x000, false); // touch 0x000, making 0x080 LRU
-        c.install(0x100, false); // set 0 again (0x100>>6 = 4)
+        c.install(0x100, false);
         assert!(c.contains(0x000), "recently touched survives");
         assert!(!c.contains(0x080), "LRU way evicted");
     }
@@ -266,5 +320,21 @@ mod tests {
         c.access(64, false);
         let (h, m) = c.stats();
         assert_eq!((h, m), (1, 2));
+    }
+
+    #[test]
+    fn top_of_address_space_round_trips() {
+        // The largest tag still packs: its dirty eviction reports the
+        // right line.
+        let mut c = Cache::new(CacheGeometry {
+            capacity: 4,
+            assoc: 1,
+            line_bytes: 4,
+            latency_cycles: 1,
+        });
+        let top = !3;
+        c.install(top, true);
+        assert!(c.contains(u64::MAX));
+        assert_eq!(c.install(0, false), Access::MissEvictDirty { line: top });
     }
 }

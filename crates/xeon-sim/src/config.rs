@@ -106,8 +106,10 @@ impl CpuConfig {
             if g.assoc == 0 {
                 return Err(format!("{name}: assoc must be > 0"));
             }
-            if !g.line_bytes.is_power_of_two() {
-                return Err(format!("{name}: line size must be a power of two"));
+            if !g.line_bytes.is_power_of_two() || g.line_bytes < 4 {
+                return Err(format!(
+                    "{name}: line size must be a power of two of at least 4 bytes"
+                ));
             }
             if g.sets() == 0 {
                 return Err(format!("{name}: capacity too small for assoc x line"));
@@ -273,6 +275,15 @@ mod tests {
     fn validate_rejects_zero_line_size() {
         let mut c = sandy_bridge();
         c.l3.line_bytes = 0;
+        assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_lines_below_four_bytes() {
+        let mut c = sandy_bridge();
+        for level in [&mut c.l1, &mut c.l2, &mut c.l3] {
+            level.line_bytes = 2;
+        }
         assert!(c.validate().is_err());
     }
 

@@ -4,16 +4,17 @@
 //!
 //! * **channel** — line-interleaved: `(addr / 64) % channels`, so
 //!   sequential streams use all channels;
-//! * **row granule** — `addr / row_bytes` (8 KiB): one DRAM page of
-//!   physically contiguous data;
-//! * **bank** — `granule % banks`, so the row buffers of one channel can
-//!   keep `banks` distinct granules open at once.
+//! * **row granule** — `addr / row_bytes` (8 KiB, a power of two, so a
+//!   shift): one DRAM page of physically contiguous data;
+//! * **bank** — a hash of the granule modulo `banks`, so the row buffers
+//!   of one channel can keep `banks` distinct granules open at once.
 //!
 //! Consequences, exactly as the paper observes: random accesses inside a
 //! single 8 KiB region are row-buffer hits after the first touch; working
 //! regions up to `banks × 8 KiB` still enjoy open rows; anything larger
 //! thrashes the row buffers and every access pays activate+precharge.
 
+use crate::cache::Reciprocal;
 use crate::config::DramConfig;
 use desim::server::FifoServer;
 use desim::time::Time;
@@ -64,6 +65,11 @@ impl DramStats {
 /// The DRAM subsystem of one [`crate::config::CpuConfig`].
 pub struct Dram {
     cfg: DramConfig,
+    /// log2 of `cfg.row_bytes`.
+    row_shift: u32,
+    /// `cfg.channels` and `cfg.banks_per_channel` as divisors.
+    channel_count: Reciprocal,
+    bank_count: Reciprocal,
     channels: Vec<Channel>,
     line_transfer: Time,
     stats: DramStats,
@@ -72,7 +78,16 @@ pub struct Dram {
 impl Dram {
     /// Build from configuration; `line_bytes` is the cache-line size
     /// transferred per request.
+    ///
+    /// # Panics
+    /// Panics if `cfg.row_bytes` is not a power of two or
+    /// `cfg.channel_bytes_per_sec` is zero ([`crate::config::CpuConfig::validate`]
+    /// rejects both).
     pub fn new(cfg: DramConfig, line_bytes: u32) -> Self {
+        assert!(
+            cfg.row_bytes.is_power_of_two(),
+            "row_bytes must be a power of two"
+        );
         let channels = (0..cfg.channels)
             .map(|_| Channel {
                 banks: (0..cfg.banks_per_channel)
@@ -90,6 +105,9 @@ impl Dram {
                 as u64,
         );
         Dram {
+            row_shift: cfg.row_bytes.trailing_zeros(),
+            channel_count: Reciprocal::new(cfg.channels as u64),
+            bank_count: Reciprocal::new(cfg.banks_per_channel as u64),
             cfg,
             channels,
             line_transfer,
@@ -99,12 +117,12 @@ impl Dram {
 
     #[inline]
     fn route(&self, addr: u64) -> (usize, usize, u64) {
-        let channel = ((addr >> 6) % self.cfg.channels as u64) as usize;
-        let granule = addr / self.cfg.row_bytes;
+        let channel = ((addr >> 6) % self.channel_count) as usize;
+        let granule = addr >> self.row_shift;
         // Banks are selected by a hash of the granule (real controllers
         // XOR row bits into the bank index) so that concurrent streams at
         // power-of-two-separated bases do not all collide in bank 0.
-        let bank = (mix(granule) % self.cfg.banks_per_channel as u64) as usize;
+        let bank = (mix(granule) % self.bank_count) as usize;
         (channel, bank, granule)
     }
 

@@ -5,6 +5,18 @@
 //! management: a thread is pinned to core `tid % cores` and every memory
 //! access resolves through that core's L1/L2, the shared L3, the
 //! in-flight prefetch table, and finally DRAM.
+//!
+//! **Inline continuation.** Every event is one thread's `Ready`, and a
+//! step schedules nothing but that thread's next `Ready`. So when a
+//! step's wake time is strictly earlier than the queue's head, the
+//! parent order would pop that very event next (it sorts first by
+//! time), and [`CpuEngine::run`] runs the thread on at once instead of
+//! pushing and popping it. A wake time equal to the head's goes through
+//! the queue, where the head's earlier insertion wins the tie as before.
+//! Steps therefore run in the same order at the same times as with a
+//! push and pop per step; the queue's clock lags during a continuation,
+//! so the engine passes each step's `now` down instead of reading it,
+//! and the makespan is the time of the last step.
 
 use crate::cache::{Access, Cache};
 use crate::config::CpuConfig;
@@ -15,6 +27,7 @@ use desim::queue::EventQueue;
 use desim::server::FifoServer;
 use desim::time::Time;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Where a demand access was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,6 +94,29 @@ enum Event {
     Ready(CpuThreadId),
 }
 
+/// Multiplicative (Fibonacci) hash of a line index for the in-flight
+/// map. The map is only probed, inserted into, removed from and
+/// `retain`ed, so its iteration order never reaches a result, and
+/// SipHash's resistance to chosen keys buys nothing here.
+#[derive(Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("line indices hash through write_u64")
+    }
+
+    #[inline]
+    fn write_u64(&mut self, line: u64) {
+        self.0 = line.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 struct Thread {
     kernel: Option<Box<dyn CpuKernel>>,
     core: u32,
@@ -101,7 +137,9 @@ pub struct CpuEngine {
     prefetchers: Vec<Prefetcher>,
     /// Lines requested from DRAM (prefetch or demand) that have not been
     /// installed yet: line index -> fill time.
-    inflight: HashMap<u64, Time>,
+    inflight: HashMap<u64, Time, BuildHasherDefault<LineHasher>>,
+    /// log2 of the line size shared by every level.
+    line_shift: u32,
     counters: CpuCounters,
     live: u64,
 }
@@ -125,7 +163,8 @@ impl CpuEngine {
             l3: Cache::new(cfg.l3),
             dram: Dram::new(cfg.dram, cfg.l1.line_bytes),
             prefetchers: (0..cores).map(|_| Prefetcher::new(cfg.prefetch)).collect(),
-            inflight: HashMap::new(),
+            inflight: HashMap::default(),
+            line_shift: cfg.l1.line_bytes.trailing_zeros(),
             counters: CpuCounters::default(),
             live: 0,
             cfg,
@@ -153,11 +192,23 @@ impl CpuEngine {
 
     /// Run all threads to completion.
     pub fn run(mut self) -> CpuReport {
-        while let Some((now, Event::Ready(tid))) = self.q.pop() {
-            self.step_thread(tid, now);
+        let mut makespan = Time::ZERO;
+        while let Some((mut now, Event::Ready(tid))) = self.q.pop() {
+            // Run the thread on while it wakes strictly before the head
+            // (see the module docs).
+            loop {
+                makespan = now;
+                let Some(next) = self.step_thread(tid, now) else {
+                    break;
+                };
+                if self.q.peek_key().is_some_and(|(head, _)| head <= next) {
+                    self.q.schedule(next, Event::Ready(tid));
+                    break;
+                }
+                now = next;
+            }
         }
         assert_eq!(self.live, 0, "threads leaked");
-        let makespan = self.q.now();
         self.counters.prefetches = self.prefetchers.iter().map(Prefetcher::issued).sum();
         CpuReport {
             makespan,
@@ -168,7 +219,9 @@ impl CpuEngine {
         }
     }
 
-    fn step_thread(&mut self, tid: CpuThreadId, now: Time) {
+    /// Run one step of `tid` at `now`; returns when the thread is next
+    /// ready, or `None` once it quits.
+    fn step_thread(&mut self, tid: CpuThreadId, now: Time) -> Option<Time> {
         let core = self.threads[tid.0 as usize].core;
         let ctx = CpuCtx { tid, core, now };
         let op = self.threads[tid.0 as usize]
@@ -176,10 +229,11 @@ impl CpuEngine {
             .as_mut()
             .expect("live thread has a kernel")
             .step(&ctx);
-        match op {
+        let next = match op {
             CpuOp::Compute { cycles } => {
-                let grant = self.cores[core as usize].offer(now, self.cfg.cycles(cycles));
-                self.q.schedule(grant.done, Event::Ready(tid));
+                self.cores[core as usize]
+                    .offer(now, self.cfg.cycles(cycles))
+                    .done
             }
             CpuOp::Load { addr, bytes } => {
                 self.assert_in_line(addr, bytes);
@@ -195,8 +249,7 @@ impl CpuEngine {
                 // Issue occupies the core for one cycle; the thread
                 // resumes when the data is back.
                 let grant = self.cores[core as usize].offer(now, self.cfg.cycles(1));
-                let done = avail.max(grant.done) + lat;
-                self.q.schedule(done, Event::Ready(tid));
+                avail.max(grant.done) + lat
             }
             CpuOp::Store { addr, bytes } => {
                 self.assert_in_line(addr, bytes);
@@ -207,8 +260,9 @@ impl CpuEngine {
                 } else {
                     self.cfg.store_miss_stall_cycles
                 };
-                let grant = self.cores[core as usize].offer(now, self.cfg.cycles(stall));
-                self.q.schedule(grant.done, Event::Ready(tid));
+                self.cores[core as usize]
+                    .offer(now, self.cfg.cycles(stall))
+                    .done
             }
             CpuOp::StoreNt { addr, bytes } => {
                 self.assert_in_line(addr, bytes);
@@ -220,22 +274,28 @@ impl CpuEngine {
                     self.threads[tid.0 as usize].nt_line = Some(line);
                     let _ = self.dram.request(now, addr, true);
                 }
-                let grant = self.cores[core as usize].offer(now, self.cfg.cycles(1));
-                self.q.schedule(grant.done, Event::Ready(tid));
+                self.cores[core as usize]
+                    .offer(now, self.cfg.cycles(1))
+                    .done
             }
             CpuOp::Quit => {
                 self.threads[tid.0 as usize].kernel = None;
                 self.live -= 1;
+                return None;
             }
-        }
+        };
+        Some(next)
     }
 
     fn assert_in_line(&self, addr: u64, bytes: u32) {
-        let line = self.cfg.l1.line_bytes as u64;
-        assert!(bytes > 0 && bytes as u64 <= line, "access size {bytes}");
+        let shift = self.line_shift;
+        assert!(
+            bytes > 0 && bytes as u64 <= 1 << shift,
+            "access size {bytes}"
+        );
         assert_eq!(
-            addr / line,
-            (addr + bytes as u64 - 1) / line,
+            addr >> shift,
+            (addr + bytes as u64 - 1) >> shift,
             "access {addr:#x}+{bytes} crosses a cache line"
         );
     }
@@ -253,8 +313,7 @@ impl CpuEngine {
             self.fill_l1(c, addr, false);
             return (HitLevel::L2, now);
         }
-        let line_bytes = self.cfg.l1.line_bytes as u64;
-        let line_idx = addr / line_bytes;
+        let line_idx = addr >> self.line_shift;
         if self.l3.probe(addr, false) {
             // Present in L3 — possibly a prefetch still in flight (the
             // tag is installed at prefetch-issue time; the data arrives
@@ -281,7 +340,7 @@ impl CpuEngine {
         self.gc_inflight(now);
         self.counters.dram_loads += 1;
         let fill = self.dram.request(now, addr, false);
-        self.install_all(c, addr, false);
+        self.install_all(c, addr, false, now);
         (HitLevel::Dram, fill)
     }
 
@@ -291,14 +350,13 @@ impl CpuEngine {
     /// ahead of use buys nothing once the intervening working set
     /// exceeds the LLC.
     fn train_and_prefetch(&mut self, c: usize, line_idx: u64, now: Time) {
-        let line_bytes = self.cfg.l1.line_bytes as u64;
         for pf_line in self.prefetchers[c].on_miss(line_idx) {
-            let pf_addr = pf_line * line_bytes;
+            let pf_addr = pf_line << self.line_shift;
             if self.l3.contains(pf_addr) {
                 continue;
             }
             let fill = self.dram.request(now, pf_addr, false);
-            self.fill_l3(pf_addr, false);
+            self.fill_l3(pf_addr, false, now);
             self.inflight.insert(pf_line, fill);
         }
     }
@@ -330,12 +388,12 @@ impl CpuEngine {
         // Read-for-ownership from DRAM (fire and forget for timing; the
         // store buffer hides most of it, modeled by the fixed stall).
         let _ = self.dram.request(now, addr, false);
-        self.install_all(c, addr, true);
+        self.install_all(c, addr, true, now);
         false
     }
 
-    fn install_all(&mut self, c: usize, addr: u64, dirty: bool) {
-        self.fill_l3(addr, dirty);
+    fn install_all(&mut self, c: usize, addr: u64, dirty: bool, now: Time) {
+        self.fill_l3(addr, dirty, now);
         self.fill_l2(c, addr, dirty);
         self.fill_l1(c, addr, dirty);
     }
@@ -353,10 +411,11 @@ impl CpuEngine {
         }
     }
 
-    fn fill_l3(&mut self, addr: u64, dirty: bool) {
+    /// Install into L3 at `now`, writing a dirty victim back to DRAM.
+    fn fill_l3(&mut self, addr: u64, dirty: bool, now: Time) {
         if let Access::MissEvictDirty { line } = self.l3.install(addr, dirty) {
             self.counters.writebacks += 1;
-            let _ = self.dram.request(self.q.now(), line, true);
+            let _ = self.dram.request(now, line, true);
         }
     }
 }

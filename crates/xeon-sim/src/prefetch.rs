@@ -9,6 +9,8 @@
 //! what a shuffled pointer chase defeats (the paper's "prefetch engines
 //! are confounded").
 
+use std::ops::Range;
+
 /// One tracked stream.
 #[derive(Debug, Clone, Copy)]
 struct StreamEntry {
@@ -58,57 +60,63 @@ impl Prefetcher {
     }
 
     /// Observe a demand miss on `line` (line index = addr / line_bytes).
-    /// Returns the line indices to prefetch (possibly empty).
-    pub fn on_miss(&mut self, line: u64) -> Vec<u64> {
+    /// Returns the line indices to prefetch, in ascending order (possibly
+    /// empty).
+    pub fn on_miss(&mut self, line: u64) -> Range<u64> {
         if !self.enabled {
-            return Vec::new();
+            return 0..0;
         }
         self.tick += 1;
         let tick = self.tick;
-        // Match an existing stream: the miss continues it if it lands
-        // just past the last line (allowing a small jitter window of 2,
-        // since prefetch hits remove intermediate misses).
-        if let Some(e) = self
-            .entries
-            .iter_mut()
-            .find(|e| e.valid && line > e.last_line && line - e.last_line <= 2)
-        {
-            e.streak += 1;
-            e.last_line = line;
-            e.lru = tick;
-            if e.streak < self.trigger_streak {
-                return Vec::new();
+        // One pass finds, in priority order: the first stream the miss
+        // continues (it lands just past the stream's last line, allowing
+        // a jitter window of 2, since prefetch hits remove intermediate
+        // misses); else the first stream re-touching its last line; else
+        // the slot to allocate over (the first empty or least recent).
+        let mut retouch = None;
+        let mut victim = 0;
+        for (i, e) in self.entries.iter().enumerate() {
+            if e.valid && line > e.last_line && line - e.last_line <= 2 {
+                return self.continue_stream(i, line, tick);
             }
-            let target = line + self.degree as u64;
-            let from = e.horizon.max(line) + 1;
-            let out: Vec<u64> = (from..=target).collect();
-            e.horizon = target;
-            self.issued += out.len() as u64;
-            return out;
+            if e.valid && e.last_line == line && retouch.is_none() {
+                retouch = Some(i);
+            }
+            let v = &self.entries[victim];
+            if (e.valid, e.lru) < (v.valid, v.lru) {
+                victim = i;
+            }
         }
-        // Re-touch of the same line: refresh LRU, no new information.
-        if let Some(e) = self
-            .entries
-            .iter_mut()
-            .find(|e| e.valid && e.last_line == line)
-        {
-            e.lru = tick;
-            return Vec::new();
+        if let Some(i) = retouch {
+            // Re-touch of the same line: refresh LRU, no new information.
+            self.entries[i].lru = tick;
+        } else {
+            self.entries[victim] = StreamEntry {
+                last_line: line,
+                streak: 1,
+                horizon: line,
+                lru: tick,
+                valid: true,
+            };
         }
-        // Allocate a new stream over the LRU slot.
-        let slot = self
-            .entries
-            .iter_mut()
-            .min_by_key(|e| (e.valid, e.lru))
-            .expect("nonzero stream table");
-        *slot = StreamEntry {
-            last_line: line,
-            streak: 1,
-            horizon: line,
-            lru: tick,
-            valid: true,
-        };
-        Vec::new()
+        0..0
+    }
+
+    /// Extend stream `i` by the miss on `line`; once confirmed, request
+    /// the lines up to `degree` ahead that are not requested yet.
+    fn continue_stream(&mut self, i: usize, line: u64, tick: u64) -> Range<u64> {
+        let e = &mut self.entries[i];
+        e.streak += 1;
+        e.last_line = line;
+        e.lru = tick;
+        if e.streak < self.trigger_streak {
+            return 0..0;
+        }
+        let end = line + self.degree as u64 + 1;
+        let from = (e.horizon.max(line) + 1).min(end);
+        e.horizon = end - 1;
+        self.issued += end - from;
+        from..end
     }
 
     /// Total prefetch requests issued.
@@ -135,16 +143,16 @@ mod tests {
         let mut p = pf();
         assert!(p.on_miss(10).is_empty());
         let got = p.on_miss(11);
-        assert_eq!(got, vec![12, 13, 14, 15]);
+        assert_eq!(got, 12..16);
     }
 
     #[test]
     fn advances_horizon_without_duplicates() {
         let mut p = pf();
         p.on_miss(10);
-        assert_eq!(p.on_miss(11), vec![12, 13, 14, 15]);
-        assert_eq!(p.on_miss(12), vec![16]);
-        assert_eq!(p.on_miss(13), vec![17]);
+        assert_eq!(p.on_miss(11), 12..16);
+        assert_eq!(p.on_miss(12), 16..17);
+        assert_eq!(p.on_miss(13), 17..18);
         assert_eq!(p.issued(), 6);
     }
 
@@ -156,9 +164,9 @@ mod tests {
         assert!(p.on_miss(1000).is_empty());
         assert!(p.on_miss(9000).is_empty());
         let a = p.on_miss(1001);
-        assert_eq!(a, vec![1002, 1003, 1004, 1005], "stream A fires");
+        assert_eq!(a, 1002..1006, "stream A fires");
         let b = p.on_miss(9001);
-        assert_eq!(b, vec![9002, 9003, 9004, 9005], "stream B fires");
+        assert_eq!(b, 9002..9006, "stream B fires");
     }
 
     #[test]
@@ -177,7 +185,7 @@ mod tests {
                        // A far jump starts a NEW stream; the old one stays tracked but
                        // this new location must re-earn its streak.
         assert!(p.on_miss(500_000).is_empty());
-        assert_eq!(p.on_miss(500_001), vec![500_002, 500_003, 500_004, 500_005]);
+        assert_eq!(p.on_miss(500_001), 500_002..500_006);
     }
 
     #[test]
@@ -211,6 +219,6 @@ mod tests {
             p.on_miss(s * 100_000);
         }
         // The most recent ones still fire.
-        assert!(p.on_miss(39 * 100_000 + 1).len() == 4);
+        assert_eq!(p.on_miss(39 * 100_000 + 1), 3_900_002..3_900_006);
     }
 }

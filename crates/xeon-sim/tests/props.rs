@@ -2,8 +2,9 @@
 //! invariants. Each test sweeps a fixed set of seeds so failures are
 //! reproducible without any external property-testing framework.
 
-use test_support::cases;
-use xeon_sim::cache::Cache;
+use reference::RefCache;
+use test_support::{cases, Rng64};
+use xeon_sim::cache::{Cache, Reciprocal};
 use xeon_sim::config::{sandy_bridge, CacheGeometry};
 use xeon_sim::prelude::*;
 
@@ -78,6 +79,204 @@ fn cache_lru_stack_property() {
             }
         }
     }
+}
+
+/// The timestamp-LRU cache that the recency-ordered [`Cache`] replaced,
+/// kept as its oracle: each way holds a tag, valid and dirty flags and
+/// the tick of its last touch; an install takes the first invalid way,
+/// else the least recently touched one.
+mod reference {
+    use xeon_sim::cache::Access;
+    use xeon_sim::config::CacheGeometry;
+
+    #[derive(Clone, Copy, Default)]
+    struct Way {
+        tag: u64,
+        valid: bool,
+        dirty: bool,
+        lru: u64,
+    }
+
+    pub struct RefCache {
+        ways: Vec<Way>,
+        assoc: usize,
+        sets: u64,
+        line_shift: u32,
+        tick: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl RefCache {
+        pub fn new(geom: CacheGeometry) -> Self {
+            let sets = geom.sets();
+            RefCache {
+                ways: vec![Way::default(); (sets * geom.assoc as u64) as usize],
+                assoc: geom.assoc as usize,
+                sets,
+                line_shift: geom.line_bytes.trailing_zeros(),
+                tick: 0,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn set_range(&self, tag: u64) -> std::ops::Range<usize> {
+            let set = (tag % self.sets) as usize;
+            set * self.assoc..(set + 1) * self.assoc
+        }
+
+        pub fn probe(&mut self, addr: u64, write: bool) -> bool {
+            self.tick += 1;
+            let tag = addr >> self.line_shift;
+            let range = self.set_range(tag);
+            for w in &mut self.ways[range] {
+                if w.valid && w.tag == tag {
+                    w.lru = self.tick;
+                    w.dirty |= write;
+                    self.hits += 1;
+                    return true;
+                }
+            }
+            self.misses += 1;
+            false
+        }
+
+        pub fn access(&mut self, addr: u64, write: bool) -> Access {
+            if self.probe(addr, write) {
+                return Access::Hit;
+            }
+            self.install(addr, write)
+        }
+
+        pub fn install(&mut self, addr: u64, dirty: bool) -> Access {
+            self.tick += 1;
+            let tag = addr >> self.line_shift;
+            let line_shift = self.line_shift;
+            let tick = self.tick;
+            let range = self.set_range(tag);
+            let set = &mut self.ways[range];
+            let victim = set
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, w)| (w.valid, w.lru))
+                .map(|(i, _)| i)
+                .expect("nonzero associativity");
+            let w = &mut set[victim];
+            let result = if !w.valid {
+                Access::Miss
+            } else if w.dirty {
+                Access::MissEvictDirty {
+                    line: w.tag << line_shift,
+                }
+            } else {
+                Access::MissEvictClean
+            };
+            *w = Way {
+                tag,
+                valid: true,
+                dirty,
+                lru: tick,
+            };
+            result
+        }
+
+        pub fn contains(&self, addr: u64) -> bool {
+            let tag = addr >> self.line_shift;
+            let range = self.set_range(tag);
+            self.ways[range].iter().any(|w| w.valid && w.tag == tag)
+        }
+
+        pub fn stats(&self) -> (u64, u64) {
+            (self.hits, self.misses)
+        }
+    }
+}
+
+/// Drive `Cache` and the reference with the same `ops` seeded calls on
+/// addresses drawn by `addr`, asserting equal results (every `Access`
+/// variant and evicted line) and equal stats after each. `install` is
+/// only called on a line the reference does not hold, as its contract
+/// requires.
+fn lockstep(
+    geom: CacheGeometry,
+    ops: usize,
+    rng: &mut Rng64,
+    mut addr: impl FnMut(&mut Rng64) -> u64,
+) {
+    let mut c = Cache::new(geom);
+    let mut r = RefCache::new(geom);
+    for step in 0..ops {
+        let a = addr(rng);
+        let write = rng.next_u64() & 1 == 0;
+        match rng.gen_range(0..4u32) {
+            0 => assert_eq!(c.probe(a, write), r.probe(a, write), "probe {a:#x} @{step}"),
+            1 if !r.contains(a) => {
+                assert_eq!(
+                    c.install(a, write),
+                    r.install(a, write),
+                    "install {a:#x} @{step}"
+                )
+            }
+            2 => assert_eq!(
+                c.access(a, write),
+                r.access(a, write),
+                "access {a:#x} @{step}"
+            ),
+            _ => assert_eq!(c.contains(a), r.contains(a), "contains {a:#x} @{step}"),
+        }
+        assert_eq!(c.stats(), r.stats(), "stats @{step}");
+    }
+}
+
+/// The recency-ordered cache matches the timestamp-LRU reference on
+/// every small geometry: assoc 1-16, 1-16 sets.
+#[test]
+fn cache_matches_timestamp_lru_reference() {
+    cases(CASES, 0x0C1E, |_case, rng| {
+        let assoc = rng.gen_range(1..17u32);
+        let sets = rng.gen_range(1..17u32);
+        // Up to 4x the capacity in distinct lines, so sets both fill
+        // and thrash, at random offsets within each line.
+        let lines = rng.gen_range(1..4 * (assoc * sets) as u64 + 2);
+        lockstep(tiny_geom(assoc, sets), 600, rng, |rng| {
+            rng.gen_range(0..lines) * 64 + rng.gen_range(0..64u64)
+        });
+    });
+}
+
+/// The same on Sandy Bridge's 20,480-set, 16-way L3, whose set count is
+/// not a power of two. The calls land on three sets (the first, the
+/// last and one drawn at random), with tags spread up to the top of
+/// the address space.
+#[test]
+fn sandy_bridge_l3_matches_timestamp_lru_reference() {
+    let l3 = sandy_bridge().l3;
+    let sets = l3.sets();
+    assert_eq!(sets, 20_480);
+    cases(8, 0x5B13, |_case, rng| {
+        let picked = [0, sets - 1, rng.gen_range(0..sets)];
+        let pool: Vec<u64> = (0..3 * 24)
+            .map(|i| picked[i % 3] + sets * rng.gen_range(0..(u64::MAX >> 6) / sets))
+            .collect();
+        lockstep(l3, 1500, rng, |rng| {
+            pool[rng.gen_range(0..pool.len())] << 6 | rng.gen_range(0..64u64)
+        });
+    });
+}
+
+/// The set-index remainder equals `%` at the edges and on random values.
+#[test]
+fn reciprocal_remainder_matches_modulo() {
+    cases(16, 0x2E4, |_case, rng| {
+        for d in [1u64, 2, 3, 20_480, 1 << 17, rng.gen_range(1..u64::MAX)] {
+            let r = Reciprocal::new(d);
+            let edges = [0, d - 1, d, d.wrapping_add(1), u64::MAX, u64::MAX - 1];
+            for n in edges.into_iter().chain((0..256).map(|_| rng.next_u64())) {
+                assert_eq!(n % r, n % d, "{n} % {d}");
+            }
+        }
+    });
 }
 
 /// DRAM request completion is monotone when arrivals are monotone,
