@@ -80,9 +80,11 @@ impl Dram {
     /// transferred per request.
     ///
     /// # Panics
-    /// Panics if `cfg.row_bytes` is not a power of two or
-    /// `cfg.channel_bytes_per_sec` is zero ([`crate::config::CpuConfig::validate`]
-    /// rejects both).
+    /// Panics if `cfg` has zero channels, banks or channel bandwidth, or
+    /// a row size that is not a power of two; [`CpuConfig::validate`]
+    /// rejects each.
+    ///
+    /// [`CpuConfig::validate`]: crate::config::CpuConfig::validate
     pub fn new(cfg: DramConfig, line_bytes: u32) -> Self {
         assert!(
             cfg.row_bytes.is_power_of_two(),
