@@ -28,8 +28,7 @@ use membench::chase::cpu::run_chase_cpu;
 use membench::chase::{run_chase_emu, ChaseConfig, ShuffleMode};
 use membench::spmv_cpu::{run_spmv_cpu, CpuSpmvConfig, CpuStrategy};
 use membench::stream::cpu::{run_stream_cpu, CpuStreamConfig};
-use membench::stream::StreamKernel;
-use membench::stream::{run_stream_emu, EmuStreamConfig};
+use membench::stream::{run_stream_emu, EmuStreamConfig, StreamKernel};
 use runcache::sha256::hex_digest;
 use spmat::{laplacian, LaplacianSpec};
 use std::sync::Arc;
