@@ -3,6 +3,7 @@
 //! table/figure in the paper. Plain `harness = false` main: no external
 //! benchmarking framework, just wall-clock medians over a few samples.
 
+use emu_core::ctx::RunCtx;
 use std::time::Instant;
 
 const SAMPLES: usize = 3;
@@ -29,11 +30,14 @@ fn bench(name: &str, mut f: impl FnMut() -> Result<usize, emu_core::fault::SimEr
 fn main() {
     // Quick mode keeps iterations tractable; the standalone figNN
     // binaries run the full-size sweeps.
-    std::env::set_var("EMU_QUICK", "1");
-    std::env::set_var(
-        "EMU_RESULTS_DIR",
-        std::env::temp_dir().join("emu_bench_results"),
-    );
+    let quick = RunCtx {
+        quick: true,
+        ..RunCtx::current()
+    };
+    quick.scope(run_all);
+}
+
+fn run_all() {
     println!("figures_quick ({SAMPLES} samples, median):");
     bench("fig04_stream_single_nodelet", || {
         Ok(emu_bench::figures::fig04()?.rows.len())

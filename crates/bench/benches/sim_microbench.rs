@@ -11,6 +11,7 @@
 //! * `--skip-figures` — skip the quick-mode `all_figures` timing (the
 //!   slowest section).
 
+use emu_core::ctx::RunCtx;
 use emu_core::prelude::*;
 use membench::chase::{cpu::run_chase_cpu, run_chase_emu, ChaseConfig, ShuffleMode};
 use membench::pingpong::{run_pingpong, PingPongConfig};
@@ -50,7 +51,11 @@ type FigureFn = fn() -> Result<emu_bench::output::Table, SimError>;
 
 fn all_figures_quick(jobs: usize) -> f64 {
     use emu_bench::figures as f;
-    emu_bench::runcfg::set_jobs(jobs);
+    let quick = RunCtx {
+        jobs,
+        quick: true,
+        ..RunCtx::current()
+    };
     let t0 = Instant::now();
     let figs: [(&str, FigureFn); 10] = [
         ("fig04", f::fig04),
@@ -65,10 +70,11 @@ fn all_figures_quick(jobs: usize) -> f64 {
         ("headline", f::headline),
     ];
     for (name, fig) in figs {
-        fig().unwrap_or_else(|e| panic!("{name} failed: {e}"));
+        quick
+            .scope(fig)
+            .unwrap_or_else(|e| panic!("{name} failed: {e}"));
     }
     let dt = t0.elapsed().as_secs_f64();
-    emu_bench::runcfg::set_jobs(0);
     println!("all_figures quick -j {jobs:<26} {dt:>9.2} s");
     dt
 }
@@ -154,17 +160,25 @@ fn main() {
         ..Default::default()
     };
     let mut e64_events = 0u64;
+    let at_sim_threads = |sim_threads| RunCtx {
+        sim_threads,
+        ..RunCtx::current()
+    };
+    let (seq, four) = (at_sim_threads(1), at_sim_threads(4));
     let pdes_seq_s = bench("emu64/stream_16k_elems_256thr_seq", || {
-        emu_core::engine::set_sim_threads(1);
-        let r = run_stream_emu(&e64, &e64_sc).expect("stream").report;
+        let r = seq
+            .scope(|| run_stream_emu(&e64, &e64_sc))
+            .expect("stream")
+            .report;
         e64_events = r.events;
         r.makespan.ps()
     });
     let mut e64_par_events = 0u64;
     let pdes_par_s = bench("emu64/stream_16k_elems_256thr_4shard", || {
-        emu_core::engine::set_sim_threads(4);
-        let r = run_stream_emu(&e64, &e64_sc).expect("stream").report;
-        emu_core::engine::set_sim_threads(1);
+        let r = four
+            .scope(|| run_stream_emu(&e64, &e64_sc))
+            .expect("stream")
+            .report;
         e64_par_events = r.events;
         r.makespan.ps()
     });
@@ -224,11 +238,9 @@ fn main() {
     let (fig_j1, fig_jn, jobs_n) = if skip_figures {
         (None, None, 1)
     } else {
-        std::env::set_var("EMU_QUICK", "1");
         let n = std::thread::available_parallelism().map_or(1, |n| n.get());
         let j1 = all_figures_quick(1);
         let jn = if n > 1 { all_figures_quick(n) } else { j1 };
-        std::env::remove_var("EMU_QUICK");
         if n > 1 {
             println!("  parallel speedup at -j {n}: {:.2}x", j1 / jn);
         }

@@ -14,6 +14,7 @@
 //!
 //! Exits nonzero on failure; wired into CI's perf job.
 
+use emu_core::ctx::RunCtx;
 use emu_core::obs;
 use membench::stream::{run_stream_emu, stream_checksum, EmuStreamConfig, StreamKernel};
 use std::time::Instant;
@@ -86,14 +87,21 @@ fn measure_round(sc: &EmuStreamConfig) -> (f64, f64, f64) {
 }
 
 fn main() {
+    // Phase profiling adds per-epoch clock reads by design; keep it off
+    // so this gate isolates the always-on registry cost.
+    let unprofiled = RunCtx {
+        phase_profile: false,
+        ..RunCtx::current()
+    };
+    unprofiled.scope(run);
+}
+
+fn run() {
     let sc = workload();
     println!(
         "obs_overhead: STREAM ADD, {} elems, {} threads, {PAIRS_PER_ROUND} pairs/round",
         sc.total_elems, sc.nthreads
     );
-    // Phase profiling adds per-epoch clock reads by design; keep it off
-    // so this gate isolates the always-on registry cost.
-    emu_core::engine::set_phase_profile(false);
 
     // Warm-up run (page faults, lazy registry allocation) outside the
     // sample: the first enabled run leaks its counter handles.

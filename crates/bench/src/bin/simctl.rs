@@ -7,6 +7,7 @@
 //! ```
 
 use emu_bench::cli::{self, Parsed};
+use emu_core::ctx::RunCtx;
 use emu_core::prelude::*;
 use std::sync::Arc;
 
@@ -45,29 +46,16 @@ fn run(args: &[String]) -> Result<(), String> {
         std::process::exit(emu_bench::cachecmd::dispatch(&args[1..]));
     }
     let mut p = cli::parse(args)?;
-    // `--jobs` is accepted by every command (sweep worker threads; single
-    // runs just ignore the pool size). Applied before dispatch so any
-    // sweep the command triggers sees it.
-    if let Some(v) = p.options.remove("jobs") {
-        let n: usize = v
-            .parse()
-            .map_err(|_| format!("--jobs: cannot parse {v:?}"))?;
-        emu_bench::runcfg::set_jobs(n);
-    }
-    // `--sim-threads` is likewise global: every engine the command
-    // constructs shards its scheduler across N workers. Deterministic —
-    // the knob only changes speed, never results.
-    if let Some(v) = p.options.remove("sim-threads") {
-        let n: usize = if v == "auto" {
-            let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-            (cores / emu_bench::runcfg::jobs()).max(1)
-        } else {
-            v.parse()
-                .map_err(|_| format!("--sim-threads: cannot parse {v:?} (want a count or auto)"))?
-        };
-        emu_core::engine::set_sim_threads(n.max(1));
-    }
-    match p.command.as_str() {
+    // `--jobs` (sweep worker threads; single runs just ignore the pool
+    // size) and `--sim-threads` (every engine the command constructs
+    // shards its scheduler across N workers; deterministic, the knob only
+    // changes speed) are accepted by every command. The command runs in
+    // the ctx they describe.
+    let jobs = p.options.remove("jobs");
+    let sim_threads = p.options.remove("sim-threads");
+    let ctx =
+        emu_bench::runcfg::with_flags(RunCtx::current(), jobs.as_deref(), sim_threads.as_deref())?;
+    ctx.scope(|| match p.command.as_str() {
         "presets" => cmd_presets(),
         "stream" => cmd_stream(&p),
         "chase" => cmd_chase(&p),
@@ -80,7 +68,7 @@ fn run(args: &[String]) -> Result<(), String> {
         "fuzz" => cmd_fuzz(&p),
         "pdes-speedup" => cmd_pdes_speedup(&p),
         other => Err(format!("unknown command {other:?}")),
-    }
+    })
 }
 
 fn cmd_presets() -> Result<(), String> {
@@ -408,7 +396,7 @@ fn cmd_mttkrp(p: &Parsed) -> Result<(), String> {
 fn cmd_trace(p: &Parsed) -> Result<(), String> {
     use emu_bench::telemetry::report_set_json;
     use emu_core::json::{chrome_trace, json_ok, jsonl_ok, trace_jsonl};
-    use emu_core::trace::{self, TelemetryConfig, TraceKind};
+    use emu_core::trace::{TelemetryConfig, TraceKind};
     use std::path::PathBuf;
 
     p.check_known(&[
@@ -440,17 +428,16 @@ fn cmd_trace(p: &Parsed) -> Result<(), String> {
     let jsonl_out = path_opt("jsonl-out", format!("trace_{bench}.jsonl"));
     let report_out = path_opt("report-json", format!("trace_{bench}.report.json"));
 
-    // Arm the process-global telemetry config and the report collector,
-    // then run the workload through the ordinary benchmark entry point.
-    let guard = trace::GlobalTelemetryGuard::arm(TelemetryConfig {
-        event_capacity: events,
-        timeline_bucket: Some(desim::time::Time::from_us(bucket_us)),
-    });
-    trace::collect_reports(true);
-    let outcome = run_traced_bench(p, &bench, &cfg);
-    drop(guard);
-    let reports = trace::take_reports();
-    trace::collect_reports(false);
+    // Run the workload through the ordinary benchmark entry point in a
+    // traced ctx that collects its reports.
+    let traced_ctx = RunCtx {
+        telemetry: TelemetryConfig {
+            event_capacity: events,
+            timeline_bucket: Some(desim::time::Time::from_us(bucket_us)),
+        },
+        ..RunCtx::current()
+    };
+    let (outcome, reports) = traced_ctx.collect(|| run_traced_bench(p, &bench, &cfg));
     outcome?;
 
     let traced = reports
@@ -537,7 +524,6 @@ fn run_traced_bench(p: &Parsed, bench: &str, cfg: &MachineConfig) -> Result<(), 
 
 fn cmd_pdes_speedup(p: &Parsed) -> Result<(), String> {
     use emu_core::metrics::PdesPhaseProfile;
-    use emu_core::trace;
     use membench::{chase, stream};
     use std::time::Instant;
 
@@ -551,9 +537,8 @@ fn cmd_pdes_speedup(p: &Parsed) -> Result<(), String> {
     let elems: u64 = emu_bench::runcfg::sized(p.get("elems", 1u64 << 16)?, 1 << 12);
     let gate: bool = p.get("gate", false)?;
     let phases: bool = p.get("phases", false)?;
-    if phases {
-        emu_core::engine::set_phase_profile(true);
-    }
+    let base = RunCtx::current();
+    let phase_profile = phases || base.phase_profile;
 
     struct Leg {
         name: &'static str,
@@ -570,13 +555,14 @@ fn cmd_pdes_speedup(p: &Parsed) -> Result<(), String> {
     // reports *before* the byte-identity comparison.
     let run_leg = |name: &'static str, body: &dyn Fn() -> Result<(), String>| {
         let timed = |threads: usize| -> Result<(u64, f64, String, Vec<PdesPhaseProfile>), String> {
-            emu_core::engine::set_sim_threads(threads);
-            trace::collect_reports(true);
+            let ctx = RunCtx {
+                sim_threads: threads,
+                phase_profile,
+                ..base.clone()
+            };
             let t0 = Instant::now();
-            let outcome = body();
+            let (outcome, mut reports) = ctx.collect(body);
             let dt = t0.elapsed().as_secs_f64();
-            let mut reports = trace::take_reports();
-            trace::collect_reports(false);
             outcome?;
             let profiles: Vec<PdesPhaseProfile> =
                 reports.iter_mut().filter_map(|r| r.phases.take()).collect();
@@ -590,7 +576,6 @@ fn cmd_pdes_speedup(p: &Parsed) -> Result<(), String> {
         };
         let (events, seq_eps, seq_fp, _) = timed(1)?;
         let (par_events, par_eps, par_fp, par_phases) = timed(shards)?;
-        emu_core::engine::set_sim_threads(1);
         if events != par_events || seq_fp != par_fp {
             return Err(format!(
                 "{name}: sharded run diverged from sequential ({events} vs {par_events} events)"
@@ -638,9 +623,6 @@ fn cmd_pdes_speedup(p: &Parsed) -> Result<(), String> {
     })?;
 
     let legs = [stream_leg, chase_leg];
-    if phases {
-        emu_core::engine::set_phase_profile(false);
-    }
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     println!("sharded-scheduler speedup on {preset} ({shards} shards, {cores} host cores):");
     let mut min_speedup = f64::INFINITY;

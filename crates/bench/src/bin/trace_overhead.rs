@@ -1,11 +1,11 @@
 //! Microbench: telemetry must be zero-cost when disabled.
 //!
 //! The engine's instrumentation sites all funnel through one branch on
-//! an `Option<TraceRecorder>` (plus a single relaxed atomic load of the
-//! process-global config in `Engine::new`). This binary measures a
-//! STREAM run on the disabled path in two configurations — global
-//! config untouched vs explicitly armed *to the off state* — and
-//! asserts they agree within 2%. The two configurations execute
+//! an `Option<TraceRecorder>` (plus a single thread-local read of the
+//! current run context in `Engine::new`). This binary measures a STREAM
+//! run on the disabled path in two configurations — outside any
+//! run-context scope vs inside a scope whose telemetry is explicitly
+//! *off* — and asserts they agree within 2%. The two configurations execute
 //! identical work, so any persistent gap would mean the off path is
 //! doing something; a transient gap is machine noise, which is why a
 //! round that misses the budget is re-measured (up to three rounds)
@@ -15,7 +15,8 @@
 //!
 //! Exits nonzero on failure; wired into CI's smoke job.
 
-use emu_core::trace::{self, TelemetryConfig};
+use emu_core::ctx::RunCtx;
+use emu_core::trace::TelemetryConfig;
 use membench::stream::{run_stream_emu, stream_checksum, EmuStreamConfig, StreamKernel};
 use std::time::Instant;
 
@@ -56,6 +57,11 @@ fn timed_run(sc: &EmuStreamConfig) -> f64 {
 /// min-vs-min gap (ignores outlier iterations). The true value is
 /// zero, so the lower estimate is the better one.
 fn measure_round(sc: &EmuStreamConfig) -> (f64, f64, f64) {
+    let armed_off_ctx = RunCtx {
+        telemetry: TelemetryConfig::off(),
+        ..RunCtx::current()
+    };
+    let armed_off_run = || armed_off_ctx.scope(|| timed_run(sc));
     let mut base = f64::INFINITY;
     let mut armed_off = f64::INFINITY;
     let mut ratios = Vec::with_capacity(PAIRS_PER_ROUND);
@@ -63,15 +69,11 @@ fn measure_round(sc: &EmuStreamConfig) -> (f64, f64, f64) {
         // Alternate which variant goes first: position in the pair has
         // its own small systematic cost, and alternation cancels it.
         let (a, b) = if i % 2 == 0 {
-            trace::clear_global();
             let a = timed_run(sc);
-            trace::set_global(TelemetryConfig::off());
-            let b = timed_run(sc);
+            let b = armed_off_run();
             (a, b)
         } else {
-            trace::set_global(TelemetryConfig::off());
-            let b = timed_run(sc);
-            trace::clear_global();
+            let b = armed_off_run();
             let a = timed_run(sc);
             (a, b)
         };
@@ -79,7 +81,6 @@ fn measure_round(sc: &EmuStreamConfig) -> (f64, f64, f64) {
         armed_off = armed_off.min(b);
         ratios.push(b / a);
     }
-    trace::clear_global();
     ratios.sort_by(|x, y| x.total_cmp(y));
     let median_delta = (ratios[ratios.len() / 2] - 1.0).abs();
     let min_delta = (base - armed_off).abs() / base.min(armed_off);
@@ -93,7 +94,6 @@ fn main() {
         sc.total_elems, sc.nthreads
     );
 
-    trace::clear_global();
     // Warm-up run (page faults, lazy allocation) outside the sample.
     let _ = timed_run(&sc);
 
@@ -117,15 +117,17 @@ fn main() {
     }
 
     // Informational: what tracing costs when it is actually on.
-    let guard = trace::GlobalTelemetryGuard::arm(TelemetryConfig {
-        event_capacity: 1 << 16,
-        timeline_bucket: Some(desim::time::Time::from_us(20)),
-    });
+    let traced = RunCtx {
+        telemetry: TelemetryConfig {
+            event_capacity: 1 << 16,
+            timeline_bucket: Some(desim::time::Time::from_us(20)),
+        },
+        ..RunCtx::current()
+    };
     let mut on = f64::INFINITY;
     for _ in 0..3 {
-        on = on.min(timed_run(&sc));
+        on = on.min(traced.scope(|| timed_run(&sc)));
     }
-    drop(guard);
     println!(
         "  tracing enabled: {:>7.2} ms  ({:+.1}% vs unarmed, informational)",
         on * 1e3,

@@ -3,10 +3,11 @@
 //! Every figure cell is a pure function of its fully-resolved machine
 //! and workload configuration, so a re-run of an unchanged campaign can
 //! serve each cell from [`runcache`] instead of re-simulating it. The
-//! memo layer is inert unless [`runcache::active`]: the cache is
-//! enabled (`EMU_CACHE=1` or `runcache::set_enabled`) and no telemetry
-//! is armed — a traced, profiled, or report-collecting run must execute
-//! every point for its artifacts to mean anything.
+//! memo layer is inert unless [`runcache::active`]: the current
+//! [`emu_core::ctx::RunCtx`] has the cache on (`EMU_CACHE=1` outside any
+//! scope) and is not observed — a traced, profiled, or
+//! report-collecting run must execute every point for its artifacts to
+//! mean anything.
 //!
 //! Keys hash the `Debug` rendering of the resolved configs, so the
 //! `EMU_QUICK` sizing, preset overrides, and seeds all flow into the
@@ -100,16 +101,18 @@ mod tests {
 
     #[test]
     fn memo_is_inert_when_disabled() {
-        // The suite never enables the cache, so both calls must run.
+        // A ctx with the cache off: both calls must run.
         let calls = AtomicUsize::new(0);
-        for _ in 0..2 {
-            let v = memo_str("t", &[("k", "v".into())], || {
-                calls.fetch_add(1, Ordering::Relaxed);
-                Ok("x".into())
-            })
-            .unwrap();
-            assert_eq!(v, "x");
-        }
+        emu_core::ctx::RunCtx::default().scope(|| {
+            for _ in 0..2 {
+                let v = memo_str("t", &[("k", "v".into())], || {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    Ok("x".into())
+                })
+                .unwrap();
+                assert_eq!(v, "x");
+            }
+        });
         assert_eq!(calls.load(Ordering::Relaxed), 2);
     }
 

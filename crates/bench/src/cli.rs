@@ -159,14 +159,14 @@ COMMANDS
   help      this text
 
 GLOBAL OPTIONS
-  --jobs N  worker threads for parameter sweeps (also: EMU_JOBS; the
-            figure binaries and all_figures take --jobs/-j N too).
-            Results are identical at any job count.
+  --jobs N  worker threads for parameter sweeps, N >= 1 (also:
+            EMU_JOBS; the figure binaries and all_figures take
+            --jobs/-j N too). Results are identical at any job count.
   --sim-threads N|auto
             shards the event scheduler of every simulated run across N
-            worker threads (also: EMU_SIM_THREADS; the figure binaries
-            take it too). `auto` splits host cores across --jobs.
-            Results are byte-identical at any value.
+            >= 1 worker threads (also: EMU_SIM_THREADS; the figure
+            binaries take it too). `auto` splits host cores across
+            --jobs. Results are byte-identical at any value.
 
 Every command prints bandwidth/throughput plus the migration counters
 relevant to the Emu execution model. `trace` additionally writes a

@@ -8,8 +8,8 @@
 //! high NACK rate, say) costs one labelled row instead of the whole
 //! sweep.
 
+use emu_core::ctx::RunCtx;
 use emu_core::fault::SimError;
-use emu_core::trace;
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -64,11 +64,6 @@ impl Default for RunPolicy {
     }
 }
 
-/// Synthetic sweep-point ids for `run_point` callers outside any keyed
-/// sweep, in a range above every executor-assigned id so their reports
-/// sort after keyed sweeps (in call order).
-static SYNTH_POINT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1 << 63);
-
 /// Run `f` under `policy`: each attempt on its own worker thread with a
 /// wall-clock timeout. A completed attempt (Ok or Err) ends the point —
 /// deterministic errors replay identically, so only timeouts retry.
@@ -78,49 +73,42 @@ static SYNTH_POINT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64:
 /// "abandon the hung run, keep the campaign going" behaviour the paper's
 /// measurement campaign needed on the prototype.
 ///
-/// Telemetry: every attempt runs under the caller's sweep-point key
-/// (see [`emu_core::trace::with_run_key`]) with its own attempt number,
-/// and the point's outcome is *decided* when an attempt completes — so
-/// the process-global report collector keeps exactly the reports of the
-/// attempt that produced the row. A detached straggler that finishes
-/// after its point was abandoned is dropped, not exported: the `runs`
-/// array under `--report-json` matches the table's rows, in sweep
-/// order, at any `-j`.
+/// Telemetry: every attempt runs in its own child of the caller's
+/// [`RunCtx`] ([`RunCtx::child`]), and only the attempt that decides
+/// the point (the one whose result is returned) has its reports
+/// appended to the caller's sink. A detached straggler that finishes
+/// after its point was abandoned reports into a sink nobody reads: the
+/// `runs` array under `--report-json` matches the table's rows, in
+/// sweep order, at any `-j`.
 pub fn run_point<T, F>(policy: RunPolicy, f: F) -> PointOutcome<T>
 where
     T: Send + 'static,
     F: Fn() -> Result<T, SimError> + Send + Sync + 'static,
 {
-    use std::sync::atomic::Ordering;
-    let point = match trace::current_point() {
-        trace::UNKEYED => SYNTH_POINT.fetch_add(1, Ordering::Relaxed),
-        p => p,
-    };
+    let parent = RunCtx::current();
     let f = std::sync::Arc::new(f);
     let attempts = policy.attempts.max(1);
-    for attempt in 0..attempts {
+    for _ in 0..attempts {
         let (tx, rx) = mpsc::channel();
         let g = std::sync::Arc::clone(&f);
+        let ctx = parent.child();
+        let worker_ctx = ctx.clone();
         std::thread::spawn(move || {
-            let out = trace::with_run_key(point, attempt, || g());
+            let out = worker_ctx.scope(|| g());
             // The receiver may have given up; a send error is fine.
             let _ = tx.send(out);
         });
         match rx.recv_timeout(policy.timeout) {
-            Ok(Ok(v)) => {
-                trace::accept_attempt(point, attempt);
-                return PointOutcome::Ok(v);
-            }
-            Ok(Err(e)) => {
-                trace::accept_attempt(point, attempt);
-                return PointOutcome::Failed(e);
+            Ok(out) => {
+                parent.adopt(&ctx);
+                return match out {
+                    Ok(v) => PointOutcome::Ok(v),
+                    Err(e) => PointOutcome::Failed(e),
+                };
             }
             Err(mpsc::RecvTimeoutError::Timeout | mpsc::RecvTimeoutError::Disconnected) => {}
         }
     }
-    // Every attempt timed out: abandon the point so a straggler that
-    // finishes later cannot leak a report into the export.
-    trace::accept_attempt(point, u32::MAX);
     PointOutcome::TimedOut(policy.timeout)
 }
 

@@ -1,6 +1,7 @@
 //! Result presentation: aligned ASCII tables (what the binaries print)
 //! and CSV files (what plots consume), written under `results/`.
 
+use emu_core::ctx::RunCtx;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -56,18 +57,24 @@ impl Table {
         out
     }
 
+    /// The CSV text [`Table::write_csv`] writes: the header line, then
+    /// one line per row.
+    pub fn csv(&self) -> String {
+        let mut s = String::new();
+        let _ = writeln!(s, "{}", self.columns.join(","));
+        for r in &self.rows {
+            let _ = writeln!(s, "{}", r.join(","));
+        }
+        s
+    }
+
     /// Write as CSV to `results/<name>.csv` (relative to the workspace
     /// root when run via cargo). Returns the path written.
     pub fn write_csv(&self, name: &str) -> std::io::Result<PathBuf> {
         let dir = results_dir();
         std::fs::create_dir_all(&dir)?;
         let path = dir.join(format!("{name}.csv"));
-        let mut s = String::new();
-        let _ = writeln!(s, "{}", self.columns.join(","));
-        for r in &self.rows {
-            let _ = writeln!(s, "{}", r.join(","));
-        }
-        std::fs::write(&path, s)?;
+        std::fs::write(&path, self.csv())?;
         Ok(path)
     }
 
@@ -95,8 +102,8 @@ pub fn emit_result(name: &str, table: Result<Table, emu_core::fault::SimError>) 
     }
 }
 
-/// Telemetry-related flags shared by every figure binary (parsed from
-/// `std::env::args` by [`run_figure`]).
+/// Flags shared by every figure binary (parsed from `std::env::args` by
+/// [`run_figure`]): the telemetry artifacts and the parallelism knobs.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryArgs {
     /// `--report-json PATH`: write the machine-readable run report.
@@ -109,21 +116,19 @@ pub struct TelemetryArgs {
     pub trace_events: usize,
     /// `--trace-bucket-us N`: timeline bucket width in µs (default 20).
     pub trace_bucket_us: u64,
-    /// `--jobs N` / `-j N`: sweep worker threads (0 = default, see
-    /// [`crate::runcfg::jobs`]).
-    pub jobs: usize,
-    /// `--sim-threads N|auto`: intra-run simulation shards per engine
-    /// run (`None` = leave the process default alone; `Some(0)` = auto,
-    /// splitting host cores across the sweep workers). Results are
-    /// byte-identical at any value — this is purely a speed knob.
-    pub sim_threads: Option<usize>,
+    /// The current [`RunCtx`] with `--jobs N`/`-j N` (sweep worker
+    /// threads) and `--sim-threads N|auto` (scheduler workers per engine
+    /// run) applied by [`crate::runcfg::with_flags`]. Results are
+    /// byte-identical at any value; both are purely speed knobs.
+    pub ctx: RunCtx,
 }
 
 impl TelemetryArgs {
     /// Parse the shared flags from an argument iterator. Unknown
     /// arguments are ignored (figure binaries take no others today, but
-    /// this keeps the wrapper forward-compatible).
-    pub fn parse(args: impl Iterator<Item = String>) -> Self {
+    /// this keeps the wrapper forward-compatible); a malformed `--jobs`
+    /// or `--sim-threads` value is an error.
+    pub fn parse(args: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut out = TelemetryArgs {
             trace_events: crate::runcfg::DEFAULT_TRACE_EVENTS,
             trace_bucket_us: crate::runcfg::DEFAULT_TRACE_BUCKET_US,
@@ -134,6 +139,7 @@ impl TelemetryArgs {
                 *dst = Some(PathBuf::from(v));
             }
         }
+        let (mut jobs, mut sim_threads) = (None, None);
         let mut args = args;
         while let Some(a) = args.next() {
             match a.as_str() {
@@ -150,39 +156,16 @@ impl TelemetryArgs {
                         out.trace_bucket_us = v.parse().unwrap_or(out.trace_bucket_us);
                     }
                 }
-                "--jobs" | "-j" => {
-                    if let Some(v) = args.next() {
-                        out.jobs = v.parse().unwrap_or(out.jobs);
-                    }
-                }
+                "--jobs" | "-j" => jobs = Some(args.next().ok_or("--jobs needs a value")?),
                 "--sim-threads" => {
-                    if let Some(v) = args.next() {
-                        out.sim_threads = if v == "auto" {
-                            Some(0)
-                        } else {
-                            v.parse().ok().or(out.sim_threads)
-                        };
-                    }
+                    sim_threads = Some(args.next().ok_or("--sim-threads needs a value")?);
                 }
                 _ => {}
             }
         }
-        out
-    }
-
-    /// Resolve `--sim-threads` to a concrete shard count. `auto`
-    /// (stored as `Some(0)`) divides the host's cores across the sweep
-    /// workers so a parallel sweep of parallel runs does not
-    /// oversubscribe; call after the jobs count is settled.
-    pub fn resolved_sim_threads(&self) -> Option<usize> {
-        self.sim_threads.map(|n| {
-            if n == 0 {
-                let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-                (cores / crate::runcfg::jobs()).max(1)
-            } else {
-                n
-            }
-        })
+        out.ctx =
+            crate::runcfg::with_flags(RunCtx::current(), jobs.as_deref(), sim_threads.as_deref())?;
+        Ok(out)
     }
 
     /// Whether any telemetry artifact was requested.
@@ -222,47 +205,28 @@ pub fn write_artifact(label: &str, path: &Path, body: &str) {
     }
 }
 
-/// Run a figure with telemetry plumbing: parses the shared
-/// `--report-json` / `--trace-out` / `--jsonl-out` flags, arms the
-/// process-global telemetry config and report collector while `f` runs,
-/// writes the requested artifacts, then emits the table exactly like
-/// [`emit_result`]. With no flags this is byte-for-byte the old
-/// behaviour (telemetry stays disarmed; the engine's off path is a
-/// single relaxed atomic load).
+/// Run a figure with telemetry plumbing: parses the shared flags,
+/// runs `f` in the [`RunCtx`] they describe (collecting reports when an
+/// artifact is requested, tracing when a trace is), writes the
+/// requested artifacts, then emits the table exactly like
+/// [`emit_result`]. A malformed flag value is a usage error (exit 2).
+/// With no flags the run is untraced and uncollected.
 pub fn run_figure(name: &str, f: impl FnOnce() -> Result<Table, emu_core::fault::SimError>) {
-    let args = TelemetryArgs::parse(std::env::args().skip(1));
-    run_figure_with(name, &args, f);
-}
-
-/// [`run_figure`] with pre-parsed flags (used by `simctl`, which owns
-/// its own argument list).
-pub fn run_figure_with(
-    name: &str,
-    args: &TelemetryArgs,
-    f: impl FnOnce() -> Result<Table, emu_core::fault::SimError>,
-) {
-    use emu_core::trace;
-
-    if args.jobs > 0 {
-        crate::runcfg::set_jobs(args.jobs);
-    }
-    if let Some(n) = args.resolved_sim_threads() {
-        emu_core::engine::set_sim_threads(n);
-    }
-    if args.any() {
-        trace::collect_reports(true);
-    }
-    let _guard = args
-        .wants_trace()
-        .then(|| trace::GlobalTelemetryGuard::arm(args.config()));
-    let table = f();
-    drop(_guard);
-    let runs = if args.any() {
-        let r = trace::take_reports();
-        trace::collect_reports(false);
-        r
+    let args = match TelemetryArgs::parse(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("[{name}] {e}");
+            std::process::exit(2);
+        }
+    };
+    let ctx = RunCtx {
+        telemetry: args.config(),
+        ..args.ctx.clone()
+    };
+    let (table, runs) = if args.any() {
+        ctx.collect(f)
     } else {
-        Vec::new()
+        (ctx.scope(f), Vec::new())
     };
 
     if let Some(path) = &args.report_json {
@@ -335,55 +299,51 @@ mod tests {
         assert_eq!(fmt_mbs(3.5), "3.50 MB/s");
     }
 
+    fn parse(s: &str) -> Result<TelemetryArgs, String> {
+        RunCtx::default().scope(|| TelemetryArgs::parse(s.split_whitespace().map(String::from)))
+    }
+
     #[test]
     fn telemetry_args_parse_round_trip() {
-        let args = TelemetryArgs::parse(
-            [
-                "--report-json",
-                "r.json",
-                "--trace-events",
-                "64",
-                "--jsonl-out",
-                "t.jsonl",
-                "-j",
-                "4",
-                "ignored-positional",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
-        );
+        let args = parse(
+            "--report-json r.json --trace-events 64 --jsonl-out t.jsonl -j 4 ignored-positional",
+        )
+        .unwrap();
         assert_eq!(args.report_json.as_deref(), Some(Path::new("r.json")));
         assert_eq!(args.jsonl_out.as_deref(), Some(Path::new("t.jsonl")));
         assert!(args.trace_out.is_none());
         assert_eq!(args.trace_events, 64);
         assert_eq!(args.trace_bucket_us, 20);
-        assert_eq!(args.jobs, 4);
+        assert_eq!(args.ctx.jobs, 4);
         assert!(args.any() && args.wants_trace());
         assert!(args.config().enabled());
 
-        let off = TelemetryArgs::parse(std::iter::empty());
+        // No flags: the current ctx, untouched.
+        let off = parse("").unwrap();
         assert!(!off.any() && !off.wants_trace());
         assert!(!off.config().enabled());
-        assert!(off.sim_threads.is_none() && off.resolved_sim_threads().is_none());
+        assert_eq!((off.ctx.jobs, off.ctx.sim_threads), (1, 1));
     }
 
     #[test]
     fn sim_threads_flag_parses_counts_and_auto() {
-        fn argv(s: &str) -> impl Iterator<Item = String> + '_ {
-            s.split_whitespace().map(String::from)
-        }
-        let n = TelemetryArgs::parse(argv("--sim-threads 4"));
-        assert_eq!(n.sim_threads, Some(4));
-        assert_eq!(n.resolved_sim_threads(), Some(4));
+        let n = parse("--sim-threads 4").unwrap();
+        assert_eq!(n.ctx.sim_threads, 4);
 
-        let auto = TelemetryArgs::parse(argv("--sim-threads auto"));
-        assert_eq!(auto.sim_threads, Some(0));
+        let auto = parse("--sim-threads auto").unwrap();
         // Auto resolves to at least one shard regardless of host shape.
-        assert!(auto.resolved_sim_threads().unwrap() >= 1);
+        assert!(auto.ctx.sim_threads >= 1);
 
-        // Garbage value leaves the default untouched.
-        let bad = TelemetryArgs::parse(argv("--sim-threads lots"));
-        assert_eq!(bad.sim_threads, None);
+        // Garbage, zero and missing values are usage errors.
+        for bad in [
+            "--sim-threads lots",
+            "--sim-threads 0",
+            "-j lots",
+            "--jobs 0",
+            "--jobs",
+        ] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

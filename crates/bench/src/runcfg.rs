@@ -1,7 +1,13 @@
 //! Shared run-size configuration for the figure binaries.
 //!
-//! Every figure binary honours `EMU_QUICK=1`, which divides workload
-//! sizes by 8 — useful for smoke-testing the full harness in seconds.
+//! Sizing and sweep jobs come from the current [`RunCtx`]: outside any
+//! scope that is the environment (`EMU_QUICK=1` divides workload sizes
+//! by 8, which is useful for smoke-testing the full harness in seconds;
+//! `EMU_JOBS` sets the sweep workers). [`with_flags`] applies the
+//! `--jobs` and `--sim-threads` flags that the figure binaries, `simctl`
+//! and `simctl scenario run` share.
+
+use emu_core::ctx::{host_cores, RunCtx};
 
 /// Default trace ring capacity for `--trace-events` (figure binaries).
 /// `simctl trace` defaults to 4x this: it exists to be looked at, while
@@ -11,40 +17,16 @@ pub const DEFAULT_TRACE_EVENTS: usize = 16384;
 /// Default timeline bucket width in microseconds for `--trace-bucket-us`.
 pub const DEFAULT_TRACE_BUCKET_US: u64 = 20;
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Worker-thread count for sweep execution; 0 = not set explicitly.
-static JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Set the sweep worker count (`--jobs`/`-j`). `0` reverts to the
-/// default (the `EMU_JOBS` environment variable, then the host's
-/// available parallelism). Re-settable so in-process tests can compare
-/// serial and parallel runs.
-pub fn set_jobs(n: usize) {
-    JOBS.store(n, Ordering::SeqCst);
-}
-
-/// Worker threads to fan sweep points across. Never zero.
+/// Worker threads to fan sweep points across: the current ctx's job
+/// count (`--jobs`/`-j`, else `EMU_JOBS`, else the host's available
+/// parallelism). Never zero.
 pub fn jobs() -> usize {
-    let set = JOBS.load(Ordering::SeqCst);
-    if set > 0 {
-        return set;
-    }
-    if let Ok(v) = std::env::var("EMU_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    RunCtx::with_current(|c| c.jobs.max(1))
 }
 
 /// Whether quick mode is on.
 pub fn quick() -> bool {
-    std::env::var("EMU_QUICK")
-        .map(|v| v == "1")
-        .unwrap_or(false)
+    RunCtx::with_current(|c| c.quick)
 }
 
 /// Scale a nominal size down in quick mode (never below `min`).
@@ -61,16 +43,96 @@ pub fn sized_usize(nominal: usize, min: usize) -> usize {
     sized(nominal as u64, min as u64) as usize
 }
 
+/// Apply the values of `--jobs`/`-j` and `--sim-threads` (`None` when a
+/// flag is absent) to `base`.
+///
+/// Each value is a count of at least 1; `--sim-threads auto` instead
+/// splits the host's cores across the sweep jobs, so a parallel sweep
+/// of parallel runs does not oversubscribe. `0` and anything else that
+/// is not a count are usage errors.
+pub fn with_flags(
+    base: RunCtx,
+    jobs: Option<&str>,
+    sim_threads: Option<&str>,
+) -> Result<RunCtx, String> {
+    fn count(flag: &str, v: &str, or: &str) -> Result<usize, String> {
+        match v.parse::<usize>() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err(format!(
+                "{flag}: expected a count of at least 1{or}, got {v:?}"
+            )),
+        }
+    }
+    let mut ctx = base;
+    if let Some(v) = jobs {
+        ctx.jobs = count("--jobs", v, "")?;
+    }
+    if let Some(v) = sim_threads {
+        ctx.sim_threads = if v == "auto" {
+            (host_cores() / ctx.jobs.max(1)).max(1)
+        } else {
+            count("--sim-threads", v, " or auto")?
+        };
+    }
+    Ok(ctx)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn sized_respects_min() {
-        std::env::set_var("EMU_QUICK", "1");
-        assert_eq!(sized(64, 32), 32);
-        assert_eq!(sized(1024, 16), 128);
-        std::env::remove_var("EMU_QUICK");
-        assert_eq!(sized(1024, 16), 1024);
+        let quick = RunCtx {
+            quick: true,
+            ..RunCtx::default()
+        };
+        quick.scope(|| {
+            assert_eq!(sized(64, 32), 32);
+            assert_eq!(sized(1024, 16), 128);
+        });
+        RunCtx::default().scope(|| assert_eq!(sized(1024, 16), 1024));
+    }
+
+    #[test]
+    fn flags_parse_counts_auto_and_reject_the_rest() {
+        let base = RunCtx {
+            jobs: 3,
+            sim_threads: 5,
+            ..RunCtx::default()
+        };
+        let auto_at = |jobs: usize| (host_cores() / jobs).max(1);
+        // (jobs, sim-threads) -> Some((jobs, sim_threads)), or None for
+        // a usage error.
+        type Case<'a> = (Option<&'a str>, Option<&'a str>, Option<(usize, usize)>);
+        let table: [Case; 16] = [
+            (None, None, Some((3, 5))),
+            (Some("4"), None, Some((4, 5))),
+            (None, Some("2"), Some((3, 2))),
+            (Some("1"), Some("1"), Some((1, 1))),
+            (Some("2"), Some("auto"), Some((2, auto_at(2)))),
+            (None, Some("auto"), Some((3, auto_at(3)))),
+            (Some("0"), None, None),
+            (None, Some("0"), None),
+            (Some("lots"), None, None),
+            (None, Some("lots"), None),
+            (Some("-1"), None, None),
+            (Some(""), None, None),
+            (Some(" 2"), None, None),
+            (Some("auto"), None, None),
+            (None, Some("AUTO"), None),
+            (Some("2"), Some("2.5"), None),
+        ];
+        for (jobs, sim, want) in table {
+            let got = with_flags(base.clone(), jobs, sim)
+                .ok()
+                .map(|c| (c.jobs, c.sim_threads));
+            assert_eq!(got, want, "--jobs {jobs:?} --sim-threads {sim:?}");
+        }
+        let err = with_flags(base, None, Some("0")).unwrap_err();
+        assert!(
+            err.contains("--sim-threads") && err.contains("auto"),
+            "{err}"
+        );
     }
 }

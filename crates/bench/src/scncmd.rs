@@ -12,6 +12,7 @@
 //! writes the deterministic registry (`scenario::registry`) to a
 //! directory. Exit codes: 0 = all pass, 1 = failures, 2 = bad usage.
 
+use emu_core::ctx::RunCtx;
 use emu_core::json::jstr;
 use std::path::{Path, PathBuf};
 
@@ -66,17 +67,16 @@ fn run(args: &[String]) -> Result<bool, String> {
     };
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut report_json: Option<String> = None;
-    let mut use_cache = false;
+    let mut ctx = RunCtx::current();
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
             "--jobs" => {
                 i += 1;
                 let v = args.get(i).ok_or("--jobs needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("--jobs: bad value {v:?}"))?;
-                crate::runcfg::set_jobs(n.max(1));
+                ctx = crate::runcfg::with_flags(ctx, Some(v), None)?;
             }
-            "--cache" => use_cache = true,
+            "--cache" => ctx.cache = Some(runcache::resolve_dir()),
             "--report-json" => {
                 i += 1;
                 report_json = Some(args.get(i).ok_or("--report-json needs a value")?.clone());
@@ -93,7 +93,7 @@ fn run(args: &[String]) -> Result<bool, String> {
     match verb.as_str() {
         "gen" => cmd_gen(&paths),
         "check" => cmd_check(&paths),
-        "run" => cmd_run(&paths, report_json.as_deref(), use_cache),
+        "run" => ctx.scope(|| cmd_run(&paths, report_json.as_deref())),
         other => Err(format!("unknown subcommand {other:?}")),
     }
 }
@@ -162,10 +162,7 @@ fn cmd_check(paths: &[PathBuf]) -> Result<bool, String> {
     Ok(bad.is_empty())
 }
 
-fn cmd_run(paths: &[PathBuf], report_json: Option<&str>, use_cache: bool) -> Result<bool, String> {
-    if use_cache {
-        runcache::set_enabled(true);
-    }
+fn cmd_run(paths: &[PathBuf], report_json: Option<&str>) -> Result<bool, String> {
     let (parsed, bad) = load(paths)?;
     let t0 = std::time::Instant::now();
     // Scenarios fan out across the sweep executor's worker pool;

@@ -14,27 +14,19 @@
 //!   runs it or when.
 //! * Results are placed by index, not arrival, so rows come back in
 //!   sweep order regardless of completion order.
-//! * Each point runs under a process-unique run key
-//!   ([`emu_core::trace::with_run_key`]), and the telemetry collector
-//!   sorts by that key at export — `--report-json` is byte-stable
-//!   across `-j` values.
+//! * Each point runs in a child of the caller's [`RunCtx`]
+//!   ([`RunCtx::child`]), and its reports join the caller's sink in
+//!   index order once every point is done, so `--report-json` is
+//!   byte-stable across `-j` values.
 //!
-//! The worker count comes from [`crate::runcfg::jobs`] (the `--jobs`/
-//! `-j` flag, the `EMU_JOBS` variable, or the host's available
-//! parallelism). At one job the sweep runs inline on the caller's
-//! thread — no pool, identical to the historical serial path.
+//! The worker count comes from [`crate::runcfg::jobs`] (the current
+//! ctx's: the `--jobs`/`-j` flag, the `EMU_JOBS` variable, or the host's
+//! available parallelism). At one job the sweep runs inline on the
+//! caller's thread — no pool, identical to the historical serial path.
 
-use crate::runcfg;
-use emu_core::trace;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use emu_core::ctx::RunCtx;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-
-/// Source of process-unique sweep-point ids: each sweep claims a
-/// contiguous block at launch, so report keys from successive sweeps
-/// (even within one figure) never collide and sort in launch order.
-/// The upper half of the id space is reserved for unkeyed
-/// `run_point` callers (see `harness::SYNTH_POINT`).
-static POINT_BASE: AtomicU64 = AtomicU64::new(0);
 
 /// Run `f(0..n)` across the worker pool; returns values in index order.
 ///
@@ -47,41 +39,45 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let base = POINT_BASE.fetch_add(n as u64, Ordering::Relaxed);
-    let jobs = runcfg::jobs().min(n.max(1));
+    let parent = RunCtx::current();
+    let jobs = parent.jobs.max(1).min(n.max(1));
     if jobs <= 1 {
-        return (0..n)
-            .map(|i| trace::with_run_key(base + i as u64, 0, || f(i)))
-            .collect();
+        return (0..n).map(f).collect();
     }
     let cursor = AtomicUsize::new(0);
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    let mut out: Vec<Option<(T, RunCtx)>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
-        let (tx, rx) = mpsc::channel::<(usize, T)>();
+        let (tx, rx) = mpsc::channel::<(usize, T, RunCtx)>();
         for _ in 0..jobs {
             let tx = tx.clone();
             let cursor = &cursor;
             let f = &f;
+            let parent = &parent;
             scope.spawn(move || loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
                     break;
                 }
-                let v = trace::with_run_key(base + i as u64, 0, || f(i));
+                let ctx = parent.child();
+                let v = ctx.scope(|| f(i));
                 // The receiver only disappears if the scope is already
                 // unwinding from another worker's panic.
-                if tx.send((i, v)).is_err() {
+                if tx.send((i, v, ctx)).is_err() {
                     break;
                 }
             });
         }
         drop(tx);
-        for (i, v) in rx {
-            out[i] = Some(v);
+        for (i, v, ctx) in rx {
+            out[i] = Some((v, ctx));
         }
     });
     out.into_iter()
-        .map(|v| v.expect("every index sent exactly once"))
+        .map(|slot| {
+            let (v, ctx) = slot.expect("every index sent exactly once");
+            parent.adopt(&ctx);
+            v
+        })
         .collect()
 }
 
@@ -111,46 +107,55 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
 
-    /// The jobs knob is process-global; serialize the tests that set it.
-    static JOBS_LOCK: Mutex<()> = Mutex::new(());
+    fn at_jobs(jobs: usize) -> RunCtx {
+        RunCtx {
+            jobs,
+            ..RunCtx::default()
+        }
+    }
 
     #[test]
     fn results_come_back_in_index_order() {
-        let _g = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         for jobs in [1, 4] {
-            runcfg::set_jobs(jobs);
-            let out = run_indexed(97, |i| i * i);
+            let out = at_jobs(jobs).scope(|| run_indexed(97, |i| i * i));
             assert_eq!(out, (0..97).map(|i| i * i).collect::<Vec<_>>());
         }
-        runcfg::set_jobs(0);
     }
 
     #[test]
     fn pool_actually_fans_out() {
         use std::collections::HashSet;
-        let _g = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        runcfg::set_jobs(4);
         let seen: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
-        run_indexed(64, |_| {
-            seen.lock().unwrap().insert(std::thread::current().id());
-            // Hold the point long enough that workers overlap.
-            std::thread::sleep(std::time::Duration::from_millis(1));
+        at_jobs(4).scope(|| {
+            run_indexed(64, |_| {
+                seen.lock().unwrap().insert(std::thread::current().id());
+                // Hold the point long enough that workers overlap.
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            })
         });
-        runcfg::set_jobs(0);
         let n = seen.lock().unwrap().len();
         assert!(n > 1, "expected >1 worker, saw {n}");
     }
 
     #[test]
     fn thunks_preserve_order() {
-        let _g = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        runcfg::set_jobs(3);
         let thunks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..20usize)
             .map(|i| Box::new(move || 100 + i) as Box<dyn FnOnce() -> usize + Send>)
             .collect();
-        let out = run_thunks(thunks);
-        runcfg::set_jobs(0);
+        let out = at_jobs(3).scope(|| run_thunks(thunks));
         assert_eq!(out, (0..20usize).map(|i| 100 + i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn workers_run_in_the_callers_ctx() {
+        let ctx = RunCtx {
+            sim_threads: 7,
+            quick: true,
+            ..at_jobs(4)
+        };
+        let seen =
+            ctx.scope(|| run_indexed(16, |_| RunCtx::with_current(|c| (c.sim_threads, c.quick))));
+        assert!(seen.iter().all(|&s| s == (7, true)), "{seen:?}");
     }
 
     #[test]

@@ -41,10 +41,14 @@
 //! window spans `[min next event, min next event + L)`, and within it
 //! every shard drains its own queue independently — conservatism
 //! guarantees no other shard can inject an event below the horizon.
-//! Workers (see [`set_sim_threads`]) each own the shards a run-start
-//! planner assigned them, post cross-shard events on per-worker-pair
-//! [`EdgeRings`], and agree on each window with one [`EpochGate`]
-//! crossing. When `L == 0` (degenerate zero-hop configs) the engine
+//! Workers each own the shards a run-start planner assigned them, post
+//! cross-shard events on per-worker-pair [`EdgeRings`], and agree on
+//! each window with one [`EpochGate`] crossing. An engine takes its
+//! worker count from the [`RunCtx`] current when it is built (see
+//! [`crate::ctx`]; `EMU_SIM_THREADS` outside any scope, default 1), and
+//! [`Engine::set_sim_threads`] overrides it for that engine alone, so
+//! engines on different threads of one process run at their own
+//! counts. When `L == 0` (degenerate zero-hop configs) the engine
 //! falls back to a merged scheduler that interleaves the shards
 //! sequentially.
 //!
@@ -57,12 +61,13 @@
 
 use crate::addr::{GlobalAddr, NodeletId};
 use crate::config::MachineConfig;
+use crate::ctx::{self, RunCtx};
 use crate::fault::{self, SimError};
 use crate::kernel::{Kernel, KernelCtx, Op, Placement, ThreadId};
 use crate::metrics::{
     NodeletCounters, NodeletOccupancy, PdesPhaseProfile, PdesSummary, PhaseBreakdown, RunReport,
 };
-use crate::trace::{self, TraceEvent, TraceKind, TraceLog, TraceRecorder};
+use crate::trace::{TraceEvent, TraceKind, TraceLog, TraceRecorder};
 use desim::arena::{Arena, Idx as TRef};
 use desim::pdes::{EdgeRings, EpochGate, GATE_DIRTY, GATE_ERROR};
 use desim::queue::EventQueue;
@@ -71,63 +76,8 @@ use desim::stats::{LogHistogram, Summary};
 use desim::time::Time;
 use desim::timeline::{Gauge, Timeline};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Process-global default worker count for [`Engine::run`]; `0` means
-/// "not yet resolved" (falls back to `EMU_SIM_THREADS`, then 1).
-static SIM_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Set the process-global default number of simulation workers used by
-/// every subsequently-run engine that did not call
-/// [`Engine::set_sim_threads`]. Values are clamped to at least 1.
-pub fn set_sim_threads(n: usize) {
-    SIM_THREADS.store(n.max(1), Ordering::Relaxed);
-}
-
-/// The process-global default simulation worker count: the last value
-/// passed to [`set_sim_threads`], else `EMU_SIM_THREADS` from the
-/// environment, else 1 (fully sequential).
-pub fn sim_threads() -> usize {
-    let v = SIM_THREADS.load(Ordering::Relaxed);
-    if v != 0 {
-        return v;
-    }
-    let n = std::env::var("EMU_SIM_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1);
-    SIM_THREADS.store(n, Ordering::Relaxed);
-    n
-}
-
-/// Process-global default for PDES phase profiling; 0 = unresolved
-/// (falls back to `EMU_PDES_PHASES`), 1 = off, 2 = on.
-static PHASE_PROFILE: AtomicUsize = AtomicUsize::new(0);
-
-/// Set the process-global default for wall-clock phase profiling of
-/// the epoch scheduler, used by every subsequently constructed engine
-/// that does not call [`Engine::enable_phase_profile`]. Off by
-/// default: profiled reports carry host timings and are therefore not
-/// byte-identical run to run.
-pub fn set_phase_profile(on: bool) {
-    PHASE_PROFILE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-}
-
-/// The process-global phase-profiling default: the last value passed
-/// to [`set_phase_profile`], else `EMU_PDES_PHASES=1` from the
-/// environment, else off.
-pub fn phase_profile() -> bool {
-    match PHASE_PROFILE.load(Ordering::Relaxed) {
-        0 => {
-            let on = std::env::var("EMU_PDES_PHASES").is_ok_and(|v| v == "1");
-            PHASE_PROFILE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
-        v => v == 2,
-    }
-}
 
 /// Capacity in messages of each per-worker-pair SPSC exchange ring.
 /// Overflow spills to a mutex-guarded side list, so any capacity is
@@ -504,8 +454,8 @@ pub struct Engine {
     /// Pre-run spawn sequence; bare keys in namespace 0 sort before all
     /// runtime keys, so initial arrivals pop first at time zero.
     init_seq: u64,
-    /// Per-engine worker-count override (else the process global).
-    sim_threads: Option<usize>,
+    /// Scheduler workers for this engine's runs (at least 1).
+    sim_threads: usize,
     /// Ring capacity for the merged trace (0 when tracing is off).
     trace_capacity: usize,
     /// Timeline bucket width, remembered so [`Engine::reset`] can re-arm
@@ -565,25 +515,27 @@ impl Engine {
         }
         let redirect = fault::redirect_map(&cfg.faults, cfg.total_nodelets())?;
         let shards = Self::build_shards(&cfg);
+        // Benchmark runners build engines internally; the current run
+        // context (see [`crate::ctx`]) sets their worker count, phase
+        // profiling and telemetry without plumbing flags through every
+        // runner.
+        let (sim_threads, phase_profile, telemetry) =
+            RunCtx::with_current(|c| (c.sim_threads.max(1), c.phase_profile, c.telemetry));
         let mut engine = Engine {
             cfg,
             shards,
             redirect,
             init_seq: 0,
-            sim_threads: None,
+            sim_threads,
             trace_capacity: 0,
             timeline_bucket: None,
             event_cap: None,
             cancel: None,
-            phase_profile: phase_profile(),
+            phase_profile,
             merge: true,
             pending_phases: None,
             pending_clean: 0,
         };
-        // Benchmark runners build engines internally; the process-global
-        // telemetry config (see [`crate::trace::set_global`]) lets the
-        // harness trace them without plumbing flags through every runner.
-        let telemetry = trace::global();
         if telemetry.event_capacity > 0 {
             engine.enable_trace(telemetry.event_capacity);
         }
@@ -702,17 +654,18 @@ impl Engine {
         self.cancel = None;
     }
 
-    /// Override the worker count for this engine's run (clamped to at
-    /// least 1), independent of the process-global [`set_sim_threads`].
+    /// Override the worker count for this engine's runs (clamped to at
+    /// least 1), which [`Engine::new`] took from the current
+    /// [`RunCtx`].
     /// Any count yields byte-identical results; counts above the shard
     /// count are truncated to one shard per worker.
     pub fn set_sim_threads(&mut self, n: usize) {
-        self.sim_threads = Some(n.max(1));
+        self.sim_threads = n.max(1);
     }
 
     /// Turn wall-clock phase profiling of the epoch scheduler on or
-    /// off for this engine (overriding the process-global
-    /// [`set_phase_profile`] default captured at construction). When
+    /// off for this engine (overriding the [`RunCtx::phase_profile`]
+    /// captured at construction). When
     /// on, [`RunReport::phases`](crate::metrics::RunReport::phases)
     /// carries a [`PdesPhaseProfile`]; when off (the default) it is
     /// `None`, keeping reports byte-identical across worker counts and
@@ -856,8 +809,8 @@ impl Engine {
     /// Run until every threadlet has quit; returns the measurement report.
     ///
     /// The run is sharded one nodelet per shard and driven by the worker
-    /// count from [`Engine::set_sim_threads`] (else the process-global
-    /// [`set_sim_threads`], default 1). Results are byte-identical at
+    /// count from [`Engine::set_sim_threads`] (else the current
+    /// [`RunCtx`]'s at construction). Results are byte-identical at
     /// every worker count.
     ///
     /// # Errors
@@ -891,7 +844,7 @@ impl Engine {
             },
         };
         let lookahead = self.lookahead();
-        let workers = self.sim_threads.unwrap_or_else(sim_threads).max(1);
+        let workers = self.sim_threads;
         let profile = self.phase_profile;
         let t0 = profile.then(std::time::Instant::now);
         let (stats, phase_workers, owners, groups) = if lookahead == Time::ZERO {
@@ -1276,7 +1229,7 @@ impl Engine {
         }
         let report = self.take_report(lookahead, epochs);
         record_obs_run(&report);
-        trace::offer_report(&report);
+        ctx::offer_report(&report);
         Ok(report)
     }
 

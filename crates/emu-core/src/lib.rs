@@ -72,6 +72,7 @@ pub mod addr;
 pub mod alloc;
 pub mod audit;
 pub mod config;
+pub mod ctx;
 pub mod engine;
 pub mod fault;
 pub mod json;

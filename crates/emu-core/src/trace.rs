@@ -20,21 +20,19 @@
 //! Recording never touches simulated time, so enabling a trace cannot
 //! change the timing, counters, or checksum of a run.
 //!
-//! ## Process-global enablement
+//! ## Enablement
 //!
 //! The benchmark runners construct their own engines internally; to
 //! trace them without threading a flag through every call signature,
-//! [`set_global`] arms a process-wide [`TelemetryConfig`] that
-//! [`crate::engine::Engine::new`] consults once at construction. Use
-//! [`GlobalTelemetryGuard`] to scope it.
+//! [`crate::engine::Engine::new`] takes its [`TelemetryConfig`] from the
+//! current [`crate::ctx::RunCtx`], and a ctx with a report sink
+//! receives every finished run's report
+//! ([`crate::ctx::RunCtx::collect`]).
 
 use crate::addr::NodeletId;
 use crate::kernel::ThreadId;
-use crate::metrics::RunReport;
 use desim::time::Time;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// What happened. One variant per instrumented engine site; each maps
 /// 1:1 onto a [`crate::metrics::NodeletCounters`] field, so summing a
@@ -228,187 +226,6 @@ impl TelemetryConfig {
     }
 }
 
-// The process-global config is two atomics (not a lock) so the read in
-// `Engine::new` stays trivially cheap and panic-free.
-static GLOBAL_EVENT_CAP: AtomicUsize = AtomicUsize::new(0);
-static GLOBAL_BUCKET_PS: AtomicU64 = AtomicU64::new(0);
-
-/// Arm process-global telemetry: every [`crate::engine::Engine`]
-/// constructed afterwards collects per `cfg` until [`clear_global`].
-pub fn set_global(cfg: TelemetryConfig) {
-    GLOBAL_EVENT_CAP.store(cfg.event_capacity, Ordering::SeqCst);
-    GLOBAL_BUCKET_PS.store(cfg.timeline_bucket.map_or(0, |b| b.ps()), Ordering::SeqCst);
-}
-
-/// Disarm process-global telemetry.
-pub fn clear_global() {
-    set_global(TelemetryConfig::off());
-}
-
-/// The currently armed process-global telemetry config.
-pub fn global() -> TelemetryConfig {
-    let ps = GLOBAL_BUCKET_PS.load(Ordering::SeqCst);
-    TelemetryConfig {
-        event_capacity: GLOBAL_EVENT_CAP.load(Ordering::SeqCst),
-        timeline_bucket: (ps > 0).then_some(Time::from_ps(ps)),
-    }
-}
-
-// ---- report collection -------------------------------------------------
-//
-// The benchmark runners return *reductions* (bandwidths, checksums) and
-// drop the underlying [`RunReport`]s; armed collection lets the harness
-// capture every finished run's report for artifact export without
-// changing any runner signature. Off-path cost: one atomic load per
-// completed run (not per event).
-
-static COLLECT: AtomicBool = AtomicBool::new(false);
-static COLLECTED: Mutex<Collected> = Mutex::new(Collected::new());
-
-/// Point id of a run outside any keyed scope. Unkeyed runs sort after
-/// every keyed run, in completion order.
-pub const UNKEYED: u64 = u64::MAX;
-
-/// Collected reports plus the bookkeeping that makes their export order
-/// deterministic under concurrent sweeps: each report is tagged with the
-/// run key (sweep-point id + retry attempt) of the thread that ran the
-/// engine, and [`take_reports`] sorts by `(point, seq)` — so `-j N`
-/// produces the same `runs` array as `-j 1`.
-struct Collected {
-    /// `(point, attempt, arrival seq, report)` per finished run.
-    runs: Vec<(u64, u32, u64, RunReport)>,
-    next_seq: u64,
-    /// Points whose outcome is decided: only the recorded attempt's
-    /// reports are kept (`u32::MAX` = point abandoned, keep none). This
-    /// is what silences detached stragglers: a timed-out attempt that
-    /// finishes late offers a report, but its `(point, attempt)` is no
-    /// longer accepted.
-    accepted: Vec<(u64, u32)>,
-}
-
-impl Collected {
-    const fn new() -> Self {
-        Collected {
-            runs: Vec::new(),
-            next_seq: 0,
-            accepted: Vec::new(),
-        }
-    }
-
-    fn accepts(&self, point: u64, attempt: u32) -> bool {
-        self.accepted
-            .iter()
-            .all(|&(p, a)| p != point || a == attempt)
-    }
-}
-
-std::thread_local! {
-    /// Run key of the current thread: which sweep point (and which retry
-    /// attempt of it) any engine run on this thread belongs to.
-    static RUN_KEY: std::cell::Cell<(u64, u32)> = const { std::cell::Cell::new((UNKEYED, 0)) };
-}
-
-/// Run `f` with this thread's run key set to `(point, attempt)`,
-/// restoring the previous key afterwards. Sweep executors wrap each
-/// point in this so concurrent runs' reports can be re-ordered into
-/// sweep order at export.
-pub fn with_run_key<R>(point: u64, attempt: u32, f: impl FnOnce() -> R) -> R {
-    let prev = RUN_KEY.with(|k| k.replace((point, attempt)));
-    struct Restore((u64, u32));
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            RUN_KEY.with(|k| k.set(self.0));
-        }
-    }
-    let _restore = Restore(prev);
-    f()
-}
-
-/// The current thread's sweep-point id ([`UNKEYED`] outside any
-/// [`with_run_key`] scope).
-pub fn current_point() -> u64 {
-    RUN_KEY.with(|k| k.get().0)
-}
-
-/// Decide point `point`: keep only reports from `attempt`, drop the
-/// rest (already-collected and future — e.g. a detached straggler from
-/// a timed-out earlier attempt). `attempt = u32::MAX` abandons the
-/// point entirely.
-pub fn accept_attempt(point: u64, attempt: u32) {
-    if point == UNKEYED {
-        return;
-    }
-    let mut c = collected();
-    c.runs.retain(|&(p, a, _, _)| p != point || a == attempt);
-    c.accepted.push((point, attempt));
-}
-
-/// Start (or stop) collecting a clone of every finished run's report.
-/// Starting clears anything previously collected, including decided
-/// points.
-pub fn collect_reports(on: bool) {
-    if on {
-        *collected() = Collected::new();
-    }
-    COLLECT.store(on, Ordering::SeqCst);
-}
-
-/// Whether report collection is armed.
-pub fn collecting_reports() -> bool {
-    COLLECT.load(Ordering::SeqCst)
-}
-
-/// Take every report collected since [`collect_reports`]`(true)`, in
-/// deterministic sweep order: sorted by `(point, arrival)`, with
-/// unkeyed runs last in completion order.
-pub fn take_reports() -> Vec<RunReport> {
-    let mut c = collected();
-    let mut runs = std::mem::take(&mut c.runs);
-    c.next_seq = 0;
-    drop(c);
-    runs.sort_by_key(|&(point, _, seq, _)| (point, seq));
-    runs.into_iter().map(|(_, _, _, r)| r).collect()
-}
-
-fn collected() -> std::sync::MutexGuard<'static, Collected> {
-    // A poisoned lock only means a panic mid-push; the data is still a
-    // valid state, so recover rather than propagate the panic.
-    COLLECTED.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Called by the engine when a run completes; a no-op unless armed.
-pub(crate) fn offer_report(report: &RunReport) {
-    if COLLECT.load(Ordering::Relaxed) {
-        let (point, attempt) = RUN_KEY.with(|k| k.get());
-        let mut c = collected();
-        if !c.accepts(point, attempt) {
-            return;
-        }
-        let seq = c.next_seq;
-        c.next_seq += 1;
-        c.runs.push((point, attempt, seq, report.clone()));
-    }
-}
-
-/// RAII scope for the process-global config: arms on construction,
-/// clears on drop.
-#[derive(Debug)]
-pub struct GlobalTelemetryGuard(());
-
-impl GlobalTelemetryGuard {
-    /// Arm `cfg` globally until the guard drops.
-    pub fn arm(cfg: TelemetryConfig) -> Self {
-        set_global(cfg);
-        GlobalTelemetryGuard(())
-    }
-}
-
-impl Drop for GlobalTelemetryGuard {
-    fn drop(&mut self) {
-        clear_global();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,22 +275,6 @@ mod tests {
         let log = r.into_log();
         assert_eq!(log.events.len(), 1);
         assert_eq!(log.dropped, 1);
-    }
-
-    #[test]
-    fn global_config_round_trips_and_guard_clears() {
-        assert_eq!(global(), TelemetryConfig::off());
-        {
-            let _g = GlobalTelemetryGuard::arm(TelemetryConfig {
-                event_capacity: 1024,
-                timeline_bucket: Some(Time::from_us(5)),
-            });
-            let got = global();
-            assert_eq!(got.event_capacity, 1024);
-            assert_eq!(got.timeline_bucket, Some(Time::from_us(5)));
-            assert!(got.enabled());
-        }
-        assert!(!global().enabled());
     }
 
     #[test]

@@ -4,17 +4,12 @@
 //! both explicitly ([`RunReport::fault_totals`] vs trace counts) and by
 //! the full [`emu_core::audit`] pass.
 
+use emu_core::ctx::RunCtx;
 use emu_core::prelude::*;
-use emu_core::trace::{self, GlobalTelemetryGuard, TelemetryConfig};
 use emu_graph::bfs::{run_bfs_emu, BfsMode};
 use emu_graph::gen::uniform;
 use emu_graph::stinger::Stinger;
-use std::sync::{Arc, Mutex};
-
-/// Tests in one binary run on parallel threads, but the telemetry
-/// config and report collector are process-global: a BFS run from the
-/// other test would land untraced in `traced_reports`' collection.
-static GLOBAL_TELEMETRY: Mutex<()> = Mutex::new(());
+use std::sync::Arc;
 
 fn faulty_cfg() -> MachineConfig {
     let mut cfg = presets::chick_prototype();
@@ -33,21 +28,18 @@ fn faulty_cfg() -> MachineConfig {
 
 /// Collect every engine report of `f` with lossless tracing enabled.
 fn traced_reports(f: impl FnOnce()) -> Vec<RunReport> {
-    let guard = GlobalTelemetryGuard::arm(TelemetryConfig {
-        event_capacity: 1 << 20,
-        timeline_bucket: None,
-    });
-    trace::collect_reports(true);
-    f();
-    drop(guard);
-    let reports = trace::take_reports();
-    trace::collect_reports(false);
-    reports
+    let traced = RunCtx {
+        telemetry: TelemetryConfig {
+            event_capacity: 1 << 20,
+            timeline_bucket: None,
+        },
+        ..RunCtx::default()
+    };
+    traced.collect(f).1
 }
 
 #[test]
 fn bfs_fault_counters_reconcile_with_trace() {
-    let _serial = GLOBAL_TELEMETRY.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = faulty_cfg();
     let edges = uniform(64, 256, 0xB15);
     let g = Arc::new(Stinger::build_host(&edges, 4, cfg.total_nodelets()));
@@ -92,7 +84,6 @@ fn bfs_fault_counters_reconcile_with_trace() {
 
 #[test]
 fn bfs_fault_runs_are_reproducible() {
-    let _serial = GLOBAL_TELEMETRY.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = faulty_cfg();
     let edges = uniform(48, 160, 0xB16);
     let g = Arc::new(Stinger::build_host(&edges, 4, cfg.total_nodelets()));

@@ -3,8 +3,8 @@
 //! [`emu_core::audit`] pass, and reconcile its [`FaultTotals`] against
 //! the event trace.
 
+use emu_core::ctx::RunCtx;
 use emu_core::prelude::*;
-use emu_core::trace::GlobalTelemetryGuard;
 use emu_tensor::coo::{mttkrp_reference, random_tensor};
 use emu_tensor::emu::{run_mttkrp_emu, EmuMttkrpConfig, TensorLayout};
 use std::sync::Arc;
@@ -31,21 +31,27 @@ fn mttkrp_fault_counters_reconcile_with_trace() {
     let rank = 4;
     let reference = mttkrp_reference(&t, rank);
 
-    for layout in TensorLayout::ALL {
-        let _guard = GlobalTelemetryGuard::arm(TelemetryConfig {
+    let traced = RunCtx {
+        telemetry: TelemetryConfig {
             event_capacity: 1 << 20,
             timeline_bucket: None,
-        });
-        let r = run_mttkrp_emu(
-            &cfg,
-            Arc::clone(&t),
-            &EmuMttkrpConfig {
-                layout,
-                rank,
-                nthreads: 24,
-            },
-        )
-        .unwrap();
+        },
+        ..RunCtx::default()
+    };
+    for layout in TensorLayout::ALL {
+        let r = traced
+            .scope(|| {
+                run_mttkrp_emu(
+                    &cfg,
+                    Arc::clone(&t),
+                    &EmuMttkrpConfig {
+                        layout,
+                        rank,
+                        nthreads: 24,
+                    },
+                )
+            })
+            .unwrap();
 
         // Faults perturb timing, never results.
         for (i, (a, b)) in reference.iter().zip(&r.y).enumerate() {

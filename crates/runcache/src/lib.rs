@@ -16,11 +16,18 @@
 //!   advisory `index.jsonl`, and mtime-ordered [`Store::gc`].
 //! - module-level [`active`], [`lookup`], and [`publish`]: the gate the
 //!   execution paths call. [`active`] is the one admission guard (cache
-//!   enabled, no telemetry armed); lookups and publishes no-op unless
-//!   caching is enabled (`EMU_CACHE=1` or [`set_enabled`]) and keep the
-//!   session hit/miss/store counters, mirrored into the `emu_core::obs`
-//!   registry so the daemon's metrics endpoints pick them up
-//!   automatically.
+//!   enabled, run not observed); lookups and publishes no-op unless
+//!   caching is enabled and count the session's hits, misses and stores
+//!   in the `emu_core::obs` registry, where the daemon's metrics
+//!   endpoints pick them up automatically.
+//!
+//! ## Enablement
+//!
+//! The cache belongs to the current [`RunCtx`]: its `cache` field names
+//! the store directory, and `None` turns the cache off. Outside any
+//! scope the environment decides (`EMU_CACHE=1`, `EMU_CACHE_DIR`); an
+//! embedder or test enters a ctx with `cache: Some(dir)` instead. A
+//! cold process never touches the filesystem unless something opted in.
 //!
 //! The cache stores *rendered results* (report JSON, CSV cell text,
 //! point-outcome JSON), not engine state; entries carry an optional
@@ -29,19 +36,16 @@
 
 pub mod sha256;
 
+use emu_core::ctx::RunCtx;
 use emu_core::json::jstr;
 use emu_core::jsonread;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Version salt mixed into every digest. Bump when engine semantics
 /// change in a way that alters outputs for unchanged inputs.
 pub const KEY_VERSION: &str = "emu-runcache-v1";
-
-/// Default store directory (relative to the working directory) when
-/// `EMU_CACHE_DIR` is unset and no programmatic override is in force.
-pub const DEFAULT_DIR: &str = ".emu-cache";
 
 // ---------------------------------------------------------------------------
 // Canonical key
@@ -202,8 +206,7 @@ impl Store {
         Store { root: root.into() }
     }
 
-    /// Open the configured store: programmatic override, else
-    /// `EMU_CACHE_DIR`, else [`DEFAULT_DIR`].
+    /// Open the configured store at [`resolve_dir`].
     pub fn open_default() -> Store {
         Store::at(resolve_dir())
     }
@@ -338,70 +341,37 @@ impl Store {
 }
 
 // ---------------------------------------------------------------------------
-// Enablement + configured directory
+// Enablement, configured directory, gated lookup/publish
 // ---------------------------------------------------------------------------
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static ENV_ENABLED: OnceLock<bool> = OnceLock::new();
-
-/// Whether the cache is armed: [`set_enabled`]`(true)` or `EMU_CACHE=1`
-/// in the environment. Off by default — a cold process never touches
-/// the filesystem unless something opted in.
+/// Whether the current [`RunCtx`] has the cache on (`cache` names a
+/// store directory).
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-        || *ENV_ENABLED.get_or_init(|| {
-            std::env::var("EMU_CACHE").is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-        })
-}
-
-/// Arm or disarm the cache for this process (beats the env default).
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
+    RunCtx::with_current(|c| c.cache.is_some())
 }
 
 /// Whether a run may be served from (or published to) the cache right
-/// now: the cache is [`enabled`] and no process-global telemetry is
-/// armed. A traced, profiled, or report-collecting run must execute
-/// every point for its artifacts to mean anything. Every execution
-/// path (figure cells, scenario points, daemon runs) asks this before
-/// probing.
+/// now: the current [`RunCtx`] has the cache on and is not observed
+/// (no telemetry, report sink or phase profiling). A traced, profiled,
+/// or report-collecting run must execute every point for its artifacts
+/// to mean anything. Every execution path (figure cells, scenario
+/// points, daemon runs) asks this before probing.
 pub fn active() -> bool {
-    enabled()
-        && !emu_core::trace::collecting_reports()
-        && !emu_core::trace::global().enabled()
-        && !emu_core::engine::phase_profile()
+    RunCtx::with_current(|c| c.cache.is_some() && !c.observed())
 }
 
-fn dir_override() -> &'static Mutex<Option<PathBuf>> {
-    static DIR: OnceLock<Mutex<Option<PathBuf>>> = OnceLock::new();
-    DIR.get_or_init(|| Mutex::new(None))
-}
-
-/// Programmatically pin the store directory (beats `EMU_CACHE_DIR`).
-/// `None` restores env/default resolution. Mainly for tests and
-/// embedding; CLI users set the env var.
-pub fn set_dir(dir: Option<&Path>) {
-    *dir_override().lock().unwrap_or_else(|e| e.into_inner()) = dir.map(Path::to_path_buf);
-}
-
-/// The directory the default store resolves to right now.
+/// The directory the default store resolves to right now: the current
+/// [`RunCtx`]'s cache directory, else `EMU_CACHE_DIR`, else
+/// [`emu_core::ctx::DEFAULT_CACHE_DIR`].
 pub fn resolve_dir() -> PathBuf {
-    if let Some(d) = dir_override()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone()
-    {
-        return d;
-    }
-    match std::env::var_os("EMU_CACHE_DIR") {
-        Some(d) if !d.is_empty() => PathBuf::from(d),
-        _ => PathBuf::from(DEFAULT_DIR),
-    }
+    RunCtx::with_current(|c| c.cache.clone())
+        .unwrap_or_else(|| emu_core::ctx::env_cache_dir().to_path_buf())
 }
 
-// ---------------------------------------------------------------------------
-// Session counters + gated lookup/publish
-// ---------------------------------------------------------------------------
+/// The current ctx's store, if the cache is on.
+fn enabled_store() -> Option<Store> {
+    RunCtx::with_current(|c| c.cache.clone()).map(Store::at)
+}
 
 /// This process's cache traffic (monotonic).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -416,21 +386,17 @@ pub struct SessionStats {
     pub bytes_written: u64,
 }
 
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static STORES: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-struct ObsMirror {
+struct Counters {
     hits: &'static emu_core::obs::Counter,
     misses: &'static emu_core::obs::Counter,
     stores: &'static emu_core::obs::Counter,
     bytes: &'static emu_core::obs::Counter,
 }
 
-fn obs_mirror() -> &'static ObsMirror {
-    static M: OnceLock<ObsMirror> = OnceLock::new();
-    M.get_or_init(|| ObsMirror {
+/// The session counters, registered in the `emu_core::obs` registry.
+fn counters() -> &'static Counters {
+    static M: OnceLock<Counters> = OnceLock::new();
+    M.get_or_init(|| Counters {
         hits: emu_core::obs::counter("emu_cache_hits_total"),
         misses: emu_core::obs::counter("emu_cache_misses_total"),
         stores: emu_core::obs::counter("emu_cache_stores_total"),
@@ -440,11 +406,12 @@ fn obs_mirror() -> &'static ObsMirror {
 
 /// Current session counters.
 pub fn session_stats() -> SessionStats {
+    let c = counters();
     SessionStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        stores: STORES.load(Ordering::Relaxed),
-        bytes_written: BYTES.load(Ordering::Relaxed),
+        hits: c.hits.get(),
+        misses: c.misses.get(),
+        stores: c.stores.get(),
+        bytes_written: c.bytes.get(),
     }
 }
 
@@ -452,36 +419,26 @@ pub fn session_stats() -> SessionStats {
 /// touching disk or counters when the cache is disabled; otherwise
 /// counts one hit or miss.
 pub fn lookup(digest: &str) -> Option<Entry> {
-    if !enabled() {
-        return None;
+    let entry = enabled_store()?.load(digest);
+    let c = counters();
+    match entry {
+        Some(_) => c.hits.inc(),
+        None => c.misses.inc(),
     }
-    match Store::open_default().load(digest) {
-        Some(e) => {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            obs_mirror().hits.inc();
-            Some(e)
-        }
-        None => {
-            MISSES.fetch_add(1, Ordering::Relaxed);
-            obs_mirror().misses.inc();
-            None
-        }
-    }
+    entry
 }
 
 /// Persist an entry in the configured store. Best-effort: a write
 /// failure is swallowed (the run already has its result in hand), but
 /// successful writes count toward the store/bytes counters.
 pub fn publish(digest: &str, entry: &Entry) {
-    if !enabled() {
+    let Some(store) = enabled_store() else {
         return;
-    }
-    if let Ok(n) = Store::open_default().save(digest, entry) {
-        STORES.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(n, Ordering::Relaxed);
-        let m = obs_mirror();
-        m.stores.inc();
-        m.bytes.add(n);
+    };
+    if let Ok(n) = store.save(digest, entry) {
+        let c = counters();
+        c.stores.inc();
+        c.bytes.add(n);
     }
 }
 
@@ -614,21 +571,22 @@ mod tests {
 
     #[test]
     fn disabled_lookup_is_inert() {
-        // Cache is off by default in tests; lookup must not count.
-        assert!(!ENABLED.load(Ordering::Relaxed));
-        let before = session_stats();
-        assert!(
-            lookup("0000000000000000000000000000000000000000000000000000000000000000").is_none()
-        );
-        publish(
-            "0000000000000000000000000000000000000000000000000000000000000000",
-            &Entry {
-                kind: "t".into(),
-                label: "t".into(),
-                payload: String::new(),
-                recipe: None,
-            },
-        );
-        assert_eq!(session_stats(), before);
+        // A ctx with the cache off: lookup must not count.
+        RunCtx::default().scope(|| {
+            assert!(!enabled() && !active());
+            let before = session_stats();
+            let digest = "0000000000000000000000000000000000000000000000000000000000000000";
+            assert!(lookup(digest).is_none());
+            publish(
+                digest,
+                &Entry {
+                    kind: "t".into(),
+                    label: "t".into(),
+                    payload: String::new(),
+                    recipe: None,
+                },
+            );
+            assert_eq!(session_stats(), before);
+        });
     }
 }

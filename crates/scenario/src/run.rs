@@ -5,8 +5,10 @@
 //! results), every report is audited against the engine's physical
 //! invariants, and the report totals become a flat metric map. When
 //! the scenario carries a `byte_identical_at_sim_threads` assertion the
-//! point is re-run at each listed scheduler worker count and the full
-//! report JSON is captured as a fingerprint. When it names oracles,
+//! point is re-run at each listed scheduler worker count, each in a
+//! copy of the caller's [`RunCtx`] so engines elsewhere in the process
+//! keep their own counts, and the full report JSON is captured as a
+//! fingerprint. When it names oracles,
 //! their measured/predicted ratios are computed against the point's
 //! machine and added as `oracle:<name>` metrics.
 //!
@@ -19,12 +21,13 @@ use crate::resolve::{Point, ResolvedWorkload};
 use conformance::{lockstep, oracle};
 use emu_core::audit::audit;
 use emu_core::config::MachineConfig;
+use emu_core::ctx::RunCtx;
 use emu_core::engine::Engine;
 use emu_core::json::{jnum, jstr, report_json};
 use emu_core::jsonread::{parse, Value};
 use emu_core::metrics::RunReport;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Everything observed at one executed point.
 #[derive(Debug, Clone, PartialEq)]
@@ -165,12 +168,6 @@ impl ScenarioOutcome {
     }
 }
 
-/// Serializes save/set/restore cycles of the process-global scheduler
-/// worker count during byte-identity fingerprinting. Plain runs do not
-/// take it: the PR 5 invariant (reports are byte-identical at any
-/// worker count) makes a concurrent temporary change harmless to them.
-static SIM_THREADS_LOCK: Mutex<()> = Mutex::new(());
-
 /// Workload-level results that are not in the machine report.
 #[derive(Default)]
 struct Extras {
@@ -184,15 +181,10 @@ fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
 }
 
-/// Run the point's workload once under the current scheduler settings
-/// (`sim_override` pins the worker count for script runs, which build
-/// their own engine). Returns the run's reports; pushes functional and
+/// Run the point's workload once under the current [`RunCtx`]'s
+/// scheduler settings. Returns the run's reports; pushes functional and
 /// audit problems.
-fn exec_point(
-    p: &Point,
-    sim_override: Option<usize>,
-    problems: &mut Vec<String>,
-) -> (Vec<RunReport>, Extras) {
+fn exec_point(p: &Point, problems: &mut Vec<String>) -> (Vec<RunReport>, Extras) {
     let mut extras = Extras::default();
     let reports = match &p.workload {
         ResolvedWorkload::Stream(sc) => match membench::stream::run_stream_emu(&p.cfg, sc) {
@@ -309,9 +301,6 @@ fn exec_point(
         ResolvedWorkload::Script(threads) => {
             let run = || -> Result<RunReport, emu_core::fault::SimError> {
                 let mut e = Engine::new(p.cfg.clone())?;
-                if let Some(n) = sim_override {
-                    e.set_sim_threads(n);
-                }
                 lockstep::seed_case(&mut e, threads)?;
                 e.run()
             };
@@ -414,16 +403,18 @@ pub fn run_point(s: &Scenario, p: &Point) -> PointOutcome {
     let counts = wanted_sim_threads(s);
     let mut fingerprints = Vec::new();
     let (reports, extras) = if counts.is_empty() {
-        exec_point(p, None, &mut problems)
+        exec_point(p, &mut problems)
     } else {
-        let guard = SIM_THREADS_LOCK
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner());
-        let prev = emu_core::engine::sim_threads();
+        // Each count runs in a copy of the caller's ctx: engines
+        // elsewhere in the process keep their own worker counts.
+        let base = RunCtx::current();
         let mut first = None;
         for &n in &counts {
-            emu_core::engine::set_sim_threads(n);
-            let (reports, extras) = exec_point(p, Some(n), &mut problems);
+            let ctx = RunCtx {
+                sim_threads: n,
+                ..base.clone()
+            };
+            let (reports, extras) = ctx.scope(|| exec_point(p, &mut problems));
             let fp = reports
                 .iter()
                 .map(|r| report_json(&s.name, r))
@@ -434,8 +425,6 @@ pub fn run_point(s: &Scenario, p: &Point) -> PointOutcome {
                 first = Some((reports, extras));
             }
         }
-        emu_core::engine::set_sim_threads(prev);
-        drop(guard);
         first.unwrap()
     };
 

@@ -1,8 +1,8 @@
 //! Scenario points served from the result cache decode equal to the
 //! fresh outcomes they were stored from.
 //!
-//! This lives in its own test binary because it arms the process-global
-//! cache; the crate's other suites assume it is off.
+//! The scenario runs in a `RunCtx` whose cache points at a private
+//! store, so the cache is on for this test only.
 
 const SCN: &str = "\
 scenario cached
@@ -24,17 +24,18 @@ expect
 #[test]
 fn cached_point_outcomes_decode_equal_to_fresh_ones() {
     let dir = std::env::temp_dir().join(format!("emu-cache-scn-test-{}", std::process::id()));
-    runcache::set_dir(Some(&dir));
-    runcache::set_enabled(true);
+    let ctx = emu_core::ctx::RunCtx {
+        cache: Some(dir.clone()),
+        ..Default::default()
+    };
 
     let s = scenario::parse(SCN).unwrap();
-    let fresh = scenario::run_scenario_cached(&s);
-    let stored = runcache::session_stats();
-    let cached = scenario::run_scenario_cached(&s);
-    let after = runcache::session_stats();
-
-    runcache::set_enabled(false);
-    runcache::set_dir(None);
+    let (fresh, stored, cached, after) = ctx.scope(|| {
+        let fresh = scenario::run_scenario_cached(&s);
+        let stored = runcache::session_stats();
+        let cached = scenario::run_scenario_cached(&s);
+        (fresh, stored, cached, runcache::session_stats())
+    });
     let _ = std::fs::remove_dir_all(&dir);
 
     assert!(fresh.pass(), "{:?}", fresh.failures);

@@ -20,6 +20,7 @@
 
 use crate::exec::{self, WarmSlot};
 use crate::proto::{cached_response, err_response, ok_response, Chaos, ErrorKind, RunRequest};
+use emu_core::ctx::RunCtx;
 use emu_core::obs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -351,6 +352,9 @@ struct Shared {
     /// (`None` after a failure or before the first run). Written by
     /// the owning worker, read by the submit-side sticky router.
     warm_keys: Vec<Mutex<Option<String>>>,
+    /// The run context the pool was started in: every worker, and the
+    /// admission-side cache probe, run in it.
+    ctx: RunCtx,
 }
 
 /// The resident worker pool.
@@ -366,7 +370,8 @@ pub struct Pool {
 
 impl Pool {
     /// Start `cfg.workers` warm workers, the deadline timer, and the
-    /// supervisor.
+    /// supervisor. The workers (and [`Pool::submit`]'s cache probe) run
+    /// in the caller's current [`RunCtx`].
     pub fn start(cfg: PoolConfig) -> Pool {
         let workers = cfg.workers.max(1);
         let stats = Arc::new(PoolStats::default());
@@ -387,6 +392,7 @@ impl Pool {
             cfg,
             sup_tx,
             warm_keys: (0..workers).map(|_| Mutex::new(None)).collect(),
+            ctx: RunCtx::current(),
         });
         for idx in 0..workers {
             spawn_worker(idx, Arc::clone(&shared));
@@ -452,19 +458,20 @@ impl Pool {
         // unless the cache is enabled and no telemetry is armed, so the
         // probe is inert by default; chaos requests always dispatch so
         // fault injection is never masked by a stale hit.
-        if req.chaos.is_none() {
-            if let Some(plan) = exec::cache_plan(&req.spec) {
-                if let Some(entry) = runcache::lookup(&plan.digest) {
-                    self.stats.accepted.fetch_add(1, Ordering::SeqCst);
-                    m.accepted.inc();
-                    self.stats.completed_ok.fetch_add(1, Ordering::SeqCst);
-                    m.completed_ok.inc();
-                    self.stats.served_from_cache.fetch_add(1, Ordering::SeqCst);
-                    m.served_from_cache.inc();
-                    let _ = resp.send(cached_response(req.id, &entry.payload));
-                    return Ok(());
-                }
-            }
+        let cached = req.chaos.is_none().then(|| {
+            self.shared.ctx.scope(|| {
+                exec::cache_plan(&req.spec).and_then(|plan| runcache::lookup(&plan.digest))
+            })
+        });
+        if let Some(entry) = cached.flatten() {
+            self.stats.accepted.fetch_add(1, Ordering::SeqCst);
+            m.accepted.inc();
+            self.stats.completed_ok.fetch_add(1, Ordering::SeqCst);
+            m.completed_ok.inc();
+            self.stats.served_from_cache.fetch_add(1, Ordering::SeqCst);
+            m.served_from_cache.inc();
+            let _ = resp.send(cached_response(req.id, &entry.payload));
+            return Ok(());
         }
         let cap = self.shared.cfg.queue_cap.max(1) as u64;
         loop {
@@ -540,7 +547,10 @@ impl Pool {
 fn spawn_worker(idx: usize, shared: Arc<Shared>) {
     thread::Builder::new()
         .name(format!("simd-worker-{idx}"))
-        .spawn(move || worker_main(idx, shared))
+        .spawn(move || {
+            let ctx = shared.ctx.clone();
+            ctx.scope(|| worker_main(idx, shared))
+        })
         .expect("spawn worker");
 }
 

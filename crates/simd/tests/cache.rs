@@ -3,9 +3,10 @@
 //! the pool's conservation laws still hold with the new
 //! `served_from_cache` outcome in play.
 //!
-//! This lives in its own test binary because it arms the process-global
-//! cache; the pool's other suites assume it is off.
+//! The pool is started in a `RunCtx` whose cache points at a private
+//! store, so the cache is on for this pool only.
 
+use emu_core::ctx::RunCtx;
 use simd::pool::{Pool, PoolConfig};
 use simd::proto::{parse_request, report_slice, Request, RunRequest, Spec};
 use std::sync::mpsc;
@@ -38,13 +39,17 @@ fn submit_and_wait(pool: &Pool, req: RunRequest) -> String {
 #[test]
 fn repeat_requests_are_served_from_cache_and_reconcile() {
     let dir = std::env::temp_dir().join(format!("emu-cache-simd-test-{}", std::process::id()));
-    runcache::set_dir(Some(&dir));
-    runcache::set_enabled(true);
+    let ctx = RunCtx {
+        cache: Some(dir.clone()),
+        ..RunCtx::default()
+    };
 
-    let pool = Pool::start(PoolConfig {
-        workers: 2,
-        queue_cap: 8,
-        ..PoolConfig::default()
+    let pool = ctx.scope(|| {
+        Pool::start(PoolConfig {
+            workers: 2,
+            queue_cap: 8,
+            ..PoolConfig::default()
+        })
     });
     // Cold: executes on a worker and publishes the report.
     let first = submit_and_wait(&pool, stream_req(1));
@@ -81,7 +86,7 @@ fn repeat_requests_are_served_from_cache_and_reconcile() {
 
     // Each stored entry's recipe is its request's own wire line (id 0,
     // no budgets), which `simctl cache verify` re-runs.
-    let store = runcache::Store::open_default();
+    let store = runcache::Store::at(&dir);
     let mut specs = Vec::new();
     for o in store.scan() {
         let recipe = store.load(&o.digest).unwrap().recipe.unwrap();
@@ -94,7 +99,5 @@ fn repeat_requests_are_served_from_cache_and_reconcile() {
     assert_eq!(specs.len(), 2);
     assert!(specs.contains(&stream_req(0).spec), "{specs:?}");
 
-    runcache::set_enabled(false);
-    runcache::set_dir(None);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,12 +5,6 @@
 //! `--sim-threads 1/2/4`.
 
 use emu_chick::prelude::*;
-use std::sync::Mutex;
-
-/// Tests in one binary run on parallel threads, but the sim-threads
-/// default and the report collector are process-global: the seeded
-/// runs of one test would land in the other's collected reports.
-static GLOBAL_RUN_STATE: Mutex<()> = Mutex::new(());
 
 /// Build a seeded, faulted engine with a deliberately small trace ring
 /// (so drop accounting is exercised) and a cross-shard-heavy workload.
@@ -54,7 +48,6 @@ fn seeded_run(mut cfg: MachineConfig, fault_seed: u64, workers: usize) -> RunRep
 
 #[test]
 fn seeded_reports_identical_at_worker_counts_1_2_4() {
-    let _serial = GLOBAL_RUN_STATE.lock().unwrap_or_else(|e| e.into_inner());
     type PresetFn = fn() -> MachineConfig;
     let presets: [(&str, PresetFn); 3] = [
         ("chick", presets::chick_prototype),
@@ -81,41 +74,35 @@ fn seeded_reports_identical_at_worker_counts_1_2_4() {
     }
 }
 
-/// Figure-level byte-identity. One test function: the sim-threads knob,
-/// the report collector, and `EMU_QUICK`/`EMU_RESULTS_DIR` are
-/// process-global, and tests within one binary share the process.
+/// Figure-level byte-identity. Quick sizing and the worker count come
+/// from a `RunCtx` entered for each run, and the reports come back from
+/// `RunCtx::collect`, so the seeded runs above cannot leak into them.
 #[test]
 fn figures_are_byte_identical_at_any_sim_thread_count() {
     use emu_bench::figures;
     use emu_bench::output::Table;
     use emu_bench::telemetry::report_set_json;
+    use emu_core::ctx::RunCtx;
     use emu_core::json::json_ok;
-    use emu_core::trace;
-
-    let _serial = GLOBAL_RUN_STATE.lock().unwrap_or_else(|e| e.into_inner());
 
     type FigureFn = fn() -> Result<Table, emu_core::fault::SimError>;
-    std::env::set_var("EMU_QUICK", "1");
-    let base = std::env::temp_dir().join(format!("emu_pdesdet_{}", std::process::id()));
     let figs: [(&str, FigureFn); 2] = [("fig04", figures::fig04), ("fig10", figures::fig10)];
     for (name, f) in figs {
-        let mut outs: Vec<(Vec<u8>, String)> = Vec::new();
-        for sim_threads in [1usize, 2, 4] {
-            emu_core::engine::set_sim_threads(sim_threads);
-            trace::collect_reports(true);
-            let table = f().expect("figure must succeed");
-            let runs = trace::take_reports();
-            trace::collect_reports(false);
-            let report = report_set_json(name, Some(&table), &runs);
-            let dir = base.join(format!("{name}_s{sim_threads}"));
-            std::env::set_var("EMU_RESULTS_DIR", &dir);
-            let path = table.write_csv(name).expect("csv write");
-            std::env::remove_var("EMU_RESULTS_DIR");
-            outs.push((std::fs::read(path).expect("csv read"), report));
-        }
-        emu_core::engine::set_sim_threads(1);
+        let outs: Vec<(String, String)> = [1usize, 2, 4]
+            .into_iter()
+            .map(|sim_threads| {
+                let ctx = RunCtx {
+                    quick: true,
+                    sim_threads,
+                    ..RunCtx::default()
+                };
+                let (table, runs) = ctx.collect(f);
+                let table = table.expect("figure must succeed");
+                (table.csv(), report_set_json(name, Some(&table), &runs))
+            })
+            .collect();
         let (csv1, rep1) = &outs[0];
-        assert!(!csv1.is_empty(), "{name}: empty CSV");
+        assert!(csv1.lines().count() > 1, "{name}: empty CSV");
         assert!(json_ok(rep1), "{name}: report JSON invalid");
         for (i, (csv, rep)) in outs.iter().enumerate().skip(1) {
             let threads = [1, 2, 4][i];
@@ -129,6 +116,4 @@ fn figures_are_byte_identical_at_any_sim_thread_count() {
             );
         }
     }
-    std::env::remove_var("EMU_QUICK");
-    let _ = std::fs::remove_dir_all(&base);
 }
