@@ -1,80 +1,59 @@
-//! Content-addressed memoization of figure sweep cells.
+//! Content-addressed memoization of figure points.
 //!
-//! Every figure cell is a pure function of its fully-resolved machine
-//! and workload configuration, so a re-run of an unchanged campaign can
-//! serve each cell from [`runcache`] instead of re-simulating it. The
-//! memo layer is inert unless [`runcache::active`]: the current
-//! [`emu_core::ctx::RunCtx`] has the cache on (`EMU_CACHE=1` outside any
-//! scope) and is not observed — a traced, profiled, or
-//! report-collecting run must execute every point for its artifacts to
-//! mean anything.
+//! Every figure cell is computed from the measured numbers of one
+//! point — a fully-resolved machine and workload — so a re-run of an
+//! unchanged campaign can serve each point from [`runcache`] instead of
+//! re-simulating it. The key is the point alone, never the figure that
+//! asks: Fig 8 finds the chase points of Figs 6 and 7 already stored,
+//! and the headline table finds the peaks, ping-pongs and chases of
+//! Figs 5, 8 and 10. The memo layer is inert unless
+//! [`runcache::active`]: the current [`emu_core::ctx::RunCtx`] has the
+//! cache on (`EMU_CACHE=1` outside any scope) and is not observed — a
+//! traced, profiled, or report-collecting run must execute every point
+//! for its artifacts to mean anything.
 //!
 //! Keys hash the `Debug` rendering of the resolved configs, so the
 //! `EMU_QUICK` sizing, preset overrides, and seeds all flow into the
 //! digest; a knob flip is a different key, never a stale hit.
 
 use emu_core::fault::SimError;
+use std::fmt::Debug;
 
-fn digest(kind: &str, label: &str, parts: &[(&str, String)]) -> String {
-    let mut k = runcache::Key::new(kind);
-    k.record("label", label);
-    for (name, value) in parts {
-        k.record(name, value);
-    }
-    k.digest()
-}
-
-/// Memoize one formatted figure cell (or row — any string artifact).
-/// `parts` must capture everything the value depends on, typically the
-/// `Debug` of the machine config and of the workload config.
-pub fn memo_str(
-    label: &str,
-    parts: &[(&str, String)],
-    f: impl FnOnce() -> Result<String, SimError>,
-) -> Result<String, SimError> {
+/// Memoize the measured numbers of one point: `f` runs on a miss, and
+/// its numbers are stored under the digest of `machine` and `workload`.
+/// Payloads are the numbers' shortest round-trip renderings, so a value
+/// read back is bit-identical to the one computed.
+pub fn memo<const N: usize>(
+    machine: &impl Debug,
+    workload: &impl Debug,
+    f: impl FnOnce() -> Result<[f64; N], SimError>,
+) -> Result<[f64; N], SimError> {
     if !runcache::active() {
         return f();
     }
-    let d = digest("figcell", label, parts);
-    if let Some(e) = runcache::lookup(&d) {
-        return Ok(e.payload);
+    let mut k = runcache::Key::new("figpoint");
+    k.record_debug("machine", machine);
+    k.record_debug("workload", workload);
+    let d = k.digest();
+    let stored = runcache::lookup(&d).and_then(|e| {
+        let v: Vec<f64> = e
+            .payload
+            .split(' ')
+            .map(str::parse)
+            .collect::<Result<_, _>>()
+            .ok()?;
+        v.try_into().ok()
+    });
+    if let Some(v) = stored {
+        return Ok(v);
     }
     let v = f()?;
     runcache::publish(
         &d,
         &runcache::Entry {
-            kind: "figcell".into(),
-            label: label.into(),
-            payload: v.clone(),
-            recipe: None,
-        },
-    );
-    Ok(v)
-}
-
-/// Memoize one scalar measurement. The payload is the f64's shortest
-/// round-trip rendering, so the parsed-back value is bit-identical.
-pub fn memo_f64(
-    label: &str,
-    parts: &[(&str, String)],
-    f: impl FnOnce() -> Result<f64, SimError>,
-) -> Result<f64, SimError> {
-    if !runcache::active() {
-        return f();
-    }
-    let d = digest("figscalar", label, parts);
-    if let Some(e) = runcache::lookup(&d) {
-        if let Ok(v) = e.payload.parse::<f64>() {
-            return Ok(v);
-        }
-    }
-    let v = f()?;
-    runcache::publish(
-        &d,
-        &runcache::Entry {
-            kind: "figscalar".into(),
-            label: label.into(),
-            payload: format!("{v:?}"),
+            kind: "figpoint".into(),
+            label: format!("{workload:?}"),
+            payload: v.map(|x| format!("{x:?}")).join(" "),
             recipe: None,
         },
     );
@@ -97,32 +76,68 @@ pub fn session_summary() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emu_core::ctx::RunCtx;
+    use emu_core::prelude::presets;
+    use membench::chase::{ChaseConfig, ShuffleMode};
+    use scenario::ResolvedWorkload::Chase;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn memo_is_inert_when_disabled() {
         // A ctx with the cache off: both calls must run.
         let calls = AtomicUsize::new(0);
-        emu_core::ctx::RunCtx::default().scope(|| {
+        RunCtx::default().scope(|| {
             for _ in 0..2 {
-                let v = memo_str("t", &[("k", "v".into())], || {
+                let v = memo(&"m", &"w", || {
                     calls.fetch_add(1, Ordering::Relaxed);
-                    Ok("x".into())
+                    Ok([1.5])
                 })
                 .unwrap();
-                assert_eq!(v, "x");
+                assert_eq!(v, [1.5]);
             }
         });
         assert_eq!(calls.load(Ordering::Relaxed), 2);
     }
 
     #[test]
-    fn digests_separate_labels_and_parts() {
-        let a = digest("figcell", "a", &[("m", "1".into())]);
-        let b = digest("figcell", "b", &[("m", "1".into())]);
-        let c = digest("figcell", "a", &[("m", "2".into())]);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
+    fn two_figures_share_one_point_and_workloads_stay_apart() {
+        let dir = std::env::temp_dir().join(format!("emu-bench-memo-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ctx = RunCtx {
+            cache: Some(dir.clone()),
+            ..RunCtx::default()
+        };
+        let cfg = presets::chick_prototype();
+        let sims = AtomicUsize::new(0);
+        let mbs = |w: scenario::ResolvedWorkload| {
+            let [mbs] = memo(&cfg, &w, || {
+                sims.fetch_add(1, Ordering::SeqCst);
+                let x = scenario::exec::execute(&cfg, &w)?;
+                assert!(x.problems.is_empty(), "{:?}", x.problems);
+                Ok([x.bandwidth.unwrap().mb_per_sec()])
+            })
+            .unwrap();
+            mbs
+        };
+        let chase = |elems_per_list, block_elems| ChaseConfig {
+            elems_per_list,
+            nlists: 8,
+            block_elems,
+            mode: ShuffleMode::FullBlock,
+            seed: desim::rng::DEFAULT_SEED,
+        };
+        // Fig 6 sizes its lists once; Fig 8 pads each list to the block.
+        let fig06 = |block| mbs(Chase(chase(64, block)));
+        let fig08 = |block: usize| mbs(Chase(chase(64.max(block), block)));
+        let stored = || runcache::Store::at(&dir).scan().len();
+        let runs = || (sims.load(Ordering::SeqCst), stored());
+        // At block 8 both name the same point.
+        let (a, b) = ctx.scope(|| (fig06(8), fig08(8)));
+        assert_eq!(a.to_bits(), b.to_bits());
+        assert_eq!(runs(), (1, 1), "the second figure re-ran the point");
+        ctx.scope(|| fig06(16));
+        assert_eq!(runs(), (2, 2), "another workload hit");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

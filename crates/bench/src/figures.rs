@@ -5,6 +5,15 @@
 //! `figNN` binaries are thin wrappers; EXPERIMENTS.md records the
 //! paper-vs-measured comparison for every run.
 //!
+//! Every cell is computed from the measured numbers of one point, a
+//! machine and a workload. Emu points run through
+//! [`scenario::exec::execute`], which checks each result against its
+//! functional reference and audits every report; a point that fails
+//! either aborts its figure. Xeon and ping-pong points call their
+//! membench runners directly. All of them go through [`cache::memo`],
+//! keyed on the point alone, so figures that measure the same point
+//! share it.
+//!
 //! Sweep points are independent simulations, so every figure fans its
 //! grid across the worker pool in [`crate::sweep`] (`--jobs`/`-j`) and
 //! assembles rows in sweep order — the tables and CSVs are identical at
@@ -12,19 +21,20 @@
 
 use crate::cache;
 use crate::output::{fmt_mbs, Table};
-use crate::runcfg::{sized, sized_usize};
-use crate::sweep;
+use crate::runcfg::{quick, sized, sized_usize};
+use crate::sweep::{self, Thunk};
+use desim::rng::DEFAULT_SEED;
 use emu_core::prelude::*;
 use membench::chase::{self, ChaseConfig, ShuffleMode};
 use membench::pingpong::{run_pingpong, PingPongConfig};
 use membench::spmv_cpu::{run_spmv_cpu, CpuSpmvConfig, CpuStrategy};
-use membench::spmv_emu::{run_spmv_emu, x_vector, EmuLayout, EmuSpmvConfig};
-use membench::stream::{
-    cpu::{run_stream_cpu, CpuStreamConfig},
-    run_stream_emu, stream_checksum, EmuStreamConfig, StreamKernel,
-};
+use membench::spmv_emu::{x_vector, EmuLayout};
+use membench::stream::cpu::{run_stream_cpu, CpuStreamConfig};
+use membench::stream::{EmuStreamConfig, StreamKernel};
+use scenario::ResolvedWorkload::{self, Chase, Spmv, Stream};
 use spmat::{laplacian, LaplacianSpec};
 use std::sync::Arc;
+use xeon_sim::config::CpuConfig;
 
 /// Thread counts swept on a single nodelet (Fig 4).
 pub const FIG4_THREADS: [usize; 8] = [1, 2, 4, 8, 16, 24, 32, 64];
@@ -33,28 +43,111 @@ pub const FIG5_THREADS: [usize; 7] = [8, 16, 32, 64, 128, 256, 512];
 /// Block sizes swept by the pointer-chase figures.
 pub const CHASE_BLOCKS: [usize; 13] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096];
 
-/// Evaluate a rows × cols grid of independent cells across the worker
-/// pool; returns the formatted cells in row-major sweep order (first
-/// error in sweep order wins).
-fn grid<R: Sync, C: Sync>(
+/// Fill `t` with a rows × cols grid of independent cells evaluated
+/// across the worker pool: one row per `rows` entry, labeled with it,
+/// then its cells to one decimal (first error in sweep order wins).
+fn grid<R: Sync + ToString, C: Sync>(
+    t: &mut Table,
     rows: &[R],
     cols: &[C],
-    cell: impl Fn(&R, &C) -> Result<String, SimError> + Sync,
-) -> Result<Vec<Vec<String>>, SimError> {
-    let nc = cols.len().max(1);
-    let cells = sweep::run_indexed(rows.len() * cols.len(), |i| {
-        cell(&rows[i / nc], &cols[i % nc])
-    });
-    let flat: Vec<String> = cells.into_iter().collect::<Result<_, _>>()?;
-    Ok(flat.chunks(nc).map(<[String]>::to_vec).collect())
+    cell: impl Fn(&R, &C) -> Result<f64, SimError> + Sync,
+) -> Result<(), SimError> {
+    let nc = cols.len();
+    let cells = sweep::run_indexed(rows.len() * nc, |i| cell(&rows[i / nc], &cols[i % nc]));
+    let cells: Vec<f64> = cells.into_iter().collect::<Result<_, _>>()?;
+    for (label, vs) in rows.iter().zip(cells.chunks(nc)) {
+        let mut row = vec![label.to_string()];
+        row.extend(vs.iter().map(|v| format!("{v:.1}")));
+        t.row(row);
+    }
+    Ok(())
 }
+
+/// A scalar measurement, as one point of a [`batch`].
+type Scalar = Thunk<Result<f64, SimError>>;
 
 /// Run a batch of heterogeneous scalar measurements across the pool;
 /// first error in batch order wins.
-fn batch(
-    thunks: Vec<Box<dyn FnOnce() -> Result<f64, SimError> + Send>>,
-) -> Result<Vec<f64>, SimError> {
+fn batch(thunks: Vec<Scalar>) -> Result<Vec<f64>, SimError> {
     sweep::run_thunks(thunks).into_iter().collect()
+}
+
+/// MB/s of one Emu point, run through [`scenario::exec::execute`] and
+/// memoized on the point. A point that misses its functional reference
+/// or breaks an audit invariant aborts the figure.
+fn emu_mbs(cfg: &MachineConfig, w: &ResolvedWorkload) -> Result<f64, SimError> {
+    let [mbs] = cache::memo(cfg, w, || {
+        let x = scenario::exec::execute(cfg, w)?;
+        assert!(x.problems.is_empty(), "{w:?}: {}", x.problems.join("; "));
+        Ok([x.bandwidth.expect("a bandwidth workload").mb_per_sec()])
+    })?;
+    Ok(mbs)
+}
+
+/// [`emu_mbs`] as a batch point.
+fn emu(cfg: MachineConfig, w: ResolvedWorkload) -> Scalar {
+    Box::new(move || emu_mbs(&cfg, &w))
+}
+
+/// MB/s of a pointer chase on a Xeon, memoized on the point. The
+/// payload checksum must match.
+fn xeon_chase_mbs(cfg: &CpuConfig, cc: &ChaseConfig) -> f64 {
+    let [mbs] = cache::memo(cfg, cc, || {
+        let r = chase::cpu::run_chase_cpu(cfg, cc);
+        assert_eq!(r.checksum, cc.expected_checksum());
+        Ok([r.bandwidth.mb_per_sec()])
+    })
+    .expect("cpu chase cannot fail");
+    mbs
+}
+
+/// A ping-pong point as a batch point: its migration rate in M/s or,
+/// with `latency`, its mean migration latency in us. The memo stores
+/// both numbers.
+fn pingpong(cfg: MachineConfig, threads: usize, latency: bool) -> Scalar {
+    Box::new(move || {
+        let pc = PingPongConfig {
+            nthreads: threads,
+            round_trips: sized(2000, 200) as u32,
+            ..Default::default()
+        };
+        let [rate, latency_ns] = cache::memo(&cfg, &pc, || {
+            let r = run_pingpong(&cfg, &pc)?;
+            Ok([r.migrations_per_sec, r.mean_latency_ns])
+        })?;
+        Ok(if latency {
+            latency_ns / 1000.0
+        } else {
+            rate / 1e6
+        })
+    })
+}
+
+/// STREAM ADD over `total_elems` elements with `nthreads` workers.
+fn stream(
+    total_elems: u64,
+    nthreads: usize,
+    strategy: SpawnStrategy,
+    single_nodelet: bool,
+) -> ResolvedWorkload {
+    Stream(EmuStreamConfig {
+        total_elems,
+        nthreads,
+        strategy,
+        single_nodelet,
+        ..Default::default()
+    })
+}
+
+/// A full-block-shuffle chase of `nlists` lists of `elems` elements.
+fn chase_cfg(elems: usize, nlists: usize, block: usize, seed: u64) -> ChaseConfig {
+    ChaseConfig {
+        elems_per_list: elems,
+        nlists,
+        block_elems: block,
+        mode: ShuffleMode::FullBlock,
+        seed,
+    }
 }
 
 /// Fig 4: STREAM on one nodelet, serial vs recursive local spawn.
@@ -66,32 +159,9 @@ pub fn fig04() -> Result<Table, SimError> {
         &["threads", "serial_spawn (MB/s)", "recursive_spawn (MB/s)"],
     );
     let strategies = [SpawnStrategy::Serial, SpawnStrategy::Recursive];
-    let rows = grid(&FIG4_THREADS, &strategies, |&threads, &strategy| {
-        let sc = EmuStreamConfig {
-            total_elems: elems,
-            nthreads: threads,
-            strategy,
-            single_nodelet: true,
-            ..Default::default()
-        };
-        cache::memo_str(
-            "fig04",
-            &[
-                ("machine", format!("{cfg:?}")),
-                ("stream", format!("{sc:?}")),
-            ],
-            || {
-                let r = run_stream_emu(&cfg, &sc)?;
-                assert_eq!(r.checksum, stream_checksum(elems, StreamKernel::Add));
-                Ok(format!("{:.1}", r.bandwidth.mb_per_sec()))
-            },
-        )
+    grid(&mut t, &FIG4_THREADS, &strategies, |&threads, &strategy| {
+        emu_mbs(&cfg, &stream(elems, threads, strategy, true))
     })?;
-    for (&threads, cells) in FIG4_THREADS.iter().zip(rows) {
-        let mut row = vec![threads.to_string()];
-        row.extend(cells);
-        t.row(row);
-    }
     Ok(t)
 }
 
@@ -109,42 +179,23 @@ pub fn fig05() -> Result<Table, SimError> {
             "recursive_remote (MB/s)",
         ],
     );
-    let rows = grid(&FIG5_THREADS, &SpawnStrategy::ALL, |&threads, &strategy| {
-        let sc = EmuStreamConfig {
-            total_elems: elems,
-            nthreads: threads,
-            strategy,
-            single_nodelet: false,
-            ..Default::default()
-        };
-        cache::memo_str(
-            "fig05",
-            &[
-                ("machine", format!("{cfg:?}")),
-                ("stream", format!("{sc:?}")),
-            ],
-            || {
-                let r = run_stream_emu(&cfg, &sc)?;
-                assert_eq!(r.checksum, stream_checksum(elems, StreamKernel::Add));
-                Ok(format!("{:.1}", r.bandwidth.mb_per_sec()))
-            },
-        )
-    })?;
-    for (&threads, cells) in FIG5_THREADS.iter().zip(rows) {
-        let mut row = vec![threads.to_string()];
-        row.extend(cells);
-        t.row(row);
-    }
+    grid(
+        &mut t,
+        &FIG5_THREADS,
+        &SpawnStrategy::ALL,
+        |&threads, &strategy| emu_mbs(&cfg, &stream(elems, threads, strategy, false)),
+    )?;
     Ok(t)
 }
 
-/// The Emu chase sweep shared by Figs 6, 8, 11.
-fn chase_emu_sweep(
-    cfg: &MachineConfig,
+/// A pointer-chase table: one row per block size that fits in a list,
+/// one column per thread (list) count, each cell `mbs` of that chase.
+fn chase_sweep(
     title: &str,
     thread_counts: &[usize],
     blocks: &[usize],
     elems_per_list: usize,
+    mbs: impl Fn(ChaseConfig) -> Result<f64, SimError> + Sync,
 ) -> Result<Table, SimError> {
     let mut cols = vec!["block_elems".to_string()];
     cols.extend(thread_counts.iter().map(|t| format!("{t} threads (MB/s)")));
@@ -154,43 +205,21 @@ fn chase_emu_sweep(
         .copied()
         .filter(|&b| b <= elems_per_list)
         .collect();
-    let rows = grid(&blocks, thread_counts, |&block, &threads| {
-        let cc = ChaseConfig {
-            elems_per_list,
-            nlists: threads,
-            block_elems: block,
-            mode: ShuffleMode::FullBlock,
-            seed: desim::rng::DEFAULT_SEED,
-        };
-        cache::memo_str(
-            "chase-emu",
-            &[
-                ("machine", format!("{cfg:?}")),
-                ("chase", format!("{cc:?}")),
-            ],
-            || {
-                let r = chase::run_chase_emu(cfg, &cc)?;
-                assert_eq!(r.checksum, cc.expected_checksum());
-                Ok(format!("{:.1}", r.bandwidth.mb_per_sec()))
-            },
-        )
+    grid(&mut t, &blocks, thread_counts, |&block, &threads| {
+        mbs(chase_cfg(elems_per_list, threads, block, DEFAULT_SEED))
     })?;
-    for (&block, cells) in blocks.iter().zip(rows) {
-        let mut row = vec![block.to_string()];
-        row.extend(cells);
-        t.row(row);
-    }
     Ok(t)
 }
 
 /// Fig 6: pointer chasing on the Emu Chick (8 nodelets).
 pub fn fig06() -> Result<Table, SimError> {
-    chase_emu_sweep(
-        &presets::chick_prototype(),
+    let cfg = presets::chick_prototype();
+    chase_sweep(
         "Fig 6: Pointer chasing, Emu Chick (8 nodelets), full_block_shuffle",
         &[64, 128, 256, 512],
         &CHASE_BLOCKS,
         sized_usize(4096, 512),
+        |cc| emu_mbs(&cfg, &Chase(cc)),
     )
 }
 
@@ -199,66 +228,25 @@ pub fn fig07() -> Result<Table, SimError> {
     let cfg = xeon_sim::config::sandy_bridge();
     // Lists must dwarf the 20 MiB LLC, as in the paper: 4 MiB per list
     // and up to 32 lists = 128 MiB of once-touched data.
-    let elems_per_list = sized_usize(1 << 18, 1 << 13);
-    let thread_counts = [4usize, 16, 32];
-    let mut cols = vec!["block_elems".to_string()];
-    cols.extend(thread_counts.iter().map(|t| format!("{t} threads (MB/s)")));
-    let mut t = Table::new(
+    chase_sweep(
         "Fig 7: Pointer chasing, Sandy Bridge Xeon, full_block_shuffle",
-        &cols.iter().map(String::as_str).collect::<Vec<_>>(),
-    );
-    let blocks: Vec<usize> = CHASE_BLOCKS
-        .iter()
-        .copied()
-        .filter(|&b| b <= elems_per_list)
-        .collect();
-    let rows = grid(&blocks, &thread_counts, |&block, &threads| {
-        let cc = ChaseConfig {
-            elems_per_list,
-            nlists: threads,
-            block_elems: block,
-            mode: ShuffleMode::FullBlock,
-            seed: desim::rng::DEFAULT_SEED,
-        };
-        cache::memo_str(
-            "chase-cpu",
-            &[
-                ("machine", format!("{cfg:?}")),
-                ("chase", format!("{cc:?}")),
-            ],
-            || {
-                let r = chase::cpu::run_chase_cpu(&cfg, &cc);
-                assert_eq!(r.checksum, cc.expected_checksum());
-                Ok(format!("{:.1}", r.bandwidth.mb_per_sec()))
-            },
-        )
-    })?;
-    for (&block, cells) in blocks.iter().zip(rows) {
-        let mut row = vec![block.to_string()];
-        row.extend(cells);
-        t.row(row);
-    }
-    Ok(t)
+        &[4, 16, 32],
+        &CHASE_BLOCKS,
+        sized_usize(1 << 18, 1 << 13),
+        |cc| Ok(xeon_chase_mbs(&cfg, &cc)),
+    )
 }
 
 /// Peak measured STREAM bandwidth of the Emu prototype (denominator of
 /// Fig 8's utilization).
 pub fn emu_peak_stream_mbs() -> Result<f64, SimError> {
-    let cfg = presets::chick_prototype();
-    let sc = EmuStreamConfig {
-        total_elems: sized(1 << 18, 1 << 13),
-        nthreads: 512,
-        strategy: SpawnStrategy::RecursiveRemote,
-        ..Default::default()
-    };
-    cache::memo_f64(
-        "emu-peak-stream",
-        &[
-            ("machine", format!("{cfg:?}")),
-            ("stream", format!("{sc:?}")),
-        ],
-        || Ok(run_stream_emu(&cfg, &sc)?.bandwidth.mb_per_sec()),
-    )
+    let w = stream(
+        sized(1 << 18, 1 << 13),
+        512,
+        SpawnStrategy::RecursiveRemote,
+        false,
+    );
+    emu_mbs(&presets::chick_prototype(), &w)
 }
 
 /// Peak measured STREAM bandwidth of the Sandy Bridge (Fig 8 denominator).
@@ -270,15 +258,11 @@ pub fn xeon_peak_stream_mbs() -> f64 {
         kernel: StreamKernel::Add,
         nt_stores: true,
     };
-    cache::memo_f64(
-        "xeon-peak-stream",
-        &[
-            ("machine", format!("{cfg:?}")),
-            ("stream", format!("{sc:?}")),
-        ],
-        || Ok(run_stream_cpu(&cfg, &sc).bandwidth.mb_per_sec()),
-    )
-    .expect("cpu stream cannot fail")
+    let [mbs] = cache::memo(&cfg, &sc, || {
+        Ok([run_stream_cpu(&cfg, &sc).bandwidth.mb_per_sec()])
+    })
+    .expect("cpu stream cannot fail");
+    mbs
 }
 
 /// Fig 8: pointer-chase bandwidth as a fraction of each platform's peak
@@ -300,63 +284,20 @@ pub fn fig08() -> Result<Table, SimError> {
         ),
         &["block_elems", "Emu 512thr (%)", "Xeon 32thr (%)"],
     );
-    // Stage 2: the block sweep, one cell per (block, platform).
-    let rows = grid(&CHASE_BLOCKS, &[true, false], |&block, &is_emu| {
-        // The utilization cell depends on the peak denominator too, so
-        // the denominator joins the key material.
-        if is_emu {
-            let cc = ChaseConfig {
-                elems_per_list: sized_usize(4096, 512).max(block),
-                nlists: 512,
-                block_elems: block,
-                mode: ShuffleMode::FullBlock,
-                seed: desim::rng::DEFAULT_SEED,
-            };
-            cache::memo_str(
-                "fig08-emu",
-                &[
-                    ("machine", format!("{emu_cfg:?}")),
-                    ("chase", format!("{cc:?}")),
-                    ("peak", format!("{emu_peak:?}")),
-                ],
-                || {
-                    let emu = chase::run_chase_emu(&emu_cfg, &cc)?;
-                    Ok(format!(
-                        "{:.1}",
-                        100.0 * emu.bandwidth.mb_per_sec() / emu_peak
-                    ))
-                },
-            )
+    // Stage 2: the block sweep, one cell per (block, platform): the
+    // chase's bandwidth over the platform's peak. Where a list holds the
+    // block, the chases are Fig 6's 512-thread and Fig 7's 32-thread
+    // points.
+    grid(&mut t, &CHASE_BLOCKS, &[true, false], |&block, &is_emu| {
+        Ok(if is_emu {
+            let cc = chase_cfg(sized_usize(4096, 512).max(block), 512, block, DEFAULT_SEED);
+            100.0 * emu_mbs(&emu_cfg, &Chase(cc))? / emu_peak
         } else {
-            let cc = ChaseConfig {
-                elems_per_list: sized_usize(1 << 18, 1 << 13).max(block),
-                nlists: 32,
-                block_elems: block,
-                mode: ShuffleMode::FullBlock,
-                seed: desim::rng::DEFAULT_SEED,
-            };
-            cache::memo_str(
-                "fig08-xeon",
-                &[
-                    ("machine", format!("{cpu_cfg:?}")),
-                    ("chase", format!("{cc:?}")),
-                    ("peak", format!("{xeon_peak:?}")),
-                ],
-                || {
-                    let xeon = chase::cpu::run_chase_cpu(&cpu_cfg, &cc);
-                    Ok(format!(
-                        "{:.1}",
-                        100.0 * xeon.bandwidth.mb_per_sec() / xeon_peak
-                    ))
-                },
-            )
-        }
+            let elems = sized_usize(1 << 18, 1 << 13).max(block);
+            let cc = chase_cfg(elems, 32, block, DEFAULT_SEED);
+            100.0 * xeon_chase_mbs(&cpu_cfg, &cc) / xeon_peak
+        })
     })?;
-    for (&block, cells) in CHASE_BLOCKS.iter().zip(rows) {
-        let mut row = vec![block.to_string()];
-        row.extend(cells);
-        t.row(row);
-    }
     Ok(t)
 }
 
@@ -370,49 +311,16 @@ pub fn fig09a() -> Result<Table, SimError> {
         "Fig 9a: SpMV effective bandwidth, Emu Chick (grain 16 nnz)",
         &["laplacian_n", "local (MB/s)", "1D (MB/s)", "2D (MB/s)"],
     );
-    // One sweep point per matrix size: the three layouts share the
-    // assembled matrix, so the row is the natural parallel unit.
-    // Rows are memoized whole (cells newline-joined) so a warm run
-    // skips even the shared matrix assembly.
-    let rows = sweep::run_indexed(FIG9_SIZES.len(), |i| -> Result<Vec<String>, SimError> {
-        let n = FIG9_SIZES[i];
-        let spec = LaplacianSpec::paper(n);
-        let joined = cache::memo_str(
-            "fig09a",
-            &[
-                ("machine", format!("{cfg:?}")),
-                ("laplacian", format!("{spec:?}")),
-                ("grain_nnz", "16".to_string()),
-            ],
-            || {
-                let m = Arc::new(laplacian(spec));
-                let reference = m.spmv(&x_vector(m.ncols()));
-                let mut cells = vec![n.to_string()];
-                for layout in EmuLayout::ALL {
-                    let r = run_spmv_emu(
-                        &cfg,
-                        Arc::clone(&m),
-                        &EmuSpmvConfig {
-                            layout,
-                            grain_nnz: 16,
-                        },
-                    )?;
-                    let err = reference
-                        .iter()
-                        .zip(&r.y)
-                        .map(|(a, b)| (a - b).abs())
-                        .fold(0.0, f64::max);
-                    assert!(err < 1e-9, "{} produced a wrong result", layout.name());
-                    cells.push(format!("{:.1}", r.bandwidth.mb_per_sec()));
-                }
-                Ok(cells.join("\n"))
+    grid(&mut t, &FIG9_SIZES, &EmuLayout::ALL, |&n, &layout| {
+        emu_mbs(
+            &cfg,
+            &Spmv {
+                n,
+                layout,
+                grain: 16,
             },
-        )?;
-        Ok(joined.split('\n').map(str::to_string).collect())
-    });
-    for row in rows {
-        t.row(row?);
-    }
+        )
+    })?;
     Ok(t)
 }
 
@@ -439,50 +347,27 @@ pub fn fig09b() -> Result<Table, SimError> {
             "cilk_spawn g=16 (MB/s)",
         ],
     );
-    let rows = sweep::run_indexed(FIG9B_SIZES.len(), |i| -> Result<Vec<String>, SimError> {
-        let n = FIG9B_SIZES[i];
-        let n = if crate::runcfg::quick() {
-            n.min(200)
-        } else {
-            n
-        };
+    let sizes = FIG9B_SIZES.map(|n| if quick() { n.min(200) } else { n });
+    grid(&mut t, &sizes, &strategies, |&n, &strategy| {
         let spec = LaplacianSpec::paper(n);
-        let joined = cache::memo_str(
-            "fig09b",
-            &[
-                ("machine", format!("{cfg:?}")),
-                ("laplacian", format!("{spec:?}")),
-                ("strategies", format!("{strategies:?}")),
-            ],
-            || {
-                let m = Arc::new(laplacian(spec));
-                let reference = m.spmv(&x_vector(m.ncols()));
-                let mut cells = vec![n.to_string()];
-                for &strategy in &strategies {
-                    let r = run_spmv_cpu(
-                        &cfg,
-                        Arc::clone(&m),
-                        &CpuSpmvConfig {
-                            strategy,
-                            nthreads: 56,
-                        },
-                    );
-                    let err = reference
-                        .iter()
-                        .zip(&r.y)
-                        .map(|(a, b)| (a - b).abs())
-                        .fold(0.0, f64::max);
-                    assert!(err < 1e-9, "{} produced a wrong result", strategy.name());
-                    cells.push(format!("{:.1}", r.bandwidth.mb_per_sec()));
-                }
-                Ok(cells.join("\n"))
-            },
-        )?;
-        Ok(joined.split('\n').map(str::to_string).collect())
-    });
-    for row in rows {
-        t.row(row?);
-    }
+        let sc = CpuSpmvConfig {
+            strategy,
+            nthreads: 56,
+        };
+        let [mbs] = cache::memo(&cfg, &(spec, &sc), || {
+            let m = Arc::new(laplacian(spec));
+            let r = run_spmv_cpu(&cfg, Arc::clone(&m), &sc);
+            let err = m
+                .spmv(&x_vector(m.ncols()))
+                .iter()
+                .zip(&r.y)
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0, f64::max);
+            assert!(err < 1e-9, "{} produced a wrong result", strategy.name());
+            Ok([r.bandwidth.mb_per_sec()])
+        })?;
+        Ok(mbs)
+    })?;
     Ok(t)
 }
 
@@ -491,112 +376,35 @@ pub fn fig09b() -> Result<Table, SimError> {
 pub fn fig10() -> Result<Table, SimError> {
     let hw = presets::chick_prototype();
     let sim = presets::chick_toolchain_sim();
-    // Every hardware/simulator measurement is independent: run all
-    // twelve as one batch (hw/sim pairs adjacent, in row order).
-    let stream_mbs = |cfg: &MachineConfig, sc: &EmuStreamConfig| {
-        cache::memo_f64(
-            "fig10-stream",
-            &[
-                ("machine", format!("{cfg:?}")),
-                ("stream", format!("{sc:?}")),
-            ],
-            || Ok(run_stream_emu(cfg, sc)?.bandwidth.mb_per_sec()),
-        )
-    };
-    let stream1 = move |cfg: MachineConfig| -> Box<dyn FnOnce() -> Result<f64, SimError> + Send> {
-        Box::new(move || {
-            stream_mbs(
-                &cfg,
-                &EmuStreamConfig {
-                    total_elems: sized(1 << 15, 1 << 12),
-                    nthreads: 64,
-                    strategy: SpawnStrategy::Recursive,
-                    single_nodelet: true,
-                    ..Default::default()
-                },
-            )
-        })
-    };
-    let stream8 = move |cfg: MachineConfig| -> Box<dyn FnOnce() -> Result<f64, SimError> + Send> {
-        Box::new(move || {
-            stream_mbs(
-                &cfg,
-                &EmuStreamConfig {
-                    total_elems: sized(1 << 18, 1 << 13),
-                    nthreads: 512,
-                    strategy: SpawnStrategy::RecursiveRemote,
-                    ..Default::default()
-                },
-            )
-        })
-    };
     // Pointer chase: migration-bound at block 1 (where hardware and
     // simulator diverge, as in the paper) and compute-bound at block 64
     // (where they agree, like STREAM).
-    let chase_at =
-        |cfg: MachineConfig, block: usize| -> Box<dyn FnOnce() -> Result<f64, SimError> + Send> {
-            Box::new(move || {
-                let cc = ChaseConfig {
-                    elems_per_list: sized_usize(2048, 512).max(block),
-                    nlists: 512,
-                    block_elems: block,
-                    mode: ShuffleMode::FullBlock,
-                    seed: 1,
-                };
-                cache::memo_f64(
-                    "fig10-chase",
-                    &[
-                        ("machine", format!("{cfg:?}")),
-                        ("chase", format!("{cc:?}")),
-                    ],
-                    || Ok(chase::run_chase_emu(&cfg, &cc)?.bandwidth.mb_per_sec()),
-                )
-            })
-        };
+    let chase_at = |block| Chase(chase_cfg(sized_usize(2048, 512).max(block), 512, block, 1));
+    let workloads = [
+        stream(sized(1 << 15, 1 << 12), 64, SpawnStrategy::Recursive, true),
+        stream(
+            sized(1 << 18, 1 << 13),
+            512,
+            SpawnStrategy::RecursiveRemote,
+            false,
+        ),
+        chase_at(1),
+        chase_at(64),
+    ];
+    // Every hardware/simulator measurement is independent: run all
+    // twelve as one batch (hw/sim pairs adjacent, in row order).
+    let mut points = Vec::new();
+    for w in workloads {
+        points.push(emu(hw.clone(), w.clone()));
+        points.push(emu(sim.clone(), w));
+    }
     // Ping-pong: the migration rate at load, and the latency at light
     // load (the paper's 1-2 us estimate).
-    let pp = |cfg: MachineConfig,
-              threads: usize,
-              latency: bool|
-     -> Box<dyn FnOnce() -> Result<f64, SimError> + Send> {
-        Box::new(move || {
-            let pc = PingPongConfig {
-                nthreads: threads,
-                round_trips: sized(2000, 200) as u32,
-                ..Default::default()
-            };
-            cache::memo_f64(
-                "fig10-pingpong",
-                &[
-                    ("machine", format!("{cfg:?}")),
-                    ("pingpong", format!("{pc:?}")),
-                    ("metric", if latency { "latency" } else { "rate" }.into()),
-                ],
-                || {
-                    let r = run_pingpong(&cfg, &pc)?;
-                    Ok(if latency {
-                        r.mean_latency_ns / 1000.0
-                    } else {
-                        r.migrations_per_sec / 1e6
-                    })
-                },
-            )
-        })
-    };
-    let v = batch(vec![
-        stream1(hw.clone()),
-        stream1(sim.clone()),
-        stream8(hw.clone()),
-        stream8(sim.clone()),
-        chase_at(hw.clone(), 1),
-        chase_at(sim.clone(), 1),
-        chase_at(hw.clone(), 64),
-        chase_at(sim.clone(), 64),
-        pp(hw.clone(), 64, false),
-        pp(sim.clone(), 64, false),
-        pp(hw, 8, true),
-        pp(sim, 8, true),
-    ])?;
+    for (threads, latency) in [(64, false), (8, true)] {
+        points.push(pingpong(hw.clone(), threads, latency));
+        points.push(pingpong(sim.clone(), threads, latency));
+    }
+    let v = batch(points)?;
     let mut t = Table::new(
         "Fig 10: Emu hardware preset vs toolchain-simulator preset",
         &["benchmark", "hardware", "simulator", "sim/hw"],
@@ -623,12 +431,13 @@ pub fn fig10() -> Result<Table, SimError> {
 
 /// Fig 11: pointer chasing on the full-speed 64-nodelet system.
 pub fn fig11() -> Result<Table, SimError> {
-    chase_emu_sweep(
-        &presets::emu64_full_speed(),
+    let cfg = presets::emu64_full_speed();
+    chase_sweep(
         "Fig 11: Pointer chasing, simulated 64-nodelet Emu at full speed",
         &[256, 1024, 4096],
         &[1, 4, 16, 64, 256, 1024, 4096],
         sized_usize(2048, 512),
+        |cc| emu_mbs(&cfg, &Chase(cc)),
     )
 }
 
@@ -637,131 +446,42 @@ pub fn fig11() -> Result<Table, SimError> {
 pub fn headline() -> Result<Table, SimError> {
     let emu_cfg = presets::chick_prototype();
     // Stage 1: the scalar measurements, one batch.
-    let pp_rate = |cfg: MachineConfig| -> Box<dyn FnOnce() -> Result<f64, SimError> + Send> {
-        Box::new(move || {
-            let pc = PingPongConfig {
-                nthreads: 64,
-                round_trips: sized(2000, 200) as u32,
-                ..Default::default()
-            };
-            cache::memo_f64(
-                "headline-pp-rate",
-                &[
-                    ("machine", format!("{cfg:?}")),
-                    ("pingpong", format!("{pc:?}")),
-                ],
-                || Ok(run_pingpong(&cfg, &pc)?.migrations_per_sec / 1e6),
-            )
-        })
-    };
     let scalars = batch(vec![
         Box::new(emu_peak_stream_mbs),
-        Box::new(|| {
-            let cfg = presets::chick_8node_prototype();
-            let sc = EmuStreamConfig {
-                total_elems: sized(1 << 20, 1 << 15),
-                nthreads: 4096,
-                strategy: SpawnStrategy::RecursiveRemote,
-                ..Default::default()
-            };
-            cache::memo_f64(
-                "headline-8node-stream",
-                &[
-                    ("machine", format!("{cfg:?}")),
-                    ("stream", format!("{sc:?}")),
-                ],
-                || Ok(run_stream_emu(&cfg, &sc)?.bandwidth.mb_per_sec()),
-            )
-        }),
+        emu(
+            presets::chick_8node_prototype(),
+            stream(
+                sized(1 << 20, 1 << 15),
+                4096,
+                SpawnStrategy::RecursiveRemote,
+                false,
+            ),
+        ),
         Box::new(|| Ok(xeon_peak_stream_mbs())),
-        {
-            let cfg = emu_cfg.clone();
-            Box::new(move || {
-                let cc = ChaseConfig {
-                    elems_per_list: sized_usize(4096, 512),
-                    nlists: 512,
-                    block_elems: 1,
-                    mode: ShuffleMode::FullBlock,
-                    seed: 1,
-                };
-                cache::memo_f64(
-                    "headline-chase",
-                    &[
-                        ("machine", format!("{cfg:?}")),
-                        ("chase", format!("{cc:?}")),
-                    ],
-                    || Ok(chase::run_chase_emu(&cfg, &cc)?.bandwidth.mb_per_sec()),
-                )
-            })
-        },
-        pp_rate(emu_cfg.clone()),
-        pp_rate(presets::chick_toolchain_sim()),
-        {
-            let cfg = emu_cfg.clone();
-            Box::new(move || {
-                let pc = PingPongConfig {
-                    nthreads: 8,
-                    round_trips: sized(2000, 200) as u32,
-                    ..Default::default()
-                };
-                cache::memo_f64(
-                    "headline-pp-latency",
-                    &[
-                        ("machine", format!("{cfg:?}")),
-                        ("pingpong", format!("{pc:?}")),
-                    ],
-                    || Ok(run_pingpong(&cfg, &pc)?.mean_latency_ns / 1000.0),
-                )
-            })
-        },
+        emu(
+            emu_cfg.clone(),
+            Chase(chase_cfg(sized_usize(4096, 512), 512, 1, 1)),
+        ),
+        pingpong(emu_cfg.clone(), 64, false),
+        pingpong(presets::chick_toolchain_sim(), 64, false),
+        pingpong(emu_cfg.clone(), 8, true),
     ])?;
     let (emu_peak, eight, xeon_peak, chase_worst, pp_hw, pp_sim, pp_latency_us) = (
         scalars[0], scalars[1], scalars[2], scalars[3], scalars[4], scalars[5], scalars[6],
     );
     // Stage 2: the chase utilization sweeps ("most cases" medians).
-    let emu_bws = sweep::run_indexed(CHASE_BLOCKS.len(), |i| -> Result<f64, SimError> {
+    let emu_bws = sweep::run_indexed(CHASE_BLOCKS.len(), |i| {
         let block = CHASE_BLOCKS[i];
-        let cc = ChaseConfig {
-            elems_per_list: sized_usize(4096, 512).max(block),
-            nlists: 512,
-            block_elems: block,
-            mode: ShuffleMode::FullBlock,
-            seed: 1,
-        };
-        cache::memo_f64(
-            "headline-chase",
-            &[
-                ("machine", format!("{emu_cfg:?}")),
-                ("chase", format!("{cc:?}")),
-            ],
-            || Ok(chase::run_chase_emu(&emu_cfg, &cc)?.bandwidth.mb_per_sec()),
-        )
+        let cc = chase_cfg(sized_usize(4096, 512).max(block), 512, block, 1);
+        emu_mbs(&emu_cfg, &Chase(cc))
     })
     .into_iter()
     .collect::<Result<Vec<_>, _>>()?;
     let cpu_cfg = xeon_sim::config::sandy_bridge();
     let xeon_bws = sweep::run_indexed(CHASE_BLOCKS.len(), |i| {
         let block = CHASE_BLOCKS[i];
-        let cc = ChaseConfig {
-            elems_per_list: sized_usize(1 << 18, 1 << 13).max(block),
-            nlists: 32,
-            block_elems: block,
-            mode: ShuffleMode::FullBlock,
-            seed: 1,
-        };
-        cache::memo_f64(
-            "headline-chase-cpu",
-            &[
-                ("machine", format!("{cpu_cfg:?}")),
-                ("chase", format!("{cc:?}")),
-            ],
-            || {
-                Ok(chase::cpu::run_chase_cpu(&cpu_cfg, &cc)
-                    .bandwidth
-                    .mb_per_sec())
-            },
-        )
-        .expect("cpu chase cannot fail")
+        let cc = chase_cfg(sized_usize(1 << 18, 1 << 13).max(block), 32, block, 1);
+        xeon_chase_mbs(&cpu_cfg, &cc)
     });
     let median = |mut xs: Vec<f64>| -> f64 {
         xs.sort_by(f64::total_cmp);
@@ -826,8 +546,9 @@ mod tests {
     use super::*;
 
     // Figure functions are exercised end-to-end (quick mode) by the
-    // integration tests in tests/harness.rs; here we only check cheap
-    // structural properties.
+    // root package's tests/parallel_determinism.rs,
+    // tests/pdes_determinism.rs and tests/run_ctx.rs; here we only check
+    // cheap structural properties.
 
     #[test]
     fn chase_blocks_are_increasing_powers() {

@@ -126,40 +126,27 @@ pub struct TelemetryArgs {
 impl TelemetryArgs {
     /// Parse the shared flags from an argument iterator. Unknown
     /// arguments are ignored (figure binaries take no others today, but
-    /// this keeps the wrapper forward-compatible); a malformed `--jobs`
-    /// or `--sim-threads` value is an error.
+    /// this keeps the wrapper forward-compatible); a flag without its
+    /// value, or a count that is malformed or zero, is an error.
     pub fn parse(args: impl Iterator<Item = String>) -> Result<Self, String> {
+        use crate::runcfg::count;
         let mut out = TelemetryArgs {
             trace_events: crate::runcfg::DEFAULT_TRACE_EVENTS,
             trace_bucket_us: crate::runcfg::DEFAULT_TRACE_BUCKET_US,
             ..TelemetryArgs::default()
         };
-        fn path_flag(dst: &mut Option<PathBuf>, args: &mut dyn Iterator<Item = String>) {
-            if let Some(v) = args.next() {
-                *dst = Some(PathBuf::from(v));
-            }
-        }
         let (mut jobs, mut sim_threads) = (None, None);
         let mut args = args;
         while let Some(a) = args.next() {
+            let mut value = || args.next().ok_or(format!("{a} needs a value"));
             match a.as_str() {
-                "--report-json" => path_flag(&mut out.report_json, &mut args),
-                "--trace-out" => path_flag(&mut out.trace_out, &mut args),
-                "--jsonl-out" => path_flag(&mut out.jsonl_out, &mut args),
-                "--trace-events" => {
-                    if let Some(v) = args.next() {
-                        out.trace_events = v.parse().unwrap_or(out.trace_events);
-                    }
-                }
-                "--trace-bucket-us" => {
-                    if let Some(v) = args.next() {
-                        out.trace_bucket_us = v.parse().unwrap_or(out.trace_bucket_us);
-                    }
-                }
-                "--jobs" | "-j" => jobs = Some(args.next().ok_or("--jobs needs a value")?),
-                "--sim-threads" => {
-                    sim_threads = Some(args.next().ok_or("--sim-threads needs a value")?);
-                }
+                "--report-json" => out.report_json = Some(value()?.into()),
+                "--trace-out" => out.trace_out = Some(value()?.into()),
+                "--jsonl-out" => out.jsonl_out = Some(value()?.into()),
+                "--trace-events" => out.trace_events = count(&a, &value()?, "")?,
+                "--trace-bucket-us" => out.trace_bucket_us = count(&a, &value()?, "")? as u64,
+                "--jobs" | "-j" => jobs = Some(value()?),
+                "--sim-threads" => sim_threads = Some(value()?),
                 _ => {}
             }
         }
@@ -341,6 +328,15 @@ mod tests {
             "-j lots",
             "--jobs 0",
             "--jobs",
+            "--trace-events lots",
+            "--trace-events 0",
+            "--trace-events",
+            "--trace-bucket-us 2.5",
+            "--trace-bucket-us 0",
+            "--trace-bucket-us",
+            "--report-json",
+            "--trace-out",
+            "--jsonl-out",
         ] {
             assert!(parse(bad).is_err(), "{bad}");
         }

@@ -43,6 +43,17 @@ pub fn sized_usize(nominal: usize, min: usize) -> usize {
     sized(nominal as u64, min as u64) as usize
 }
 
+/// Parse `flag`'s value `v` as a count of at least 1; `or` names any
+/// other accepted value in the error.
+pub(crate) fn count(flag: &str, v: &str, or: &str) -> Result<usize, String> {
+    match v.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!(
+            "{flag}: expected a count of at least 1{or}, got {v:?}"
+        )),
+    }
+}
+
 /// Apply the values of `--jobs`/`-j` and `--sim-threads` (`None` when a
 /// flag is absent) to `base`.
 ///
@@ -55,14 +66,6 @@ pub fn with_flags(
     jobs: Option<&str>,
     sim_threads: Option<&str>,
 ) -> Result<RunCtx, String> {
-    fn count(flag: &str, v: &str, or: &str) -> Result<usize, String> {
-        match v.parse::<usize>() {
-            Ok(n) if n > 0 => Ok(n),
-            _ => Err(format!(
-                "{flag}: expected a count of at least 1{or}, got {v:?}"
-            )),
-        }
-    }
     let mut ctx = base;
     if let Some(v) = jobs {
         ctx.jobs = count("--jobs", v, "")?;

@@ -168,9 +168,8 @@ fn cmd_run(paths: &[PathBuf], report_json: Option<&str>) -> Result<bool, String>
     // Scenarios fan out across the sweep executor's worker pool;
     // each scenario's points stay sequential so per-scenario output
     // is deterministic.
-    let outcomes: Vec<scenario::ScenarioOutcome> = crate::sweep::run_indexed(parsed.len(), |i| {
-        scenario::run::run_scenario_cached(&parsed[i].1)
-    });
+    let outcomes: Vec<scenario::ScenarioOutcome> =
+        crate::sweep::run_indexed(parsed.len(), |i| scenario::run_scenario(&parsed[i].1));
 
     let mut passed = 0usize;
     let mut failed = 0usize;

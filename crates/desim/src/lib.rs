@@ -40,6 +40,6 @@ pub use arena::{Arena, Idx};
 pub use pdes::{EdgeRings, EpochGate, GateView, SpscRing};
 pub use queue::EventQueue;
 pub use server::{FifoServer, Grant, Link, MultiServer};
-pub use stats::{Bandwidth, Counter, LogHistogram, Summary};
+pub use stats::{Bandwidth, LogHistogram, Summary};
 pub use time::{Clock, Time};
 pub use timeline::{Gauge, Timeline, ZeroBucket};

@@ -2,39 +2,6 @@
 
 use crate::time::Time;
 
-/// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(pub u64);
-
-impl Counter {
-    /// Increment by one.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increment by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-
-    /// Events per second over `elapsed`, or 0 if no time has passed.
-    pub fn rate(&self, elapsed: Time) -> f64 {
-        if elapsed == Time::ZERO {
-            0.0
-        } else {
-            self.0 as f64 / elapsed.secs_f64()
-        }
-    }
-}
-
 /// Online mean/min/max/variance of a stream of samples (Welford).
 #[derive(Debug, Clone, Default)]
 pub struct Summary {
@@ -248,14 +215,6 @@ impl Bandwidth {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_rate() {
-        let mut c = Counter::default();
-        c.add(9_000_000);
-        assert!((c.rate(Time::from_secs_f64(1.0)) - 9e6).abs() < 1.0);
-        assert_eq!(Counter::default().rate(Time::ZERO), 0.0);
-    }
 
     #[test]
     fn summary_mean_min_max_stddev() {

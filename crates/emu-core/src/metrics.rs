@@ -45,16 +45,6 @@ impl NodeletCounters {
     pub fn bytes_total(&self) -> u64 {
         self.bytes_loaded + self.bytes_stored
     }
-
-    /// Total memory operations on this nodelet's channel.
-    pub fn mem_ops(&self) -> u64 {
-        self.local_loads + self.local_stores + self.atomics
-    }
-
-    /// Total fault-recovery events recorded on this nodelet.
-    pub fn fault_events(&self) -> u64 {
-        self.mig_nacks + self.ecc_retries + self.link_retransmits + self.redirects
-    }
 }
 
 /// Machine-wide fault-recovery totals, aggregated from the per-nodelet

@@ -11,14 +11,16 @@
 //! corpus, and the daemon's `{"op":"scenario"}` requests all use it.
 //!
 //! - [`ast`] — what a parsed scenario means.
-//! - [`parse`] — the line-oriented parser (every error carries its
+//! - [`mod@parse`] — the line-oriented parser (every error carries its
 //!   line number), the canonical printer, and the machine-key and
 //!   script-op vocabulary.
-//! - [`resolve`] — lowering onto [`emu_core::config::MachineConfig`]
+//! - [`mod@resolve`] — lowering onto [`emu_core::config::MachineConfig`]
 //!   and the benchmark crates' own configs; sweep expansion.
-//! - [`run`] — point execution with functional verification and
-//!   physical-invariant audits, the *pure* assertion evaluator, and
-//!   the point outcome's JSON form.
+//! - [`exec`] — running one point with functional verification and
+//!   physical-invariant audits; the figures and the daemon run their
+//!   Emu points through it too.
+//! - [`run`] — scenario points and their result cache, the *pure*
+//!   assertion evaluator, and the point outcome's JSON form.
 //! - [`fuzz`] — generating, checking, and shrinking random script
 //!   scenarios (`simctl fuzz`).
 //! - [`registry`] — the deterministic generator of the committed
@@ -29,6 +31,7 @@
 //! semantics of its own.
 
 pub mod ast;
+pub mod exec;
 pub mod fuzz;
 pub mod parse;
 pub mod registry;
@@ -38,6 +41,4 @@ pub mod run;
 pub use ast::{Axis, CmpOp, Direction, Expect, Scenario, Workload, WorkloadKind};
 pub use parse::{parse, print};
 pub use resolve::{resolve, Point, ResolvedWorkload};
-pub use run::{
-    evaluate, run_point, run_scenario, run_scenario_cached, PointOutcome, ScenarioOutcome,
-};
+pub use run::{evaluate, run_point, run_scenario, PointOutcome, ScenarioOutcome};

@@ -34,7 +34,7 @@
 //! vocabulary ([`apply_config_key`] for machine and fault keys,
 //! [`parse_thread`] for script threads), value types, enum spellings,
 //! sweep arity — and every rejection carries the offending line number.
-//! [`print`] renders the canonical form; `parse(print(s)) == s` for
+//! [`fn@print`] renders the canonical form; `parse(print(s)) == s` for
 //! every valid scenario (the seeded property test in `tests/props.rs`).
 
 use crate::ast::*;

@@ -1,9 +1,9 @@
 //! Executing scenario points and evaluating `expect` blocks.
 //!
-//! [`run_point`] executes one resolved point — the workload runs with
-//! functional verification (checksums, reference BFS/MTTKRP/SpMV
-//! results), every report is audited against the engine's physical
-//! invariants, and the report totals become a flat metric map. When
+//! [`run_point`] executes one resolved point through
+//! [`crate::exec::execute`] — the workload runs with functional
+//! verification and every report is audited — and flattens the report
+//! totals into a metric map. When
 //! the scenario carries a `byte_identical_at_sim_threads` assertion the
 //! point is re-run at each listed scheduler worker count, each in a
 //! copy of the caller's [`RunCtx`] so engines elsewhere in the process
@@ -17,17 +17,15 @@
 //! and prove each assertion kind actually rejects a seeded bug.
 
 use crate::ast::*;
+use crate::exec::{execute, Executed};
 use crate::resolve::{Point, ResolvedWorkload};
 use conformance::{lockstep, oracle};
-use emu_core::audit::audit;
 use emu_core::config::MachineConfig;
 use emu_core::ctx::RunCtx;
-use emu_core::engine::Engine;
 use emu_core::json::{jnum, jstr, report_json};
 use emu_core::jsonread::{parse, Value};
 use emu_core::metrics::RunReport;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Everything observed at one executed point.
 #[derive(Debug, Clone, PartialEq)]
@@ -168,162 +166,11 @@ impl ScenarioOutcome {
     }
 }
 
-/// Workload-level results that are not in the machine report.
-#[derive(Default)]
-struct Extras {
-    bandwidth_bps: Option<f64>,
-    depth: Option<f64>,
-    edges_traversed: Option<f64>,
-    teps: Option<f64>,
-}
-
-fn close(a: f64, b: f64) -> bool {
-    (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
-}
-
-/// Run the point's workload once under the current [`RunCtx`]'s
-/// scheduler settings. Returns the run's reports; pushes functional and
-/// audit problems.
-fn exec_point(p: &Point, problems: &mut Vec<String>) -> (Vec<RunReport>, Extras) {
-    let mut extras = Extras::default();
-    let reports = match &p.workload {
-        ResolvedWorkload::Stream(sc) => match membench::stream::run_stream_emu(&p.cfg, sc) {
-            Err(e) => {
-                problems.push(format!("stream: {e:?}"));
-                Vec::new()
-            }
-            Ok(r) => {
-                let want = membench::stream::stream_checksum(sc.total_elems, sc.kernel);
-                if r.checksum != want {
-                    problems.push(format!("stream checksum {} != expected {want}", r.checksum));
-                }
-                extras.bandwidth_bps = Some(r.bandwidth.bytes_per_sec);
-                vec![r.report]
-            }
-        },
-        ResolvedWorkload::Chase(cc) => match membench::chase::run_chase_emu(&p.cfg, cc) {
-            Err(e) => {
-                problems.push(format!("chase: {e:?}"));
-                Vec::new()
-            }
-            Ok(r) => {
-                let want = cc.expected_checksum();
-                if r.checksum != want {
-                    problems.push(format!("chase checksum {} != expected {want}", r.checksum));
-                }
-                extras.bandwidth_bps = Some(r.bandwidth.bytes_per_sec);
-                r.report.into_iter().collect()
-            }
-        },
-        ResolvedWorkload::Bfs {
-            scale,
-            edges,
-            seed,
-            src,
-            mode,
-            threads,
-        } => {
-            let el = emu_graph::gen::rmat(*scale, *edges, *seed);
-            let g = Arc::new(emu_graph::stinger::Stinger::build_host(
-                &el,
-                4,
-                p.cfg.total_nodelets(),
-            ));
-            match emu_graph::bfs::run_bfs_emu(&p.cfg, Arc::clone(&g), *src, *mode, *threads) {
-                Err(e) => {
-                    problems.push(format!("bfs: {e:?}"));
-                    Vec::new()
-                }
-                Ok(r) => {
-                    if r.levels != g.bfs_reference(*src) {
-                        problems.push("bfs levels diverge from the reference traversal".into());
-                    }
-                    extras.depth = Some(r.depth as f64);
-                    extras.edges_traversed = Some(r.edges_traversed as f64);
-                    extras.teps = Some(r.teps);
-                    r.reports
-                }
-            }
-        }
-        ResolvedWorkload::Mttkrp {
-            dims,
-            nnz,
-            rank,
-            layout,
-            threads,
-            seed,
-        } => {
-            let t = Arc::new(emu_tensor::coo::random_tensor(*dims, *nnz, *seed));
-            let mc = emu_tensor::emu::EmuMttkrpConfig {
-                layout: *layout,
-                rank: *rank,
-                nthreads: *threads,
-            };
-            match emu_tensor::emu::run_mttkrp_emu(&p.cfg, Arc::clone(&t), &mc) {
-                Err(e) => {
-                    problems.push(format!("mttkrp: {e:?}"));
-                    Vec::new()
-                }
-                Ok(r) => {
-                    let want = emu_tensor::coo::mttkrp_reference(&t, *rank);
-                    if r.y.len() != want.len() || r.y.iter().zip(&want).any(|(&a, &b)| !close(a, b))
-                    {
-                        problems.push("mttkrp output diverges from the reference".into());
-                    }
-                    extras.bandwidth_bps = Some(r.bandwidth.bytes_per_sec);
-                    vec![r.report]
-                }
-            }
-        }
-        ResolvedWorkload::Spmv { n, layout, grain } => {
-            let m = Arc::new(spmat::laplacian(spmat::LaplacianSpec::paper(*n)));
-            let sc = membench::spmv_emu::EmuSpmvConfig {
-                layout: *layout,
-                grain_nnz: *grain,
-            };
-            match membench::spmv_emu::run_spmv_emu(&p.cfg, Arc::clone(&m), &sc) {
-                Err(e) => {
-                    problems.push(format!("spmv: {e:?}"));
-                    Vec::new()
-                }
-                Ok(r) => {
-                    let x = membench::spmv_emu::x_vector(m.ncols());
-                    let want = m.spmv(&x);
-                    if r.y.len() != want.len() || r.y.iter().zip(&want).any(|(&a, &b)| !close(a, b))
-                    {
-                        problems.push("spmv output diverges from the reference".into());
-                    }
-                    extras.bandwidth_bps = Some(r.bandwidth.bytes_per_sec);
-                    vec![r.report]
-                }
-            }
-        }
-        ResolvedWorkload::Script(threads) => {
-            let run = || -> Result<RunReport, emu_core::fault::SimError> {
-                let mut e = Engine::new(p.cfg.clone())?;
-                lockstep::seed_case(&mut e, threads)?;
-                e.run()
-            };
-            match run() {
-                Err(e) => {
-                    problems.push(format!("script: {e:?}"));
-                    Vec::new()
-                }
-                Ok(r) => vec![r],
-            }
-        }
-    };
-    for r in &reports {
-        for v in audit(&p.cfg, r) {
-            problems.push(format!("audit: {v}"));
-        }
-    }
-    (reports, extras)
-}
-
-/// Flatten reports + workload extras into the metric map.
-fn point_metrics(reports: &[RunReport], extras: &Extras) -> BTreeMap<String, f64> {
+/// Flatten an executed point's reports and workload results into the
+/// metric map.
+fn point_metrics(x: &Executed) -> BTreeMap<String, f64> {
     let mut m = BTreeMap::new();
+    let reports = &x.reports[..];
     if !reports.is_empty() {
         let sum = |f: &dyn Fn(&RunReport) -> u64| reports.iter().map(f).sum::<u64>() as f64;
         m.insert("makespan_ps".into(), sum(&|r| r.makespan.ps()));
@@ -349,10 +196,10 @@ fn point_metrics(reports: &[RunReport], extras: &Extras) -> BTreeMap<String, f64
         }
     }
     for (key, val) in [
-        ("bandwidth_bps", extras.bandwidth_bps),
-        ("depth", extras.depth),
-        ("edges_traversed", extras.edges_traversed),
-        ("teps", extras.teps),
+        ("bandwidth_bps", x.bandwidth.map(|b| b.bytes_per_sec)),
+        ("depth", x.bfs.map(|b| b.0 as f64)),
+        ("edges_traversed", x.bfs.map(|b| b.1 as f64)),
+        ("teps", x.bfs.map(|b| b.2)),
     ] {
         if let Some(v) = val {
             m.insert(key.into(), v);
@@ -400,10 +247,21 @@ pub fn run_point(s: &Scenario, p: &Point) -> PointOutcome {
         problems.extend(lockstep::run_case(&p.cfg, threads));
     }
 
+    // A failed run is a problem of the point, with no reports.
+    let run = |problems: &mut Vec<String>| match execute(&p.cfg, &p.workload) {
+        Ok(mut x) => {
+            problems.append(&mut x.problems);
+            x
+        }
+        Err(e) => {
+            problems.push(format!("{}: {e:?}", p.workload.kind().name()));
+            Executed::default()
+        }
+    };
     let counts = wanted_sim_threads(s);
     let mut fingerprints = Vec::new();
-    let (reports, extras) = if counts.is_empty() {
-        exec_point(p, &mut problems)
+    let x = if counts.is_empty() {
+        run(&mut problems)
     } else {
         // Each count runs in a copy of the caller's ctx: engines
         // elsewhere in the process keep their own worker counts.
@@ -414,21 +272,20 @@ pub fn run_point(s: &Scenario, p: &Point) -> PointOutcome {
                 sim_threads: n,
                 ..base.clone()
             };
-            let (reports, extras) = ctx.scope(|| exec_point(p, &mut problems));
-            let fp = reports
+            let x = ctx.scope(|| run(&mut problems));
+            let fp = x
+                .reports
                 .iter()
                 .map(|r| report_json(&s.name, r))
                 .collect::<Vec<_>>()
                 .join("\n");
             fingerprints.push((n, fp));
-            if first.is_none() {
-                first = Some((reports, extras));
-            }
+            first.get_or_insert(x);
         }
         first.unwrap()
     };
 
-    let mut metrics = point_metrics(&reports, &extras);
+    let mut metrics = point_metrics(&x);
 
     for e in &s.expect {
         if let Expect::Oracle { name, .. } = e {
@@ -607,6 +464,14 @@ pub fn evaluate(s: &Scenario, points: &[PointOutcome]) -> Vec<String> {
 /// Resolve and run every point of a scenario, then evaluate its
 /// assertions. Points run sequentially; parallelism belongs one level
 /// up (across scenarios).
+///
+/// When [`runcache::active`], unchanged points are served from the
+/// result cache. The digest covers the scenario's canonical printed
+/// text (override lines normalized by [`digest_form`]) plus the
+/// fully-resolved point (machine config, workload config, sweep axes),
+/// so any edit to the `.scn` file or to a preset lands on a different
+/// key. Assertions are always re-evaluated over the (cached or fresh)
+/// outcomes.
 pub fn run_scenario(s: &Scenario) -> ScenarioOutcome {
     let points = match crate::resolve::resolve(s) {
         Ok(p) => p,
@@ -618,7 +483,14 @@ pub fn run_scenario(s: &Scenario) -> ScenarioOutcome {
             }
         }
     };
-    let outcomes: Vec<PointOutcome> = points.iter().map(|p| run_point(s, p)).collect();
+    let texts = runcache::active().then(|| (digest_form(s), crate::parse::print(s)));
+    let outcomes: Vec<PointOutcome> = points
+        .iter()
+        .map(|p| match &texts {
+            None => run_point(s, p),
+            Some((hashed, printed)) => run_point_cached(s, p, hashed, printed),
+        })
+        .collect();
     let failures = evaluate(s, &outcomes);
     ScenarioOutcome {
         name: s.name.clone(),
@@ -626,10 +498,6 @@ pub fn run_scenario(s: &Scenario) -> ScenarioOutcome {
         failures,
     }
 }
-
-// ---------------------------------------------------------------------------
-// Content-addressed point memoization
-// ---------------------------------------------------------------------------
 
 /// The scenario text hashed into cache keys: the canonical print of a
 /// copy whose machine-override and fault lines are stable-sorted by
@@ -642,65 +510,33 @@ pub fn digest_form(s: &Scenario) -> String {
     crate::parse::print(&c)
 }
 
-/// [`run_scenario`], serving unchanged points from the result cache.
-///
-/// The digest covers the scenario's canonical printed text (override
-/// lines normalized by [`digest_form`]) plus the fully-resolved point
-/// (machine config, workload config, sweep axes), so any edit to the
-/// `.scn` file or to a preset lands on a different key. Assertions are
-/// always re-evaluated over the (cached or fresh) outcomes. With the
-/// cache disabled this is exactly [`run_scenario`].
-pub fn run_scenario_cached(s: &Scenario) -> ScenarioOutcome {
-    if !runcache::active() {
-        return run_scenario(s);
-    }
-    let points = match crate::resolve::resolve(s) {
-        Ok(p) => p,
-        Err(e) => {
-            return ScenarioOutcome {
-                name: s.name.clone(),
-                points: Vec::new(),
-                failures: vec![format!("resolve: {e}")],
-            }
+/// [`run_point`] through the result cache; `hashed` is the scenario's
+/// [`digest_form`] and `printed` its canonical print.
+fn run_point_cached(s: &Scenario, p: &Point, hashed: &str, printed: &str) -> PointOutcome {
+    let mut k = runcache::Key::new("scn-point");
+    k.record("scenario", hashed);
+    k.record("index", &p.index.to_string());
+    k.record_debug("point", p);
+    let digest = k.digest();
+    if let Some(e) = runcache::lookup(&digest) {
+        if let Ok(o) = PointOutcome::from_json(&e.payload) {
+            return o;
         }
-    };
-    let printed = crate::parse::print(s);
-    let hashed = digest_form(s);
-    let outcomes: Vec<PointOutcome> = points
-        .iter()
-        .map(|p| {
-            let mut k = runcache::Key::new("scn-point");
-            k.record("scenario", &hashed);
-            k.record("index", &p.index.to_string());
-            k.record_debug("point", p);
-            let digest = k.digest();
-            if let Some(e) = runcache::lookup(&digest) {
-                if let Ok(o) = PointOutcome::from_json(&e.payload) {
-                    return o;
-                }
-            }
-            let o = run_point(s, p);
-            // A non-finite metric would not decode on load: decline it.
-            if o.metrics.values().all(|v| v.is_finite()) {
-                runcache::publish(
-                    &digest,
-                    &runcache::Entry {
-                        kind: "scn-point".into(),
-                        label: format!("{} #{}", s.name, p.index),
-                        payload: o.to_json(),
-                        recipe: Some(format!("scn:{}\n{printed}", p.index)),
-                    },
-                );
-            }
-            o
-        })
-        .collect();
-    let failures = evaluate(s, &outcomes);
-    ScenarioOutcome {
-        name: s.name.clone(),
-        points: outcomes,
-        failures,
     }
+    let o = run_point(s, p);
+    // A non-finite metric would not decode on load: decline it.
+    if o.metrics.values().all(|v| v.is_finite()) {
+        runcache::publish(
+            &digest,
+            &runcache::Entry {
+                kind: "scn-point".into(),
+                label: format!("{} #{}", s.name, p.index),
+                payload: o.to_json(),
+                recipe: Some(format!("scn:{}\n{printed}", p.index)),
+            },
+        );
+    }
+    o
 }
 
 #[cfg(test)]

@@ -31,9 +31,9 @@ fn cached_point_outcomes_decode_equal_to_fresh_ones() {
 
     let s = scenario::parse(SCN).unwrap();
     let (fresh, stored, cached, after) = ctx.scope(|| {
-        let fresh = scenario::run_scenario_cached(&s);
+        let fresh = scenario::run_scenario(&s);
         let stored = runcache::session_stats();
-        let cached = scenario::run_scenario_cached(&s);
+        let cached = scenario::run_scenario(&s);
         (fresh, stored, cached, runcache::session_stats())
     });
     let _ = std::fs::remove_dir_all(&dir);

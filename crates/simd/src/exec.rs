@@ -5,10 +5,10 @@
 //! engine built for an identical config it is [`Engine::reset`] and
 //! reused (`warm`), otherwise a fresh engine is built (`cold`). Warm
 //! reuse is byte-identical to cold by the `reset_reuse` regression
-//! suite in emu-core, and every successful report is re-checked here
-//! against the audit invariants before it leaves the daemon. A
-//! scenario point runs on engines of its own and leaves the slot as it
-//! found it.
+//! suite in emu-core. Either way the run goes through
+//! [`scenario::exec::execute_stream_on`], so its checksum is verified
+//! and its report audited before it leaves the daemon. A scenario point
+//! runs on engines of its own and leaves the slot as it found it.
 //!
 //! Any failed run discards the slot's engine: a partially drained or
 //! faulted engine is never reused.
@@ -16,7 +16,8 @@
 use crate::proto::{run_request_line, ErrorKind, RunRequest, Spec};
 use emu_core::json::report_json;
 use emu_core::prelude::*;
-use membench::stream::{run_stream_on, stream_checksum, EmuStreamConfig, StreamKernel};
+use membench::stream::{EmuStreamConfig, StreamKernel};
+use scenario::exec::execute_stream_on;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
@@ -237,30 +238,18 @@ pub fn execute(
         engine.set_cancel(flag, ms);
     }
 
-    let res = run_stream_on(&mut engine, &sc).map_err(sim_error)?;
-    let want = stream_checksum(sc.total_elems, sc.kernel);
-    if res.checksum != want {
-        return Err(ExecError::new(
-            ErrorKind::Audit,
-            format!(
-                "stream checksum mismatch: got {:#x}, want {:#x}",
-                res.checksum, want
-            ),
-        ));
-    }
-
-    // A finished engine is drained but structurally sound; audit the
-    // report before vouching for it, then park the engine for reuse.
-    let violations = audit(&cfg, &res.report);
-    if !violations.is_empty() {
-        let joined: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
-        return Err(ExecError::new(ErrorKind::Audit, joined.join("; ")));
+    // A finished engine is drained but structurally sound; vouch for
+    // its report only if the checksum and audit pass, then park the
+    // engine for reuse.
+    let x = execute_stream_on(&mut engine, &sc).map_err(sim_error)?;
+    if !x.problems.is_empty() {
+        return Err(ExecError::new(ErrorKind::Audit, x.problems.join("; ")));
     }
     engine.clear_cancel();
     slot.0 = Some((key, engine));
 
     Ok(ExecOutcome {
-        report_json: report_json("run", &res.report),
+        report_json: report_json("run", &x.reports[0]),
         warm,
     })
 }

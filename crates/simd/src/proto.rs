@@ -87,7 +87,7 @@ pub struct RunRequest {
 pub struct ScenarioRequest {
     /// Client-chosen correlation id, echoed in the response.
     pub id: u64,
-    /// The full `.scn` text (validated by [`scenario::parse`]).
+    /// The full `.scn` text (validated by [`scenario::parse()`]).
     pub text: String,
     /// Per-point wall-clock budget override in milliseconds.
     pub deadline_ms: Option<u64>,

@@ -1,5 +1,5 @@
 //! The resident daemon: a TCP listener speaking the JSONL protocol,
-//! feeding the warm [`Pool`](crate::pool::Pool), with graceful drain.
+//! feeding the warm [`Pool`], with graceful drain.
 //!
 //! Lifecycle: bind, announce readiness on stdout, serve until a
 //! `shutdown` request or a SIGTERM/SIGINT arrives, then drain — stop

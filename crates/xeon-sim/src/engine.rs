@@ -82,11 +82,6 @@ impl CpuReport {
     pub fn bandwidth_for(&self, semantic_bytes: u64) -> desim::stats::Bandwidth {
         desim::stats::Bandwidth::from_bytes(semantic_bytes, self.makespan)
     }
-
-    /// Bytes physically moved to/from DRAM (lines x 64 B).
-    pub fn dram_bytes(&self, line_bytes: u64) -> u64 {
-        (self.dram.reads + self.dram.writes) * line_bytes
-    }
 }
 
 #[derive(Clone, Copy)]

@@ -89,11 +89,12 @@ fn a_traced_scope_leaves_the_cache_to_other_scopes() {
     };
     let calls = AtomicUsize::new(0);
     let cell = |key: &str| {
-        emu_bench::cache::memo_str("run-ctx-test", &[("key", key.to_string())], || {
+        let [v] = emu_bench::cache::memo(&"run-ctx-test", &key, || {
             calls.fetch_add(1, Ordering::SeqCst);
-            Ok("42".to_string())
+            Ok([42.0])
         })
-        .unwrap()
+        .unwrap();
+        v.to_string()
     };
     let stored = || runcache::Store::at(&dir).scan().len();
 
