@@ -32,7 +32,7 @@ fn run(args: &[String]) -> Result<(), String> {
     // codes; hand them to the simd crate before the bench parser.
     if matches!(
         args[0].as_str(),
-        "serve" | "client" | "once" | "simd-once" | "simd-bench" | "top"
+        "serve" | "client" | "once" | "simd-once" | "top"
     ) {
         std::process::exit(simd::dispatch(args));
     }
@@ -44,6 +44,13 @@ fn run(args: &[String]) -> Result<(), String> {
     // And the result cache: stats / gc / verify over the on-disk store.
     if args[0] == "cache" {
         std::process::exit(emu_bench::cachecmd::dispatch(&args[1..]));
+    }
+    // The timed CI bounds run outside any ctx scope and take no flags.
+    if args[0] == "gates" {
+        if let Some(extra) = args.get(1) {
+            return Err(format!("gates takes no arguments, got {extra:?}"));
+        }
+        std::process::exit(emu_bench::gates::run());
     }
     let mut p = cli::parse(args)?;
     // `--jobs` (sweep worker threads; single runs just ignore the pool
@@ -66,7 +73,6 @@ fn run(args: &[String]) -> Result<(), String> {
         "mttkrp" => cmd_mttkrp(&p),
         "trace" => cmd_trace(&p),
         "fuzz" => cmd_fuzz(&p),
-        "pdes-speedup" => cmd_pdes_speedup(&p),
         other => Err(format!("unknown command {other:?}")),
     })
 }
@@ -520,252 +526,6 @@ fn run_traced_bench(p: &Parsed, bench: &str, cfg: &MachineConfig) -> Result<(), 
         }
         other => Err(format!("unknown --bench {other:?}; one of: stream, chase")),
     }
-}
-
-fn cmd_pdes_speedup(p: &Parsed) -> Result<(), String> {
-    use emu_core::metrics::PdesPhaseProfile;
-    use membench::{chase, stream};
-    use std::time::Instant;
-
-    p.check_known(&[
-        "preset", "shards", "threads", "elems", "gate", "out", "phases",
-    ])?;
-    let preset = p.get_str("preset", "emu64");
-    let cfg = presets::by_name(&preset)?;
-    let shards: usize = p.get("shards", 4usize)?;
-    let nthreads: usize = p.get("threads", 512usize)?;
-    let elems: u64 = emu_bench::runcfg::sized(p.get("elems", 1u64 << 16)?, 1 << 12);
-    let gate: bool = p.get("gate", false)?;
-    let phases: bool = p.get("phases", false)?;
-    let base = RunCtx::current();
-    let phase_profile = phases || base.phase_profile;
-
-    struct Leg {
-        name: &'static str,
-        events: u64,
-        seq_eps: f64,
-        par_eps: f64,
-        par_phases: Vec<PdesPhaseProfile>,
-    }
-
-    // Run one workload sequentially and with N shards, timing both and
-    // checking the collected reports are byte-identical — the speedup
-    // claim is only meaningful if the results did not change. Phase
-    // profiles carry wall-clock times, so they are lifted out of the
-    // reports *before* the byte-identity comparison.
-    let run_leg = |name: &'static str, body: &dyn Fn() -> Result<(), String>| {
-        let timed = |threads: usize| -> Result<(u64, f64, String, Vec<PdesPhaseProfile>), String> {
-            let ctx = RunCtx {
-                sim_threads: threads,
-                phase_profile,
-                ..base.clone()
-            };
-            let t0 = Instant::now();
-            let (outcome, mut reports) = ctx.collect(body);
-            let dt = t0.elapsed().as_secs_f64();
-            outcome?;
-            let profiles: Vec<PdesPhaseProfile> =
-                reports.iter_mut().filter_map(|r| r.phases.take()).collect();
-            let events: u64 = reports.iter().map(|r| r.events).sum();
-            Ok((
-                events,
-                events as f64 / dt.max(1e-9),
-                format!("{reports:?}"),
-                profiles,
-            ))
-        };
-        let (events, seq_eps, seq_fp, _) = timed(1)?;
-        let (par_events, par_eps, par_fp, par_phases) = timed(shards)?;
-        if events != par_events || seq_fp != par_fp {
-            return Err(format!(
-                "{name}: sharded run diverged from sequential ({events} vs {par_events} events)"
-            ));
-        }
-        Ok(Leg {
-            name,
-            events,
-            seq_eps,
-            par_eps,
-            par_phases,
-        })
-    };
-
-    let stream_cfg = cfg.clone();
-    let stream_leg = run_leg("stream_add", &|| {
-        let sc = stream::EmuStreamConfig {
-            total_elems: elems,
-            nthreads,
-            strategy: SpawnStrategy::RecursiveRemote,
-            kernel: stream::StreamKernel::Add,
-            single_nodelet: false,
-            stack_touch_period: 4,
-        };
-        let r = stream::run_stream_emu(&stream_cfg, &sc).map_err(|e| e.to_string())?;
-        if r.checksum != stream::stream_checksum(sc.total_elems, sc.kernel) {
-            return Err("STREAM checksum mismatch".into());
-        }
-        Ok(())
-    })?;
-    let chase_cfg = cfg.clone();
-    let chase_leg = run_leg("pointer_chase", &|| {
-        let cc = chase::ChaseConfig {
-            elems_per_list: emu_bench::runcfg::sized_usize(2048, 256),
-            nlists: nthreads,
-            block_elems: 64,
-            mode: chase::ShuffleMode::FullBlock,
-            seed: desim::rng::DEFAULT_SEED,
-        };
-        let r = chase::run_chase_emu(&chase_cfg, &cc).map_err(|e| e.to_string())?;
-        if r.checksum != cc.expected_checksum() {
-            return Err("chase checksum mismatch".into());
-        }
-        Ok(())
-    })?;
-
-    let legs = [stream_leg, chase_leg];
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    println!("sharded-scheduler speedup on {preset} ({shards} shards, {cores} host cores):");
-    let mut min_speedup = f64::INFINITY;
-    let mut best_par = 0.0f64;
-    for l in &legs {
-        let s = l.par_eps / l.seq_eps.max(1e-9);
-        min_speedup = min_speedup.min(s);
-        best_par = best_par.max(l.par_eps);
-        println!(
-            "  {:<14} {:>10} events  {:>12.0} ev/s seq  {:>12.0} ev/s x{shards}  {:.2}x",
-            l.name, l.events, l.seq_eps, l.par_eps, s
-        );
-    }
-
-    // Where does the sharded scheduler's wall-clock go? Aggregate the
-    // per-worker phase breakdowns over every engine run of the leg.
-    #[derive(Default)]
-    struct PhaseAgg {
-        drain: u64,
-        barrier: u64,
-        exchange: u64,
-        merge: u64,
-        total: u64,
-        epochs: u64,
-        wall: u64,
-    }
-    let aggregate = |profiles: &[PdesPhaseProfile]| -> PhaseAgg {
-        let mut agg = PhaseAgg::default();
-        for pr in profiles {
-            agg.epochs += pr.epochs;
-            agg.wall += pr.wall_ns;
-            for w in &pr.workers {
-                agg.drain += w.drain_ns;
-                agg.barrier += w.barrier_ns;
-                agg.exchange += w.exchange_ns;
-                agg.merge += w.merge_ns;
-                agg.total += w.loop_ns;
-            }
-        }
-        agg
-    };
-    if phases {
-        println!("PDES phase profile (x{shards} runs, worker time summed):");
-        for l in &legs {
-            let a = aggregate(&l.par_phases);
-            let pct = |ns: u64| 100.0 * ns as f64 / a.total.max(1) as f64;
-            let eps = a.epochs as f64 / (a.wall as f64 / 1e9).max(1e-9);
-            println!(
-                "  {:<14} drain {:>5.1}%  barrier {:>5.1}%  exchange {:>5.1}%  merge {:>5.1}%  \
-                 {} epochs ({:.0}/s)",
-                l.name,
-                pct(a.drain),
-                pct(a.barrier),
-                pct(a.exchange),
-                pct(a.merge),
-                a.epochs,
-                eps,
-            );
-        }
-    }
-
-    let mut json = format!(
-        "{{\"preset\":\"{preset}\",\"shards\":{shards},\"host_parallelism\":{cores},\"workloads\":["
-    );
-    for (i, l) in legs.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        json.push_str(&format!(
-            "{{\"name\":\"{}\",\"events\":{},\"seq_events_per_sec\":{:.1},\"par_events_per_sec\":{:.1},\"speedup\":{:.3}",
-            l.name,
-            l.events,
-            l.seq_eps,
-            l.par_eps,
-            l.par_eps / l.seq_eps.max(1e-9)
-        ));
-        if phases {
-            let a = aggregate(&l.par_phases);
-            json.push_str(&format!(
-                ",\"phases\":{{\"drain_ns\":{},\"barrier_ns\":{},\"exchange_ns\":{},\
-                 \"merge_ns\":{},\"loop_ns\":{},\"epochs\":{},\"wall_ns\":{}}}",
-                a.drain, a.barrier, a.exchange, a.merge, a.total, a.epochs, a.wall
-            ));
-        }
-        json.push('}');
-    }
-    json.push_str(&format!(
-        "],\"min_speedup\":{min_speedup:.3},\"pdes_events_per_sec\":{best_par:.1}}}"
-    ));
-    if !emu_core::json::json_ok(&json) {
-        return Err("internal error: pdes_speedup JSON failed validation".into());
-    }
-    let out_path = p
-        .options
-        .get("out")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| emu_bench::output::results_dir().join("pdes_speedup.json"));
-    emu_bench::output::write_artifact("pdes-speedup", &out_path, &json);
-
-    if gate {
-        // The speedup bar scales with what the host can deliver: a
-        // one-core box cannot overlap shards at all, a two-core box
-        // must at least not lose to sequential, and anywhere with four
-        // or more cores the sharded scheduler must win outright (2x).
-        // Override with EMU_PDES_GATE_MIN to tighten or loosen.
-        let min_required: f64 = std::env::var("EMU_PDES_GATE_MIN")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(if cores >= 4 {
-                2.0
-            } else if cores > 1 {
-                1.0
-            } else {
-                0.0
-            });
-        if min_speedup < min_required {
-            eprintln!(
-                "pdes-speedup: gate failed — {min_speedup:.2}x < {min_required}x with {shards} shards on {cores} cores"
-            );
-            std::process::exit(1);
-        }
-        println!("pdes-speedup: gate ok ({min_speedup:.2}x >= {min_required}x)");
-        // Synchronization-cost bar: with the fused gate the barrier
-        // phase must stay a minority cost. Checked on stream_add (the
-        // epoch-dense leg) whenever the profile is available and the
-        // host actually ran shards in parallel.
-        if phases && cores >= 4 {
-            let a = aggregate(&legs[0].par_phases);
-            let frac = a.barrier as f64 / a.total.max(1) as f64;
-            if frac >= 0.25 {
-                eprintln!(
-                    "pdes-speedup: gate failed — stream_add barrier time {:.1}% of loop (must be < 25%)",
-                    100.0 * frac
-                );
-                std::process::exit(1);
-            }
-            println!(
-                "pdes-speedup: barrier gate ok ({:.1}% of stream_add loop < 25%)",
-                100.0 * frac
-            );
-        }
-    }
-    Ok(())
 }
 
 fn cmd_fuzz(p: &Parsed) -> Result<(), String> {

@@ -137,13 +137,11 @@ COMMANDS
             digests; EMU_CACHE=1 arms caching, EMU_CACHE_DIR moves the
             store, gc prunes oldest-first to EMU_CACHE_MAX_MB; verify
             re-simulates stored recipes and fails on any byte drift)
-  pdes-speedup  sharded-scheduler --preset emu64 --shards 4 --threads 512
-            microbenchmark        --elems 65536 --gate false --phases false
-            (sequential vs N-shard events/sec on STREAM + pointer
-            chase; writes pdes_speedup.json under the results dir;
-            --gate true exits 1 if the sharded run is slower;
-            --phases true prints the drain/barrier/exchange/merge
-            wall-clock split of the sharded scheduler)
+  gates     timed CI bounds       (no options; release build)
+            (disabled tracing and the metrics registry within 2%,
+            sharded-scheduler speedup tiered by host cores, warm
+            daemon pool >= 2x cold processes; exits 1 naming each
+            bound that fails)
   presets   list machine presets
   serve     resident simulation daemon: warm engine pool behind a
             TCP/JSONL protocol (EMU_SIMD_* env knobs; see
@@ -152,8 +150,6 @@ COMMANDS
             --elems N --requests N --health --shutdown --out F
             (retries busy rejections with seeded jittered backoff)
   simd-once execute one request line from stdin on a cold engine
-  simd-bench  warm-pool vs cold-process service benchmark; writes
-            BENCH_simd.json   --requests N --workers N --gate [MIN]
   top       live dashboard over a daemon's {\"op\":\"metrics\"} snapshots
             --addr H:P --interval MS --once --count N
   help      this text

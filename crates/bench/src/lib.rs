@@ -17,6 +17,7 @@ pub mod cli;
 pub mod degradation;
 pub mod extensions;
 pub mod figures;
+pub mod gates;
 pub mod harness;
 pub mod output;
 pub mod runcfg;

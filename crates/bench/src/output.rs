@@ -124,10 +124,9 @@ pub struct TelemetryArgs {
 }
 
 impl TelemetryArgs {
-    /// Parse the shared flags from an argument iterator. Unknown
-    /// arguments are ignored (figure binaries take no others today, but
-    /// this keeps the wrapper forward-compatible); a flag without its
-    /// value, or a count that is malformed or zero, is an error.
+    /// Parse the shared flags from an argument iterator. An unknown
+    /// argument, a flag without its value, or a count that is malformed
+    /// or zero is an error.
     pub fn parse(args: impl Iterator<Item = String>) -> Result<Self, String> {
         use crate::runcfg::count;
         let mut out = TelemetryArgs {
@@ -147,7 +146,7 @@ impl TelemetryArgs {
                 "--trace-bucket-us" => out.trace_bucket_us = count(&a, &value()?, "")? as u64,
                 "--jobs" | "-j" => jobs = Some(value()?),
                 "--sim-threads" => sim_threads = Some(value()?),
-                _ => {}
+                other => return Err(format!("unknown argument {other:?}")),
             }
         }
         out.ctx =
@@ -292,10 +291,8 @@ mod tests {
 
     #[test]
     fn telemetry_args_parse_round_trip() {
-        let args = parse(
-            "--report-json r.json --trace-events 64 --jsonl-out t.jsonl -j 4 ignored-positional",
-        )
-        .unwrap();
+        let args =
+            parse("--report-json r.json --trace-events 64 --jsonl-out t.jsonl -j 4").unwrap();
         assert_eq!(args.report_json.as_deref(), Some(Path::new("r.json")));
         assert_eq!(args.jsonl_out.as_deref(), Some(Path::new("t.jsonl")));
         assert!(args.trace_out.is_none());
@@ -321,7 +318,8 @@ mod tests {
         // Auto resolves to at least one shard regardless of host shape.
         assert!(auto.ctx.sim_threads >= 1);
 
-        // Garbage, zero and missing values are usage errors.
+        // Garbage, zero and missing values, and arguments no figure
+        // binary takes, are usage errors.
         for bad in [
             "--sim-threads lots",
             "--sim-threads 0",
@@ -337,6 +335,9 @@ mod tests {
             "--report-json",
             "--trace-out",
             "--jsonl-out",
+            "--quick",
+            "--trace-event 64",
+            "extra",
         ] {
             assert!(parse(bad).is_err(), "{bad}");
         }

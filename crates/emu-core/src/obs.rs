@@ -21,9 +21,9 @@
 //!   or per-phase series); histogram names must be label-free.
 //!
 //! The registry is always-on by default. [`set_enabled`] exists so the
-//! overhead gate (`obs_overhead` in emu-bench) can prove the quiet
-//! path costs <2%: recording sites that do more than bump an atomic
-//! (e.g. read a clock) check [`enabled`] first.
+//! `obs-registry` bound of `simctl gates` (in emu-bench) can prove the
+//! quiet path costs <2%: recording sites that do more than bump an
+//! atomic (e.g. read a clock) check [`enabled`] first.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};

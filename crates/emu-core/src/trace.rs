@@ -10,8 +10,8 @@
 //!
 //! Tracing is **zero-cost when disabled**: the engine holds an
 //! `Option<TraceRecorder>` and every emission site is a single
-//! `is_some` branch on the off path (verified by the `trace_overhead`
-//! microbench in `crates/bench`). When enabled, the recorder is a
+//! `is_some` branch on the off path (verified by the `trace-off` bound
+//! of `simctl gates` in `crates/bench`). When enabled, the recorder is a
 //! bounded ring buffer: once `capacity` events are held, the oldest is
 //! evicted and [`TraceLog::dropped`] counts the loss, so a trace can
 //! never exhaust memory on a long run — and never lies about being

@@ -30,7 +30,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod client;
 pub mod exec;
 pub mod pool;
@@ -90,8 +89,9 @@ pub fn serve_opts_from_env() -> ServeOpts {
 /// execute it on a fresh engine, write the response line to stdout.
 ///
 /// This is what a daemonless client pays per run — process startup
-/// plus a cold engine build — and is the `cold` leg of the service
-/// benchmark as well as the byte-identity oracle for tests.
+/// plus a cold engine build — and is the cold leg of the warm-pool
+/// bound in `simctl gates` as well as the byte-identity oracle for
+/// tests.
 pub fn run_once_stdin() -> i32 {
     use std::io::{BufRead, Write};
     let mut line = String::new();
@@ -135,14 +135,12 @@ simd subcommands:
       --max-events N --seed N --retries N --backoff-ms N
       --health --shutdown --out FILE
   simd-once                   execute one request line from stdin, cold
-  simd-bench [flags]          warm-pool vs cold-process service benchmark
-      --requests N --workers N --elems N --threads N --gate [MIN] --out FILE
   top [flags]                 live dashboard over the daemon's metrics op
       --addr H:P --interval MS --once --count N
 ";
 
 /// Dispatch a daemon subcommand (`serve`, `client`, `simd-once`,
-/// `simd-bench`). Returns the process exit code.
+/// `top`). Returns the process exit code.
 pub fn dispatch(args: &[String]) -> i32 {
     let Some(cmd) = args.first() else {
         eprint!("{USAGE}");
@@ -180,89 +178,10 @@ pub fn dispatch(args: &[String]) -> i32 {
                 1
             }
         },
-        "bench" | "simd-bench" => match bench_cli(&args[1..]) {
-            Ok(pass) => {
-                if pass {
-                    0
-                } else {
-                    1
-                }
-            }
-            Err(e) => {
-                eprintln!("simd bench: {e}");
-                1
-            }
-        },
         other => {
             eprintln!("unknown simd subcommand {other:?}");
             eprint!("{USAGE}");
             2
         }
     }
-}
-
-fn bench_cli(args: &[String]) -> Result<bool, String> {
-    let mut opts = bench::BenchOpts::default();
-    let mut out: Option<String> = None;
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--requests" => {
-                opts.requests = it
-                    .next()
-                    .ok_or("--requests needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --requests")?;
-            }
-            "--workers" => {
-                opts.workers = it
-                    .next()
-                    .ok_or("--workers needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --workers")?;
-            }
-            "--elems" => {
-                opts.elems = it
-                    .next()
-                    .ok_or("--elems needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --elems")?;
-            }
-            "--threads" => {
-                opts.threads = it
-                    .next()
-                    .ok_or("--threads needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --threads")?;
-            }
-            "--gate" => {
-                // Optional value; default threshold 2.0, overridable by
-                // EMU_SIMD_GATE_MIN or an inline number.
-                let inline = it.peek().and_then(|v| v.parse::<f64>().ok()).inspect(|_| {
-                    it.next();
-                });
-                let min = inline.unwrap_or_else(|| {
-                    std::env::var("EMU_SIMD_GATE_MIN")
-                        .ok()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(2.0)
-                });
-                opts.gate_min = Some(min);
-            }
-            "--out" => out = Some(it.next().ok_or("--out needs a value")?.clone()),
-            other => return Err(format!("unknown bench flag {other:?}")),
-        }
-    }
-    let (json, pass) = bench::run_bench(&opts)?;
-    println!("{json}");
-    if let Some(path) = out {
-        if let Some(dir) = std::path::Path::new(&path).parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        std::fs::write(&path, format!("{json}\n")).map_err(|e| format!("write {path}: {e}"))?;
-    }
-    if !pass {
-        eprintln!("simd bench: warm/cold speedup gate FAILED: {json}");
-    }
-    Ok(pass)
 }
