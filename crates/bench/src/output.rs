@@ -191,20 +191,32 @@ pub fn write_artifact(label: &str, path: &Path, body: &str) {
     }
 }
 
-/// Run a figure with telemetry plumbing: parses the shared flags,
-/// runs `f` in the [`RunCtx`] they describe (collecting reports when an
-/// artifact is requested, tracing when a trace is), writes the
-/// requested artifacts, then emits the table exactly like
-/// [`emit_result`]. A malformed flag value is a usage error (exit 2).
-/// With no flags the run is untraced and uncollected.
+/// Parse the shared flags from the process's command line. A usage
+/// error (an unknown argument, a missing or malformed value) is printed
+/// under `[label]` and exits 2.
+pub fn args_or_exit(label: &str) -> TelemetryArgs {
+    TelemetryArgs::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("[{label}] {e}");
+        std::process::exit(2);
+    })
+}
+
+/// Run a figure with telemetry plumbing: parses the shared flags
+/// ([`args_or_exit`]), then runs it as [`run_figure_with`] does.
 pub fn run_figure(name: &str, f: impl FnOnce() -> Result<Table, emu_core::fault::SimError>) {
-    let args = match TelemetryArgs::parse(std::env::args().skip(1)) {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("[{name}] {e}");
-            std::process::exit(2);
-        }
-    };
+    run_figure_with(&args_or_exit(name), name, f);
+}
+
+/// Run a figure in the [`RunCtx`] that already-parsed flags describe
+/// (collecting reports when an artifact is requested, tracing when a
+/// trace is), write the requested artifacts, then emit the table
+/// exactly like [`emit_result`]. With no flags the run is untraced and
+/// uncollected.
+pub fn run_figure_with(
+    args: &TelemetryArgs,
+    name: &str,
+    f: impl FnOnce() -> Result<Table, emu_core::fault::SimError>,
+) {
     let ctx = RunCtx {
         telemetry: args.config(),
         ..args.ctx.clone()

@@ -37,6 +37,21 @@
 //! **`E: Copy`.** Events are small plain values (an arena handle and a
 //! tag in the Emu engine), so sifting moves entries by copying them
 //! into and out of a hole, in safe code, with no swaps or drops.
+//!
+//! **The root hole.** A pop takes the root and leaves its slot vacant
+//! instead of refilling it with the last leaf. The next schedule puts
+//! its entry into that hole and sifts it down once, so a pop followed
+//! by a schedule (a Xeon thread yielding back to the queue, an Emu
+//! handler rescheduling on its own shard) costs one sift, not a
+//! sift-down and then a sift-up. A pop that finds the hole
+//! still open first refills it with the last leaf, as a plain heap pop
+//! would have. While the hole is open, both subtrees under it are
+//! valid heaps, so the earliest pending event is the smaller of the
+//! root's two children: that is what [`EventQueue::peek_key`] reports,
+//! and [`EventQueue::len`] leaves the hole out of its count. The hole
+//! changes only where entries sit, never which entry a pop returns, so
+//! it cannot move pop order: by the ordering contract above, that
+//! order is fixed by the pending `(time, key)` set alone.
 
 use crate::time::Time;
 
@@ -50,6 +65,10 @@ pub struct EventQueue<E> {
     /// Implicit binary min-heap on `Entry::k`: the children of slot `i`
     /// are `2i + 1` and `2i + 2`.
     heap: Vec<Entry<E>>,
+    /// Whether slot 0 is vacant: the last pop took the root and left
+    /// the refill to the next schedule or pop. Implies a non-empty
+    /// `heap` whose slot 0 holds the popped entry.
+    hole: bool,
     seq: u64,
     now: Time,
 }
@@ -82,6 +101,7 @@ impl<E: Copy> EventQueue<E> {
     pub fn with_capacity(n: usize) -> Self {
         EventQueue {
             heap: Vec::with_capacity(n),
+            hole: false,
             seq: 0,
             now: Time::ZERO,
         }
@@ -125,6 +145,11 @@ impl<E: Copy> EventQueue<E> {
             k: pack(at, key),
             event,
         };
+        if self.hole {
+            self.hole = false;
+            self.refill_root(new);
+            return;
+        }
         self.heap.push(new);
         let h = &mut self.heap[..];
         // Sift up: move the hole from the new leaf towards the root past
@@ -149,23 +174,27 @@ impl<E: Copy> EventQueue<E> {
     /// `(time, key)` order.
     #[inline]
     pub fn pop_keyed(&mut self) -> Option<(Time, u64, E)> {
-        let last = self.heap.pop()?;
-        let top = match self.heap.first() {
-            Some(&top) => {
-                self.refill_root(last);
-                top
+        if self.hole {
+            // No schedule filled the hole: refill it with the last leaf,
+            // or close it if it is the only slot left.
+            let last = self.heap.pop().expect("a hole is a slot");
+            if self.heap.is_empty() {
+                self.hole = false;
+                return None;
             }
-            None => last,
-        };
+            self.refill_root(last);
+        }
+        let top = *self.heap.first()?;
+        self.hole = true;
         let (at, key) = unpack(top.k);
         debug_assert!(at >= self.now, "time ran backwards");
         self.now = at;
         Some((at, key, top.event))
     }
 
-    /// Put `moving` (the former last leaf) into the hole the popped root
-    /// left: walk the hole down to the smaller child while that child
-    /// sorts before `moving`.
+    /// Put `moving` (a new entry, or the former last leaf) into the
+    /// hole at the root: walk the hole down to the smaller child while
+    /// that child sorts before `moving`.
     #[inline]
     fn refill_root(&mut self, moving: Entry<E>) {
         let h = &mut self.heap[..];
@@ -200,7 +229,14 @@ impl<E: Copy> EventQueue<E> {
     /// what it saw).
     #[inline]
     pub fn peek_key(&self) -> Option<(Time, u64)> {
-        self.heap.first().map(|e| unpack(e.k))
+        let k = if self.hole {
+            // The earliest entry heads one of the hole's two subtrees.
+            let kids = &self.heap[1..self.heap.len().min(3)];
+            kids.iter().map(|e| e.k).min()?
+        } else {
+            self.heap.first()?.k
+        };
+        Some(unpack(k))
     }
 
     /// Pop the earliest event, advancing the simulation clock to its time.
@@ -210,12 +246,12 @@ impl<E: Copy> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() - usize::from(self.hole)
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 }
 
@@ -493,6 +529,85 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn an_open_hole_hides_from_peek_len_and_is_empty() {
+        // Times 1, 3, 2 leave 3 in the left child and 2 in the right
+        // once 1 is popped: the peek must look at both children.
+        let mut l = Lockstep::new(false);
+        for ns in [1, 3, 2] {
+            l.schedule(Time::from_ns(ns), 0);
+        }
+        l.pop();
+        assert_eq!(l.q.peek_key(), Some((Time::from_ns(2), 2)));
+        assert!(!l.q.is_empty());
+        // Pop through a hole each time, down to an empty queue.
+        l.pop();
+        l.pop();
+        assert!(l.q.is_empty());
+        assert_eq!(l.q.pop_keyed(), None);
+        l.check();
+    }
+
+    #[test]
+    fn a_schedule_into_the_hole_lands_at_the_root_or_below() {
+        for keyed in [false, true] {
+            let mut l = Lockstep::new(keyed);
+            for ns in [10, 20, 30, 40, 50, 60, 70] {
+                l.schedule(Time::from_ns(ns), ns);
+            }
+            // Earlier than every pending event: it stays at the root.
+            // Keyed, it also sorts before the event just popped, at the
+            // same time under a smaller key.
+            l.pop();
+            l.schedule(Time::from_ns(10), 5);
+            // Later than every pending event: it sifts to a leaf.
+            l.pop();
+            l.schedule(Time::from_ns(90), 90);
+            // Between the two children: it sifts one level.
+            l.pop();
+            l.schedule(Time::from_ns(45), 45);
+            l.drain();
+        }
+    }
+
+    #[test]
+    fn a_one_entry_queue_popped_empty_then_refilled() {
+        for keyed in [false, true] {
+            let mut l = Lockstep::new(keyed);
+            // The hole is the queue's only slot: a schedule fills it.
+            l.schedule(Time::from_ns(1), 1);
+            l.pop();
+            assert!(l.q.is_empty());
+            l.schedule(Time::from_ns(2), 2);
+            assert!(!l.q.is_empty());
+            l.pop();
+            // A pop of the empty queue closes the hole; a schedule then
+            // opens a fresh leaf.
+            assert_eq!(l.q.pop_keyed(), None);
+            l.check();
+            l.schedule(Time::from_ns(3), 3);
+            l.schedule(Time::from_ns(3), 4);
+            l.drain();
+        }
+    }
+
+    #[test]
+    fn a_keyed_delivery_fills_the_hole_its_shard_left() {
+        // A sharded engine pops its next event, then delivers a mailbox
+        // event that sorts before everything pending (and one after).
+        let mut l = Lockstep::new(true);
+        let t = Time::from_ns(8);
+        for seq in 0..6 {
+            l.schedule(t + Time::from_ps(seq % 3), 2 << 40 | seq);
+        }
+        l.pop();
+        l.schedule(t, 1 << 40);
+        l.pop();
+        l.schedule(t + Time::from_ps(2), 3 << 40);
+        l.pop();
+        l.drain();
     }
 
     #[test]

@@ -160,10 +160,12 @@ pub struct ChaseResult {
 pub const EMU_CHASE_COMPUTE_CYCLES: u32 = 15;
 
 struct EmuChaser {
-    /// Traversal order: precomputed chain of global element ids.
-    order: Arc<Vec<u32>>,
-    /// Element id -> address owner mapping.
-    elems: ArrayHandle,
+    /// The list's walk: `(element id, owner nodelet)` in traversal
+    /// order, built once so a step is one slice read.
+    path: Box<[(u32, u32)]>,
+    /// Offset of element 0 on its owner; element `e` sits `e` elements
+    /// past it.
+    base: u64,
     pos: usize,
     phase: u8,
     acc: u64,
@@ -172,21 +174,49 @@ struct EmuChaser {
     done: bool,
 }
 
+impl EmuChaser {
+    /// A chaser walking `elems` in `order`, whose payloads are the
+    /// global ids `base_id + e`.
+    fn new(order: &[u32], elems: &ArrayHandle, base_id: u64, total: Arc<AtomicU64>) -> Self {
+        // A blocked list's owners and offsets do not depend on where
+        // the reader stands.
+        let anywhere = NodeletId(0);
+        EmuChaser {
+            path: order
+                .iter()
+                .map(|&e| (e, elems.owner(u64::from(e), anywhere).0))
+                .collect(),
+            base: elems.addr(0, anywhere).offset,
+            pos: 0,
+            phase: 0,
+            acc: 0,
+            base_id,
+            total,
+            done: false,
+        }
+    }
+
+    /// The nodelet that holds the walk's first element.
+    fn first_owner(&self) -> NodeletId {
+        NodeletId(self.path[0].1)
+    }
+}
+
 impl Kernel for EmuChaser {
-    fn step(&mut self, ctx: &KernelCtx) -> Op {
-        if self.pos >= self.order.len() {
+    fn step(&mut self, _ctx: &KernelCtx) -> Op {
+        let Some(&(e, owner)) = self.path.get(self.pos) else {
             if !self.done {
                 self.done = true;
                 self.total.fetch_add(self.acc, Ordering::Relaxed);
             }
             return Op::Quit;
-        }
+        };
         if self.phase == 0 {
             self.phase = 1;
-            let e = self.order[self.pos] as u64;
+            let e = u64::from(e);
             self.acc = self.acc.wrapping_add(self.base_id + e);
             Op::Load {
-                addr: self.elems.addr(e, ctx.here),
+                addr: GlobalAddr::new(NodeletId(owner), self.base + e * ELEM_BYTES),
                 bytes: ELEM_BYTES as u32,
             }
         } else {
@@ -219,26 +249,9 @@ pub fn run_chase_emu(cfg: &MachineConfig, cc: &ChaseConfig) -> Result<ChaseResul
             .map(|b| NodeletId(((b + l) % nodelets as usize) as u32))
             .collect();
         let elems = ms.blocked(owners, cc.block_elems as u64, n as u64, ELEM_BYTES as u32);
-        let order = Arc::new(traversal_order(
-            n,
-            cc.block_elems,
-            cc.mode,
-            trial_seed(cc.seed, l as u64),
-        ));
-        let first = elems.owner(order[0] as u64, NodeletId(0));
-        engine.spawn_at(
-            first,
-            Box::new(EmuChaser {
-                order,
-                elems,
-                pos: 0,
-                phase: 0,
-                acc: 0,
-                base_id: (l * n) as u64,
-                total: Arc::clone(&total),
-                done: false,
-            }),
-        )?;
+        let order = traversal_order(n, cc.block_elems, cc.mode, trial_seed(cc.seed, l as u64));
+        let chaser = EmuChaser::new(&order, &elems, (l * n) as u64, Arc::clone(&total));
+        engine.spawn_at(chaser.first_owner(), Box::new(chaser))?;
     }
     let report = engine.run()?;
     Ok(ChaseResult {
@@ -264,7 +277,7 @@ pub mod cpu {
     pub const CPU_CHASE_COMPUTE_CYCLES: u32 = 2;
 
     struct CpuChaser {
-        order: Arc<Vec<u32>>,
+        order: Box<[u32]>,
         base_addr: u64,
         base_id: u64,
         pos: usize,
@@ -308,12 +321,13 @@ pub mod cpu {
         let mut engine = CpuEngine::new(cfg.clone());
         let list_bytes = (cc.elems_per_list as u64 * ELEM_BYTES).next_power_of_two();
         for l in 0..cc.nlists {
-            let order = Arc::new(traversal_order(
+            let order = traversal_order(
                 cc.elems_per_list,
                 cc.block_elems,
                 cc.mode,
                 trial_seed(cc.seed, l as u64),
-            ));
+            )
+            .into_boxed_slice();
             engine.add_thread(Box::new(CpuChaser {
                 order,
                 base_addr: 0x10_0000_0000 + l as u64 * list_bytes,
@@ -385,6 +399,51 @@ mod tests {
         for chunk in o.chunks(16) {
             let b = chunk[0] / 16;
             assert!(chunk.iter().all(|&e| e / 16 == b), "block interleaved");
+        }
+    }
+
+    #[test]
+    fn emu_chaser_loads_what_the_array_handle_addresses() {
+        // (list elements, layout block): whole blocks of 1, 3 and 16
+        // elements, and a list whose last block holds 8 of 16.
+        for (n, block) in [(48usize, 1usize), (48, 3), (48, 16), (40, 16)] {
+            for mode in ShuffleMode::ALL {
+                let mut ms = MemSpace::new(8);
+                // An earlier allocation, so the list's base is not the
+                // first one handed out.
+                ms.local(NodeletId(2), 100, 8);
+                let owners = (0..n.div_ceil(block))
+                    .map(|b| NodeletId((b * 5 % 8) as u32))
+                    .collect();
+                let elems = ms.blocked(owners, block as u64, n as u64, ELEM_BYTES as u32);
+                // The walk moves in whole blocks, so a short last block
+                // needs a walk block that divides the list.
+                let walk = if n % block == 0 { block } else { 8 };
+                let order = traversal_order(n, walk, mode, 99);
+                let total = Arc::new(AtomicU64::new(0));
+                let mut c = EmuChaser::new(&order, &elems, 1000, Arc::clone(&total));
+                let at = |here| KernelCtx {
+                    tid: ThreadId(0),
+                    here: NodeletId(here),
+                    home: NodeletId(0),
+                    now: desim::time::Time::ZERO,
+                };
+                assert_eq!(c.first_owner(), elems.owner(order[0].into(), NodeletId(0)));
+                for (k, &e) in order.iter().enumerate() {
+                    let ctx = at(k as u32 % 8);
+                    let want = elems.addr(e.into(), ctx.here);
+                    match c.step(&ctx) {
+                        Op::Load { addr, bytes } => {
+                            assert_eq!((addr, bytes), (want, 16), "{mode:?} block {block} step {k}")
+                        }
+                        op => panic!("{mode:?} block {block} step {k}: {op:?}"),
+                    }
+                    assert!(matches!(c.step(&ctx), Op::Compute { .. }));
+                }
+                assert!(matches!(c.step(&at(0)), Op::Quit));
+                let sum: u64 = order.iter().map(|&e| 1000 + u64::from(e)).sum();
+                assert_eq!(total.load(Ordering::Relaxed), sum);
+            }
         }
     }
 
