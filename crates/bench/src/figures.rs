@@ -506,6 +506,9 @@ pub fn headline() -> Result<Table, SimError> {
         xs.sort_by(f64::total_cmp);
         xs[xs.len() / 2]
     };
+    // The table labels this point "block=1": a reordered sweep must not
+    // silently change what it reports.
+    const _: () = assert!(CHASE_BLOCKS[0] == 1);
     let chase_worst = emu_bws[0];
     let emu_med = median(emu_bws);
     let xeon_med = median(xeon_bws);

@@ -43,7 +43,13 @@
 //! its entry into that hole and sifts it down once, so a pop followed
 //! by a schedule (a Xeon thread yielding back to the queue, an Emu
 //! handler rescheduling on its own shard) costs one sift, not a
-//! sift-down and then a sift-up. A pop that finds the hole
+//! sift-down and then a sift-up. That is 80–93% of pops in the
+//! benchmark's engine, campaign and suite workloads, but at their
+//! depths the skipped sift-up moved only about one level: the hole is
+//! worth about 4% of the cold quick campaign and nothing measurable on
+//! `engine`, far less than the 29% that the benchmark's 1024-deep queue
+//! probe reads (EXPERIMENTS.md, "Event queue" and "Campaign hot
+//! path"). A pop that finds the hole
 //! still open first refills it with the last leaf, as a plain heap pop
 //! would have. While the hole is open, both subtrees under it are
 //! valid heaps, so the earliest pending event is the smaller of the
