@@ -5,7 +5,10 @@
 //! and pins the SHA-256 of those bytes. The points are small (well
 //! under a second each in the debug test profile) but cover every
 //! machine preset on STREAM and pointer chasing, plus one faulted,
-//! traced script run on the two-worker sharded scheduler. The result
+//! traced script run on the two-worker sharded scheduler and two runs
+//! whose lookahead windows leave most shards idle (a two-thread
+//! ping-pong on `emu64`, a migrating script on `chick-8node` at one and
+//! two workers). The result
 //! cache is keyed on configs, not on code, so a scheduler or handler
 //! change that shifted these bytes would otherwise be served stale
 //! without any error.
@@ -192,6 +195,92 @@ fn faulted_script_report_at_two_sim_threads() {
             digest("script-faulted-st2", &r),
         )],
     );
+}
+
+/// Sparse lookahead windows: two threadlets bounce between the head
+/// nodelets of two `emu64` nodes, so 62 of the 64 shards never hold an
+/// event.
+#[test]
+fn sparse_pingpong_report_on_emu64() {
+    const GOLDEN: [(&str, &str); 1] = [(
+        "pingpong-2t-emu64",
+        "30757b01dff05a2829fa6b098576af8d110fc56b5e123fe8d03e99f4490e799e",
+    )];
+    let cfg = presets::emu64_full_speed();
+    let (a, b) = (NodeletId(0), NodeletId(cfg.nodelets_per_node));
+    let mut e = Engine::new(cfg).expect("engine builds");
+    for t in 0..2u32 {
+        let (start, other) = if t == 0 { (a, b) } else { (b, a) };
+        let ops = (0..40)
+            .map(|i| Op::MigrateTo {
+                nodelet: if i % 2 == 0 { other } else { start },
+            })
+            .collect();
+        e.spawn_at(start, Box::new(ScriptKernel::new(ops)))
+            .expect("spawn");
+    }
+    let r = e.run().expect("ping-pong completes");
+    assert_eq!(r.total_migrations(), 80);
+    check(
+        &GOLDEN,
+        &[("pingpong-2t-emu64".into(), digest("pingpong-2t-emu64", &r))],
+    );
+}
+
+/// Eight threadlets migrate, load, store and add across `chick-8node`'s
+/// 64 nodelets, touching only a few shards per window, on one scheduler
+/// worker and on two. Both runs render under one label, so their
+/// digests are equal.
+#[test]
+fn sparse_migrating_script_at_one_and_two_sim_threads() {
+    const GOLDEN: [(&str, &str); 2] = [
+        (
+            "script-8t-chick-8node-st1",
+            "7ad7fe9f085cf2dc262ad612ce9bbed5ab98c68a3bf1f69495a3e0759b1e0bc0",
+        ),
+        (
+            "script-8t-chick-8node-st2",
+            "7ad7fe9f085cf2dc262ad612ce9bbed5ab98c68a3bf1f69495a3e0759b1e0bc0",
+        ),
+    ];
+    let mut got = Vec::new();
+    for workers in [1, 2] {
+        let cfg = presets::chick_8node_prototype();
+        let total = cfg.total_nodelets();
+        let mut e = Engine::new(cfg).expect("engine builds");
+        e.set_sim_threads(workers);
+        // Keep the two-worker path on a one-core host.
+        e.enable_merge(false);
+        for t in 0..8u32 {
+            let here = NodeletId(t * 8);
+            let mut ops = Vec::new();
+            for rep in 0..5u32 {
+                let there = NodeletId((t * 11 + rep * 17 + 5) % total);
+                ops.extend([
+                    Op::MigrateTo { nodelet: there },
+                    Op::Load {
+                        addr: GlobalAddr::new(NodeletId((there.0 + 1) % total), 0x40),
+                        bytes: 8,
+                    },
+                    Op::Store {
+                        addr: GlobalAddr::new(here, 0x80),
+                        bytes: 8,
+                    },
+                    Op::AtomicAdd {
+                        addr: GlobalAddr::new(NodeletId((t + rep * 3) % total), 0xc0),
+                        bytes: 8,
+                    },
+                    Op::Compute { cycles: 20 },
+                ]);
+            }
+            e.spawn_at(here, Box::new(ScriptKernel::new(ops)))
+                .expect("spawn");
+        }
+        let r = e.run().expect("script completes");
+        let name = format!("script-8t-chick-8node-st{workers}");
+        got.push((name, digest("script-8t-chick-8node", &r)));
+    }
+    check(&GOLDEN, &got);
 }
 
 /// Every `CpuReport` field as text, hashed. The destructuring names each
