@@ -121,14 +121,7 @@ impl MachineConfig {
     /// NCDRAM channel occupancy of a request of `bytes` (rounded up to
     /// whole bursts), excluding the per-access overhead.
     pub fn channel_transfer(&self, bytes: u32) -> Time {
-        // Rounded in u64: within one burst of `u32::MAX` the rounded size
-        // exceeds `u32`.
-        let burst = self.dram_burst_bytes.max(1) as u64;
-        let rounded = (bytes as u64).div_ceil(burst) * burst;
-        // ps = bytes * 1e12 / B/s, computed in u128 to avoid overflow.
-        let ps =
-            rounded as u128 * desim::time::PS_PER_S as u128 / self.ncdram_bytes_per_sec as u128;
-        Time::from_ps(ps as u64)
+        transfer(bytes, self.dram_burst_bytes, self.ncdram_bytes_per_sec)
     }
 
     /// Total channel service time for a request (overhead + transfer).
@@ -187,6 +180,106 @@ impl MachineConfig {
     }
 }
 
+/// [`MachineConfig::channel_transfer`] from its two parameters, by
+/// division.
+fn transfer(bytes: u32, burst: u32, bytes_per_sec: u64) -> Time {
+    // Rounded in u64: within one burst of `u32::MAX` the rounded size
+    // exceeds `u32`.
+    let burst = burst.max(1) as u64;
+    let rounded = (bytes as u64).div_ceil(burst) * burst;
+    // ps = bytes * 1e12 / B/s, computed in u128 to avoid overflow.
+    let ps = rounded as u128 * desim::time::PS_PER_S as u128 / bytes_per_sec as u128;
+    Time::from_ps(ps as u64)
+}
+
+/// Exact `floor(x * num / den)` for every `x: u32`, as
+/// `x * q + (x * m) >> k` with `q = num / den`, `r = num % den`,
+/// `2^k >= 2^32 * den` and `m = ceil(2^k * r / den)`. The product
+/// `x * m / 2^k` exceeds `x * r / den` by less than `x / 2^k < 1 / den`,
+/// and the fractional part of `x * r / den` is at most
+/// `(den - 1) / den`, so the excess never reaches the next integer.
+#[derive(Clone, Copy, Debug)]
+struct MulDiv {
+    q: u128,
+    m: u128,
+    k: u32,
+}
+
+impl MulDiv {
+    /// [`None`] when `den >= 2^48`, where `2^k * r` would overflow.
+    fn new(num: u128, den: u64) -> Option<Self> {
+        let k = 32 + (u64::BITS - den.leading_zeros());
+        if den == 0 || k > 80 {
+            return None;
+        }
+        let den = den as u128;
+        let r = num % den;
+        Some(MulDiv {
+            q: num / den,
+            m: (r << k).div_ceil(den),
+            k,
+        })
+    }
+
+    #[inline]
+    fn apply(&self, x: u32) -> u128 {
+        let x = x as u128;
+        x * self.q + ((x * self.m) >> self.k)
+    }
+}
+
+/// The per-access service times of one [`MachineConfig`], derived once
+/// so the per-event path multiplies where the config's own methods
+/// divide. Each value equals its [`MachineConfig`] counterpart exactly.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ServiceTimes {
+    migration: Time,
+    overhead: Time,
+    burst: u32,
+    bytes_per_sec: u64,
+    /// `ceil(bytes / burst)` from `bytes - 1`, and the picoseconds of
+    /// that many bursts; [`None`] for a bandwidth of `2^48` B/s or more.
+    channel: Option<(MulDiv, MulDiv)>,
+}
+
+impl ServiceTimes {
+    /// Derive the service times of `cfg`, which must have passed
+    /// [`MachineConfig::validate`] (nonzero rates and burst).
+    pub(crate) fn new(cfg: &MachineConfig) -> Self {
+        let burst = cfg.dram_burst_bytes.max(1);
+        let ps_per_burst = burst as u128 * desim::time::PS_PER_S as u128;
+        let bursts = MulDiv::new(1, burst as u64);
+        let ps = MulDiv::new(ps_per_burst, cfg.ncdram_bytes_per_sec);
+        ServiceTimes {
+            migration: cfg.migration_service(),
+            overhead: cfg.dram_access_overhead,
+            burst,
+            bytes_per_sec: cfg.ncdram_bytes_per_sec,
+            channel: bursts.zip(ps),
+        }
+    }
+
+    /// [`MachineConfig::migration_service`].
+    #[inline]
+    pub(crate) fn migration(&self) -> Time {
+        self.migration
+    }
+
+    /// [`MachineConfig::channel_service`]`(bytes)`.
+    #[inline]
+    pub(crate) fn channel(&self, bytes: u32) -> Time {
+        let transfer = match (&self.channel, bytes) {
+            (_, 0) => Time::ZERO,
+            (Some((bursts, ps)), _) => {
+                let n = bursts.apply(bytes - 1) as u32 + 1;
+                Time::from_ps(ps.apply(n) as u64)
+            }
+            (None, _) => transfer(bytes, self.burst, self.bytes_per_sec),
+        };
+        self.overhead + transfer
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,6 +333,53 @@ mod tests {
         let s = c.migration_service();
         // 1/4.5e6 s = 222222 ps
         assert_eq!(s.ps(), 222_222);
+    }
+
+    #[test]
+    fn service_times_equal_the_config_on_every_preset() {
+        for (name, c) in presets::all() {
+            let st = ServiceTimes::new(&c);
+            assert!(st.channel.is_some(), "{name}: no fast path");
+            assert_eq!(st.migration(), c.migration_service(), "{name}");
+            for bytes in (1..=4096).chain([u32::MAX]) {
+                assert_eq!(
+                    st.channel(bytes),
+                    c.channel_service(bytes),
+                    "{name}: {bytes} B"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn service_times_equal_the_config_off_the_presets() {
+        let odd = [
+            1,
+            3,
+            7,
+            999_983,
+            2_133_000_001,
+            (1 << 48) - 1,
+            1 << 48,
+            u64::MAX,
+        ];
+        let mut sizes: Vec<u32> = (0..=70).chain([4095, 65_537]).collect();
+        sizes.extend(u32::MAX - 70..=u32::MAX);
+        for bw in odd {
+            for burst in [1, 3, 8, 48, 1 << 20, u32::MAX] {
+                let mut c = presets::chick_full_speed();
+                c.ncdram_bytes_per_sec = bw;
+                c.dram_burst_bytes = burst;
+                c.migration_rate_per_sec = bw;
+                let st = ServiceTimes::new(&c);
+                assert_eq!(st.channel.is_some(), bw < 1 << 48, "bw {bw}");
+                assert_eq!(st.migration(), c.migration_service(), "bw {bw}");
+                for &bytes in &sizes {
+                    let want = c.channel_service(bytes);
+                    assert_eq!(st.channel(bytes), want, "bw {bw} burst {burst}: {bytes} B");
+                }
+            }
+        }
     }
 
     #[test]

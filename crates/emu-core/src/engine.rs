@@ -41,7 +41,16 @@
 //! window spans `[min next event, min next event + L)`, and within it
 //! every shard drains its own queue independently — conservatism
 //! guarantees no other shard can inject an event below the horizon.
-//! Workers each own the shards a run-start planner assigned them, post
+//! A window visits only the shards due before its end: each worker
+//! keeps its shards' earliest pending times in one array (set at run
+//! start, lowered as mail arrives, refreshed after a shard drains),
+//! takes the next horizon as that array's minimum, drains only the
+//! shards whose earliest time lies below the window's end, and delivers
+//! only the outboxes of shards that posted, in ascending shard order.
+//! Migration-heavy runs that keep a few of 64 shards busy thus pay for
+//! those few per window, not for all 64. The single-worker scheduler is
+//! that same routine over one group holding every shard. Threaded
+//! workers each own the shards a run-start planner assigned them, post
 //! cross-shard events on per-worker-pair [`EdgeRings`], and agree on
 //! each window with one [`EpochGate`] crossing. An engine takes its
 //! worker count from the [`RunCtx`] current when it is built (see
@@ -60,7 +69,7 @@
 //! how the sharded scheduler ran.
 
 use crate::addr::{GlobalAddr, NodeletId};
-use crate::config::MachineConfig;
+use crate::config::{MachineConfig, ServiceTimes};
 use crate::ctx::{self, RunCtx};
 use crate::fault::{self, SimError};
 use crate::kernel::{Kernel, KernelCtx, Op, Placement, ThreadId};
@@ -69,7 +78,7 @@ use crate::metrics::{
 };
 use crate::trace::{TraceEvent, TraceKind, TraceLog, TraceRecorder};
 use desim::arena::{Arena, Idx as TRef};
-use desim::pdes::{EdgeRings, EpochGate, GATE_DIRTY, GATE_ERROR};
+use desim::pdes::{EdgeRings, EpochGate, GateView, GATE_DIRTY, GATE_ERROR};
 use desim::queue::EventQueue;
 use desim::server::{FifoServer, Grant, Link, MultiServer};
 use desim::stats::{LogHistogram, Summary};
@@ -77,7 +86,7 @@ use desim::time::Time;
 use desim::timeline::{Gauge, Timeline};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Capacity in messages of each per-worker-pair SPSC exchange ring.
 /// Overflow spills to a mutex-guarded side list, so any capacity is
@@ -447,6 +456,8 @@ type Cancel = (Arc<AtomicBool>, u64);
 /// [`Engine::reset`].
 pub struct Engine {
     cfg: MachineConfig,
+    /// The config's per-access service times, derived once.
+    svc: ServiceTimes,
     shards: Vec<Shard>,
     /// Nearest-live-nodelet map for dead-nodelet redirection (identity
     /// when the fault plan marks nothing dead).
@@ -522,6 +533,7 @@ impl Engine {
         let (sim_threads, phase_profile, telemetry) =
             RunCtx::with_current(|c| (c.sim_threads.max(1), c.phase_profile, c.telemetry));
         let mut engine = Engine {
+            svc: ServiceTimes::new(&cfg),
             cfg,
             shards,
             redirect,
@@ -638,13 +650,16 @@ impl Engine {
         self.event_cap = cap.filter(|&n| n > 0);
     }
 
-    /// Arm cooperative wall-clock cancellation: the schedulers poll
-    /// `flag` every ~1k events and abort the run with
-    /// [`SimError::DeadlineExceeded`] (reporting `deadline_ms`) once it
-    /// reads `true`. The flag is typically set by an external timer
-    /// thread; the engine itself never measures wall time, so runs that
-    /// finish before the flag trips stay byte-identical to uncancelled
-    /// runs. Cleared by [`Engine::reset`] or [`Engine::clear_cancel`].
+    /// Arm cooperative wall-clock cancellation: the epoch schedulers
+    /// poll `flag` once per lookahead window and every ~1k events of a
+    /// shard's drain (the zero-lookahead fallback every ~1k events), and
+    /// abort the run with [`SimError::DeadlineExceeded`] (reporting
+    /// `deadline_ms`) once it reads `true`. The per-window poll stops a
+    /// run whose few busy shards never reach a 1024-event mark. The
+    /// flag is typically set by an external timer thread; the engine
+    /// itself never measures wall time, so runs that finish before the
+    /// flag trips stay byte-identical to uncancelled runs. Cleared by
+    /// [`Engine::reset`] or [`Engine::clear_cancel`].
     pub fn set_cancel(&mut self, flag: Arc<AtomicBool>, deadline_ms: u64) {
         self.cancel = Some((flag, deadline_ms));
     }
@@ -857,12 +872,23 @@ impl Engine {
             )
         } else {
             let (owners, groups) = self.plan_groups(workers);
+            let env = RunEnv {
+                cfg: &self.cfg,
+                svc: &self.svc,
+                redirect: &self.redirect,
+                cap,
+                lookahead,
+                cancel: self.cancel.as_ref(),
+            };
             if groups <= 1 {
-                let (stats, ph) = self.run_epochs_inline(cap, lookahead, profile);
-                (stats, ph, owners, 1)
+                // One group holds every shard and exchanges mail with
+                // itself.
+                let group = Group::new(self.shards.iter_mut().collect());
+                let (stats, ph) = run_group(group, None, &env, profile);
+                (stats, ph.into_iter().collect(), owners, 1)
             } else {
                 let (stats, ph) =
-                    self.run_epochs_threaded(cap, lookahead, &owners, groups, profile);
+                    run_epochs_threaded(&mut self.shards, &env, &owners, groups, profile);
                 (stats, ph, owners, groups)
             }
         };
@@ -966,7 +992,7 @@ impl Engine {
                     }
                 }
             }
-            let cfg = &self.cfg;
+            let (cfg, svc) = (&self.cfg, &self.svc);
             let redirect = &self.redirect[..];
             let s = &mut self.shards[i];
             let Some((at, key, ev)) = s.q.pop_keyed() else {
@@ -982,7 +1008,13 @@ impl Engine {
                 s.error = Some((at, key, SimError::EventCapExceeded { cap }));
                 break;
             }
-            ShardCtx { cfg, redirect, s }.dispatch(ev, at);
+            ShardCtx {
+                cfg,
+                svc,
+                redirect,
+                s,
+            }
+            .dispatch(ev, at);
             if self.shards[i].error.is_some() {
                 break;
             }
@@ -991,208 +1023,6 @@ impl Engine {
                 self.shards[m.dest as usize].absorb_mail(total, m);
             }
         }
-    }
-
-    /// Deliver every pending outbox message into its destination queue
-    /// (single-worker epoch exchange). `mark` identifies the exchange
-    /// batch for mailbox-depth tracking.
-    fn deliver_all(&mut self, mark: u64) {
-        let mut msgs = Vec::new();
-        for s in &mut self.shards {
-            msgs.append(&mut s.outbox);
-        }
-        for m in msgs {
-            self.shards[m.dest as usize].absorb_mail(mark, m);
-        }
-    }
-
-    /// Epoch scheduler, single worker: the identical protocol to the
-    /// threaded path (deliver → decide → drain windows) run inline, so
-    /// the epoch count and every result byte match any worker count.
-    fn run_epochs_inline(
-        &mut self,
-        cap: u64,
-        lookahead: Time,
-        profile: bool,
-    ) -> (SchedStats, Vec<PhaseBreakdown>) {
-        let mut stats = SchedStats::default();
-        let mut clk = PhaseClock::new(profile);
-        let mut drained = false;
-        loop {
-            // A window is clean when the drain that just finished posted
-            // no cross-shard mail; the first iteration precedes any
-            // drain and counts for nobody.
-            if drained && self.shards.iter().all(|s| s.outbox.is_empty()) {
-                stats.clean += 1;
-            }
-            self.deliver_all(stats.epochs);
-            clk.mark(Phase::Exchange);
-            let any_error = self.shards.iter().any(|s| s.error.is_some());
-            let total: u64 = self.shards.iter().map(|s| s.events).sum();
-            let next = self
-                .shards
-                .iter()
-                .filter_map(|s| s.q.peek_key())
-                .map(|(t, _)| t)
-                .min();
-            clk.mark(Phase::Merge);
-            if any_error || total > cap {
-                break;
-            }
-            let Some(next) = next else { break };
-            let end = Time::from_ps(next.ps().saturating_add(lookahead.ps()));
-            stats.epochs += 1;
-            for s in &mut self.shards {
-                run_window(&self.cfg, &self.redirect, s, end, cap, self.cancel.as_ref());
-            }
-            drained = true;
-            clk.mark(Phase::Drain);
-        }
-        let workers = profile.then(|| vec![clk.into_breakdown(0)]);
-        (stats, workers.unwrap_or_default())
-    }
-
-    /// Epoch scheduler over a scoped worker pool. Each worker owns the
-    /// shards [`Engine::plan_groups`] assigned it; cross-shard mail
-    /// moves over per-edge SPSC rings and the workers agree on every
-    /// window through an [`EpochGate`].
-    ///
-    /// One gate crossing commits each window: every worker's digest
-    /// carries `min(own queue minima, earliest mail it just posted)`,
-    /// whose gate-wide minimum equals the post-delivery global minimum
-    /// — so the window decision is correct *before* delivery, and rings
-    /// are drained only when somebody's dirty flag says there is mail
-    /// at all. The inline scheduler commits the same window sequence.
-    fn run_epochs_threaded(
-        &mut self,
-        cap: u64,
-        lookahead: Time,
-        owners: &[u32],
-        groups: usize,
-        profile: bool,
-    ) -> (SchedStats, Vec<PhaseBreakdown>) {
-        // Route table: a message for shard `d` is posted on edge
-        // (worker, owners[d]) and delivered to that group's
-        // `local_idx[d]`-th shard (groups keep ascending shard order).
-        let mut local_idx = vec![0u32; self.shards.len()];
-        let mut counts = vec![0u32; groups];
-        for (i, &o) in owners.iter().enumerate() {
-            local_idx[i] = counts[o as usize];
-            counts[o as usize] += 1;
-        }
-        let mut grouped: Vec<Vec<&mut Shard>> = (0..groups).map(|_| Vec::new()).collect();
-        for (s, &o) in self.shards.iter_mut().zip(owners.iter()) {
-            grouped[o as usize].push(s);
-        }
-        let rings: EdgeRings<OutMsg> = EdgeRings::new(groups, RING_CAPACITY);
-        let gate = EpochGate::new(groups);
-        let stats_out = Mutex::new(SchedStats::default());
-        let breakdowns: Vec<Mutex<Option<PhaseBreakdown>>> =
-            (0..groups).map(|_| Mutex::new(None)).collect();
-        let cfg = &self.cfg;
-        let redirect = &self.redirect[..];
-        let cancel = self.cancel.as_ref();
-        let local_idx = &local_idx[..];
-        std::thread::scope(|scope| {
-            for (g, mut mine) in grouped.into_iter().enumerate() {
-                let (rings, gate, stats_out) = (&rings, &gate, &stats_out);
-                let breakdowns = &breakdowns;
-                scope.spawn(move || {
-                    let mut clk = PhaseClock::new(profile);
-                    let mut stats = SchedStats::default();
-                    let mut round = 0u64;
-                    let mut drained = false;
-                    let mut dirty_me = false;
-                    let mut out_min: Option<Time> = None;
-                    let mut inbox: Vec<OutMsg> = Vec::new();
-                    loop {
-                        // Digest: events, error flag, dirty flag, and
-                        // the earliest time this group could still act
-                        // at — its queue minima and the mail it posted
-                        // last window, which is not yet in any queue.
-                        let local_next = mine
-                            .iter()
-                            .filter_map(|s| s.q.peek_key())
-                            .map(|(t, _)| t)
-                            .min();
-                        let next = match (local_next, out_min) {
-                            (Some(a), Some(b)) => Some(a.min(b)),
-                            (a, b) => a.or(b),
-                        };
-                        let events: u64 = mine.iter().map(|s| s.events).sum();
-                        let mut flags = 0u64;
-                        if mine.iter().any(|s| s.error.is_some()) {
-                            flags |= GATE_ERROR;
-                        }
-                        if dirty_me {
-                            flags |= GATE_DIRTY;
-                        }
-                        clk.mark(Phase::Exchange);
-                        let view = gate.sync(g, round, events, next.map(|t| t.ps()), flags);
-                        round += 1;
-                        stats.crossings += 1;
-                        clk.mark(Phase::Barrier);
-                        // The dirty flags describe the window drained
-                        // just before this crossing: deliver its mail,
-                        // or count it clean.
-                        if view.any_dirty() {
-                            rings.drain_into(g, &mut inbox);
-                            for m in inbox.drain(..) {
-                                let mark = m.epoch;
-                                mine[local_idx[m.dest as usize] as usize].absorb_mail(mark, m);
-                            }
-                            clk.mark(Phase::Exchange);
-                        } else if drained {
-                            stats.clean += 1;
-                        }
-                        clk.mark(Phase::Merge);
-                        // Decision: identical on every worker (it reads
-                        // only gate views), so all workers break
-                        // together and nobody is left at the gate.
-                        if view.any_error() || view.events > cap {
-                            break;
-                        }
-                        let Some(next_ps) = view.next_ps else { break };
-                        let end = Time::from_ps(next_ps.saturating_add(lookahead.ps()));
-                        stats.epochs += 1;
-                        for s in mine.iter_mut() {
-                            run_window(cfg, redirect, s, end, cap, cancel);
-                        }
-                        drained = true;
-                        clk.mark(Phase::Drain);
-                        dirty_me = false;
-                        out_min = None;
-                        for s in mine.iter_mut() {
-                            for mut m in s.outbox.drain(..) {
-                                if out_min.is_none_or(|o| m.at < o) {
-                                    out_min = Some(m.at);
-                                }
-                                dirty_me = true;
-                                m.epoch = stats.epochs;
-                                rings.post(g, owners[m.dest as usize] as usize, [m]);
-                            }
-                        }
-                        rings.publish_from(g);
-                        clk.mark(Phase::Exchange);
-                    }
-                    if profile {
-                        *breakdowns[g].lock().expect("breakdown slot poisoned") =
-                            Some(clk.into_breakdown(g as u32));
-                    }
-                    if g == 0 {
-                        // Every worker derives the same stats from the
-                        // same gate views; one representative reports.
-                        *stats_out.lock().expect("stats slot poisoned") = stats;
-                    }
-                });
-            }
-        });
-        let phases = breakdowns
-            .into_iter()
-            .filter_map(|m| m.into_inner().expect("breakdown slot poisoned"))
-            .collect();
-        let stats = *stats_out.lock().expect("stats slot poisoned");
-        (stats, phases)
     }
 
     /// Post-run epilogue shared by all schedulers: surface the globally
@@ -1427,22 +1257,294 @@ fn record_obs_failure() {
     }
 }
 
+/// The read-only context every window of one run shares.
+struct RunEnv<'a> {
+    cfg: &'a MachineConfig,
+    svc: &'a ServiceTimes,
+    redirect: &'a [u32],
+    /// Dispatched-event cap of the run.
+    cap: u64,
+    /// Width of every window.
+    lookahead: Time,
+    cancel: Option<&'a Cancel>,
+}
+
+/// A threaded worker's links to its peers: the gate every window is
+/// agreed on and the rings that carry mail between workers.
+struct Peers<'a> {
+    /// This worker's index.
+    me: usize,
+    gate: &'a EpochGate,
+    rings: &'a EdgeRings<OutMsg>,
+    /// Owning worker of each shard.
+    owners: &'a [u32],
+    /// Position of each shard within its owner's group.
+    local_idx: &'a [u32],
+}
+
+/// The shards one scheduler worker drains (every shard, inline), with
+/// the running values its windows are decided from: each shard's
+/// earliest pending time, the dispatched-event total and the error
+/// flag. A window drains only the shards due before its end and reads
+/// only the outboxes that posted, so it costs in proportion to the
+/// shards with work in it.
+struct Group<'a> {
+    shards: Vec<&'a mut Shard>,
+    /// Earliest pending event time of each shard in picoseconds,
+    /// `u64::MAX` for an empty queue.
+    heads: Vec<u64>,
+    /// The smallest of `heads`, kept as they change.
+    first: u64,
+    /// Events the group's shards have dispatched.
+    events: u64,
+    /// Whether any of the group's shards has raised an error.
+    error: bool,
+    /// Positions of the shards that posted cross-shard mail in the last
+    /// window, ascending.
+    posted: Vec<u32>,
+    /// Reused buffer that mail passes through on delivery.
+    mail: Vec<OutMsg>,
+}
+
+/// A shard's earliest pending event time in picoseconds (`u64::MAX`
+/// when its queue is empty).
+fn head_of(s: &Shard) -> u64 {
+    s.q.peek_key().map_or(u64::MAX, |(t, _)| t.ps())
+}
+
+impl<'a> Group<'a> {
+    fn new(shards: Vec<&'a mut Shard>) -> Self {
+        let heads: Vec<u64> = shards.iter().map(|s| head_of(s)).collect();
+        Group {
+            first: heads.iter().copied().min().unwrap_or(u64::MAX),
+            heads,
+            events: shards.iter().map(|s| s.events).sum(),
+            error: shards.iter().any(|s| s.error.is_some()),
+            posted: Vec::new(),
+            mail: Vec::new(),
+            shards,
+        }
+    }
+
+    /// Deliver one cross-shard message to the group's `i`-th shard.
+    fn absorb(&mut self, i: usize, mark: u64, m: OutMsg) {
+        let at = m.at.ps();
+        self.heads[i] = self.heads[i].min(at);
+        self.first = self.first.min(at);
+        self.shards[i].absorb_mail(mark, m);
+    }
+
+    /// Inline exchange: deliver the mail the last window posted into
+    /// this group's own shards, in ascending order of posting shard, and
+    /// decide the next window from the running values.
+    fn exchange_inline(&mut self, mark: u64, clk: &mut PhaseClock) -> GateView {
+        let dirty = !self.posted.is_empty();
+        let mut mail = std::mem::take(&mut self.mail);
+        for k in 0..self.posted.len() {
+            std::mem::swap(&mut mail, &mut self.shards[self.posted[k] as usize].outbox);
+            for m in mail.drain(..) {
+                self.absorb(m.dest as usize, mark, m);
+            }
+        }
+        self.mail = mail;
+        self.posted.clear();
+        clk.mark(Phase::Exchange);
+        GateView {
+            events: self.events,
+            next_ps: (self.first != u64::MAX).then_some(self.first),
+            flags: gate_flags(self.error, dirty),
+        }
+    }
+
+    /// Threaded exchange: post the mail the last window posted to its
+    /// owners' rings, commit this group's digest at the gate, and
+    /// deliver whatever mail the gate says is waiting.
+    fn exchange_gate(
+        &mut self,
+        p: &Peers,
+        round: u64,
+        epoch: u64,
+        clk: &mut PhaseClock,
+    ) -> GateView {
+        // Posted mail is in no queue yet, so its earliest time joins the
+        // heads in the digest: the gate-wide minimum then equals the
+        // post-delivery one, and the window is decided before delivery.
+        let flags = gate_flags(self.error, !self.posted.is_empty());
+        let mut next = self.first;
+        for k in 0..self.posted.len() {
+            for mut m in self.shards[self.posted[k] as usize].outbox.drain(..) {
+                next = next.min(m.at.ps());
+                m.epoch = epoch;
+                p.rings.post(p.me, p.owners[m.dest as usize] as usize, [m]);
+            }
+        }
+        self.posted.clear();
+        p.rings.publish_from(p.me);
+        clk.mark(Phase::Exchange);
+        let next = (next != u64::MAX).then_some(next);
+        let view = p.gate.sync(p.me, round, self.events, next, flags);
+        clk.mark(Phase::Barrier);
+        if view.any_dirty() {
+            let mut mail = std::mem::take(&mut self.mail);
+            p.rings.drain_into(p.me, &mut mail);
+            for m in mail.drain(..) {
+                let mark = m.epoch;
+                self.absorb(p.local_idx[m.dest as usize] as usize, mark, m);
+            }
+            self.mail = mail;
+            clk.mark(Phase::Exchange);
+        }
+        view
+    }
+
+    /// Drain every shard due before `end`, then refresh its head and the
+    /// running values; one pass over the heads finds the due shards and
+    /// the new earliest head. The cancellation flag is polled once per
+    /// window here, so a run whose busy shards never reach a 1024-event
+    /// poll inside a drain still stops.
+    fn drain(&mut self, env: &RunEnv, end: Time) {
+        if let Some((flag, ms)) = env.cancel {
+            if flag.load(Ordering::Relaxed) {
+                let s = &mut *self.shards[0];
+                let e = SimError::DeadlineExceeded { deadline_ms: *ms };
+                s.error = Some((s.now, s.cur_key, e));
+                self.error = true;
+                return;
+            }
+        }
+        let mut first = u64::MAX;
+        for i in 0..self.heads.len() {
+            if self.heads[i] < end.ps() {
+                let s = &mut *self.shards[i];
+                let before = s.events;
+                run_window(env, s, end);
+                self.events += s.events - before;
+                self.error |= s.error.is_some();
+                self.heads[i] = head_of(s);
+                if !s.outbox.is_empty() {
+                    self.posted.push(i as u32);
+                }
+            }
+            first = first.min(self.heads[i]);
+        }
+        self.first = first;
+    }
+}
+
+fn gate_flags(error: bool, dirty: bool) -> u64 {
+    (if error { GATE_ERROR } else { 0 }) | (if dirty { GATE_DIRTY } else { 0 })
+}
+
+/// One scheduler worker's window loop, shared by both epoch schedulers:
+/// exchange the last window's mail and agree on the next window (inline
+/// from the group's own running values, threaded at the gate), then
+/// drain it. Returns the run's [`SchedStats`] and, when `profile` is
+/// on, the worker's phase split.
+fn run_group(
+    mut g: Group,
+    peers: Option<&Peers>,
+    env: &RunEnv,
+    profile: bool,
+) -> (SchedStats, Option<PhaseBreakdown>) {
+    let mut stats = SchedStats::default();
+    let mut clk = PhaseClock::new(profile);
+    let mut drained = false;
+    loop {
+        let view = match peers {
+            None => g.exchange_inline(stats.epochs, &mut clk),
+            Some(p) => {
+                let round = stats.crossings;
+                stats.crossings += 1;
+                g.exchange_gate(p, round, stats.epochs, &mut clk)
+            }
+        };
+        // A window is clean when no shard posted mail in it; the first
+        // exchange precedes any drain and counts for nobody.
+        if drained && !view.any_dirty() {
+            stats.clean += 1;
+        }
+        clk.mark(Phase::Merge);
+        // Every worker reads the same view, so all break together and
+        // nobody is left at the gate.
+        if view.any_error() || view.events > env.cap {
+            break;
+        }
+        let Some(next_ps) = view.next_ps else { break };
+        let end = Time::from_ps(next_ps.saturating_add(env.lookahead.ps()));
+        stats.epochs += 1;
+        g.drain(env, end);
+        drained = true;
+        clk.mark(Phase::Drain);
+    }
+    let worker = peers.map_or(0, |p| p.me as u32);
+    (stats, profile.then(|| clk.into_breakdown(worker)))
+}
+
+/// Epoch scheduler over a scoped worker pool. Each worker runs
+/// [`run_group`] over the shards [`Engine::plan_groups`] assigned it,
+/// posts cross-shard mail on per-edge SPSC rings, and agrees on every
+/// window with one [`EpochGate`] crossing. The caller runs worker 0, so
+/// `groups - 1` threads are spawned.
+fn run_epochs_threaded(
+    shards: &mut [Shard],
+    env: &RunEnv,
+    owners: &[u32],
+    groups: usize,
+    profile: bool,
+) -> (SchedStats, Vec<PhaseBreakdown>) {
+    // Route table: a message for shard `d` is posted on edge (worker,
+    // owners[d]) and delivered to that group's `local_idx[d]`-th shard
+    // (groups keep ascending shard order).
+    let mut local_idx = vec![0u32; shards.len()];
+    let mut counts = vec![0u32; groups];
+    for (i, &o) in owners.iter().enumerate() {
+        local_idx[i] = counts[o as usize];
+        counts[o as usize] += 1;
+    }
+    let mut grouped: Vec<Vec<&mut Shard>> = (0..groups).map(|_| Vec::new()).collect();
+    for (s, &o) in shards.iter_mut().zip(owners.iter()) {
+        grouped[o as usize].push(s);
+    }
+    let rings: EdgeRings<OutMsg> = EdgeRings::new(groups, RING_CAPACITY);
+    let gate = EpochGate::new(groups);
+    let peers: Vec<Peers> = (0..groups)
+        .map(|me| Peers {
+            me,
+            gate: &gate,
+            rings: &rings,
+            owners,
+            local_idx: &local_idx,
+        })
+        .collect();
+    std::thread::scope(|scope| {
+        let mut workers = grouped.into_iter().zip(&peers);
+        let (first, p0) = workers.next().expect("a threaded run has workers");
+        let others: Vec<_> = workers
+            .map(|(mine, p)| {
+                scope.spawn(move || run_group(Group::new(mine), Some(p), env, profile))
+            })
+            .collect();
+        // Every worker derives the same stats from the same gate views;
+        // worker 0's stand for the run.
+        let (stats, ph) = run_group(Group::new(first), Some(p0), env, profile);
+        let mut phases: Vec<PhaseBreakdown> = ph.into_iter().collect();
+        for h in others {
+            let (_, ph) = h.join().expect("scheduler worker panicked");
+            phases.extend(ph);
+        }
+        (stats, phases)
+    })
+}
+
 /// Drain one shard's events strictly below `end`. Conservatism
 /// guarantees no other shard can deliver an event below `end` while this
 /// runs, so the window needs no synchronization.
-fn run_window(
-    cfg: &MachineConfig,
-    redirect: &[u32],
-    s: &mut Shard,
-    end: Time,
-    cap: u64,
-    cancel: Option<&Cancel>,
-) {
+fn run_window(env: &RunEnv, s: &mut Shard, end: Time) {
     loop {
         if s.error.is_some() {
             break;
         }
-        if let Some((flag, ms)) = cancel {
+        if let Some((flag, ms)) = env.cancel {
             if s.events & 0x3FF == 0 && flag.load(Ordering::Relaxed) {
                 let e = SimError::DeadlineExceeded { deadline_ms: *ms };
                 s.error = Some((s.now, s.cur_key, e));
@@ -1459,13 +1561,19 @@ fn run_window(
         s.now = at;
         s.cur_key = key;
         s.events += 1;
-        if s.events > cap {
+        if s.events > env.cap {
             // This shard alone blew the cap; the aggregate check at the
-            // barrier catches caps split across shards.
-            s.error = Some((at, key, SimError::EventCapExceeded { cap }));
+            // exchange catches caps split across shards.
+            s.error = Some((at, key, SimError::EventCapExceeded { cap: env.cap }));
             break;
         }
-        ShardCtx { cfg, redirect, s }.dispatch(ev, at);
+        ShardCtx {
+            cfg: env.cfg,
+            svc: env.svc,
+            redirect: env.redirect,
+            s,
+        }
+        .dispatch(ev, at);
     }
 }
 
@@ -1473,6 +1581,7 @@ fn run_window(
 /// read-only machine configuration and redirect map.
 struct ShardCtx<'a> {
     cfg: &'a MachineConfig,
+    svc: &'a ServiceTimes,
     redirect: &'a [u32],
     s: &'a mut Shard,
 }
@@ -2085,7 +2194,7 @@ impl ShardCtx<'_> {
             .get_mut(r)
             .expect("departing thread context is live")
             .mig_attempts = 0;
-        let service = self.scaled(self.cfg.migration_service());
+        let service = self.scaled(self.svc.migration());
         let grant = self.s.nl.mig_engine.offer(now, service);
         self.trace_migration(grant);
         if loc.same_node(dest, self.cfg.nodelets_per_node) {
@@ -2197,7 +2306,7 @@ impl ShardCtx<'_> {
     /// Channel service time for one access on this nodelet, including
     /// the slowdown factor and (probabilistically) an ECC-style retry.
     fn channel_service_faulted(&mut self, bytes: u32, extra: Time, now: Time) -> Time {
-        let mut service = self.scaled(self.cfg.channel_service(bytes) + extra);
+        let mut service = self.scaled(self.svc.channel(bytes) + extra);
         let faults = &self.cfg.faults;
         if faults.ecc_prob > 0.0 {
             let (prob, latency) = (faults.ecc_prob, faults.ecc_latency);

@@ -6,7 +6,7 @@
 
 use emu_core::json::{json_ok, report_json};
 use emu_core::prelude::*;
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// A migration-heavy mixed workload: every nodelet hosts a threadlet
@@ -160,4 +160,64 @@ fn tripped_cancel_flag_raises_deadline_exceeded() {
     seed_workload(&mut e, 2);
     let guarded = report_json("run", &e.run_once().unwrap());
     assert_eq!(guarded, cold_report(e.cfg(), 2));
+}
+
+/// Bounces between two nodelets for `hops` migrations and raises `flag`
+/// from inside its `trip_at`-th step (never, when `trip_at` is 0).
+struct Tripper {
+    flag: Arc<AtomicBool>,
+    ends: (NodeletId, NodeletId),
+    hops: u32,
+    trip_at: u32,
+    steps: u32,
+}
+
+impl Kernel for Tripper {
+    fn step(&mut self, ctx: &KernelCtx) -> Op {
+        self.steps += 1;
+        if self.steps == self.trip_at {
+            self.flag.store(true, Ordering::Relaxed);
+        }
+        if self.steps > self.hops {
+            return Op::Quit;
+        }
+        let (a, b) = self.ends;
+        Op::MigrateTo {
+            nodelet: if ctx.here == a { b } else { a },
+        }
+    }
+}
+
+/// A sparse `emu64` ping-pong on two of 64 shards, dispatching fewer
+/// than 1024 events in all, so no drain reaches the every-1024-events
+/// poll after its shard's first window: a flag raised mid-run must
+/// still stop it, through the scheduler's once-per-window poll.
+fn sparse_tripped_run(trip_at: u32) -> Result<RunReport, SimError> {
+    let cfg = presets::emu64_full_speed();
+    let ends = (NodeletId(0), NodeletId(cfg.nodelets_per_node));
+    let mut e = Engine::new(cfg).unwrap();
+    let flag = Arc::new(AtomicBool::new(false));
+    e.set_cancel(Arc::clone(&flag), 77);
+    for start in [ends.0, ends.1] {
+        let k = Tripper {
+            flag: Arc::clone(&flag),
+            ends,
+            hops: 40,
+            trip_at: if start == ends.0 { trip_at } else { 0 },
+            steps: 0,
+        };
+        e.spawn_at(start, Box::new(k)).unwrap();
+    }
+    e.run_once()
+}
+
+#[test]
+fn cancel_flag_raised_mid_run_stops_a_sparse_run() {
+    let calm = sparse_tripped_run(0).expect("an untripped run completes");
+    assert_eq!(calm.total_migrations(), 80);
+    assert!(calm.events < 1024, "{} events", calm.events);
+    assert!(matches!(
+        sparse_tripped_run(10),
+        Err(SimError::DeadlineExceeded { deadline_ms: 77 })
+    ));
 }
