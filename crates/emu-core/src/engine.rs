@@ -1431,6 +1431,7 @@ impl<'a> Group<'a> {
     }
 }
 
+/// The gate flag word for a group's error and dirty states.
 fn gate_flags(error: bool, dirty: bool) -> u64 {
     (if error { GATE_ERROR } else { 0 }) | (if dirty { GATE_DIRTY } else { 0 })
 }
