@@ -78,13 +78,7 @@ fn run(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_presets() -> Result<(), String> {
-    for (name, cfg) in [
-        ("chick", presets::chick_prototype()),
-        ("chick-sim", presets::chick_toolchain_sim()),
-        ("full-speed", presets::chick_full_speed()),
-        ("emu64", presets::emu64_full_speed()),
-        ("chick-8node", presets::chick_8node_prototype()),
-    ] {
+    for (name, cfg) in presets::all() {
         println!(
             "{name:<12} {} nodelets, {} GC/nodelet @ {:.0} MHz, {} threadlets/nodelet, {:.1} GB/s NCDRAM/nodelet, {:.1} M migrations/s/nodelet",
             cfg.total_nodelets(),

@@ -37,7 +37,7 @@ pub mod time;
 pub mod timeline;
 
 pub use arena::{Arena, Idx};
-pub use pdes::{EdgeRings, EpochGate, GateView, SpscRing};
+pub use pdes::{EpochGate, GateView};
 pub use queue::EventQueue;
 pub use server::{FifoServer, Grant, Link, MultiServer};
 pub use stats::{Bandwidth, LogHistogram, Summary};

@@ -1,37 +1,29 @@
-//! Primitives for conservative parallel discrete-event simulation.
+//! The synchronization point of conservative parallel discrete-event
+//! simulation.
 //!
 //! A conservative PDES run shards the simulated machine across a fixed
 //! worker pool and advances time in *epochs*: windows of simulated time
 //! no wider than the minimum cross-shard latency (the *lookahead*).
 //! Within an epoch every worker drains its own event queue without
 //! synchronization — conservatism guarantees no other shard can inject
-//! an event into the window — and cross-shard events travel through
-//! per-edge [`EdgeRings`] that are published at window end and drained
-//! after the next synchronization point.
+//! an event into the window. Workers agree on each window at an
+//! [`EpochGate`]: a phased aggregate-and-decide point that costs a
+//! single atomic round trip per window. Every worker publishes its
+//! window digest (event count, next timestamp, flag bits), bumps one
+//! shared commitment counter, and reads back the identical global
+//! digest, which also carries the decision for the next window.
+//! Windows in which nobody posted cross-shard mail ([`GATE_DIRTY`])
+//! commit through the gate alone, with no delivery pass — the common
+//! all-local case.
 //!
-//! Two synchronization primitives live here, both engine-agnostic:
-//!
-//! * [`EdgeRings`] — one fixed-capacity lock-free SPSC ring per
-//!   (producer, consumer) worker pair with batched release-publish, so
-//!   the exchange path takes zero locks in the common case (a mutexed
-//!   spill vector catches overflow without losing messages);
-//! * [`EpochGate`] — a phased aggregate-and-decide point that costs a
-//!   single atomic round trip per window: every worker publishes its
-//!   window digest (event count, next timestamp, flag bits), bumps one
-//!   shared commitment counter, and reads back the identical global
-//!   digest, which also carries the decision for the next window.
-//!   Windows in which nobody posted cross-shard mail commit through the
-//!   gate alone, with no ring drain — the common all-local case.
-//!
-//! Determinism still comes from the *engine-side* discipline of keying
-//! every event with an intrinsic `(time, key)` pair (see
+//! Cross-shard mail is the engine's business: it moves mail between
+//! workers on either side of a crossing, and its determinism comes from
+//! keying every event with an intrinsic `(time, key)` pair (see
 //! [`EventQueue::schedule_keyed`](crate::EventQueue::schedule_keyed)),
-//! so nothing here needs to care about arrival order: ring contents are
-//! re-sorted into the destination queue by key on delivery.
+//! so delivered mail is re-sorted into the destination queue by key
+//! whatever order it arrived in.
 
-use std::cell::{Cell, UnsafeCell};
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
 /// Spin iterations before a waiter yields the CPU.
@@ -42,222 +34,11 @@ const SPIN_FAST: u32 = 64;
 /// waiters past it.
 const SPIN_PARK: u32 = 4096;
 
-/// Pads a value to a cache line so producer- and consumer-owned atomics
-/// never share one (false sharing would serialize the SPSC fast path).
+/// Pads a value to a cache line so the gate's hot commitment counter
+/// shares its line with no other field.
 #[repr(align(64))]
 #[derive(Debug, Default)]
 struct Pad<T>(T);
-
-/// One single-producer single-consumer ring: the edge from one worker
-/// to another.
-///
-/// The producer stages writes with plain stores and *publishes* them in
-/// a batch — one `Release` store of the tail — at window end; the
-/// consumer observes the batch with one `Acquire` load. Head and tail
-/// live on separate cache lines so the two sides never false-share.
-/// When the ring is full the producer spills into a mutexed vector
-/// instead of blocking or dropping, so a burst larger than the ring
-/// capacity costs a lock but never loses a message.
-///
-/// # Safety contract
-/// Exactly one thread may call [`push`](SpscRing::push) /
-/// [`publish`](SpscRing::publish) and exactly one thread may call
-/// [`drain_into`](SpscRing::drain_into) at any time. [`EdgeRings`]
-/// enforces this by construction: worker *s* owns the producer side of
-/// every `(s, *)` ring and the consumer side of every `(*, s)` ring.
-pub struct SpscRing<M> {
-    mask: usize,
-    buf: Box<[UnsafeCell<MaybeUninit<M>>]>,
-    /// Consumer position: next slot to read. Written by the consumer
-    /// (`Release`), read by the producer (`Acquire`) for the full check.
-    head: Pad<AtomicUsize>,
-    /// Published producer position: slots below it are visible to the
-    /// consumer. Written by `publish` (`Release`).
-    tail: Pad<AtomicUsize>,
-    /// Producer-private staging position (`staged >= tail`); pushes land
-    /// here and become visible only at the next `publish`.
-    staged: Cell<usize>,
-    /// Overflow: messages that arrived while the ring was full.
-    spill: Mutex<Vec<M>>,
-}
-
-// SAFETY: the single-producer/single-consumer contract documented on
-// the type (and enforced by `EdgeRings`' ownership pattern) means
-// `staged` is only ever touched by the one producer thread and each
-// `buf` slot is written by the producer strictly before the Release
-// publish that lets the consumer read it.
-unsafe impl<M: Send> Sync for SpscRing<M> {}
-
-impl<M> SpscRing<M> {
-    /// A ring holding up to `capacity` unpublished-or-undrained
-    /// messages (rounded up to a power of two, minimum 2).
-    pub fn new(capacity: usize) -> Self {
-        let cap = capacity.max(2).next_power_of_two();
-        SpscRing {
-            mask: cap - 1,
-            buf: std::iter::repeat_with(|| UnsafeCell::new(MaybeUninit::uninit()))
-                .take(cap)
-                .collect(),
-            head: Pad(AtomicUsize::new(0)),
-            tail: Pad(AtomicUsize::new(0)),
-            staged: Cell::new(0),
-            spill: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Usable capacity.
-    pub fn capacity(&self) -> usize {
-        self.mask + 1
-    }
-
-    /// Producer: stage one message. Falls back to the spill vector when
-    /// the ring is full; either way the message is delivered by the
-    /// next [`drain_into`](SpscRing::drain_into) that follows a
-    /// [`publish`](SpscRing::publish).
-    pub fn push(&self, msg: M) {
-        let pos = self.staged.get();
-        if pos.wrapping_sub(self.head.0.load(Ordering::Acquire)) > self.mask {
-            self.spill.lock().expect("ring spill poisoned").push(msg);
-            return;
-        }
-        // SAFETY: `pos` is at most `mask` slots ahead of `head`, so the
-        // consumer has retired this slot; only this producer writes it.
-        unsafe { (*self.buf[pos & self.mask].get()).write(msg) };
-        self.staged.set(pos.wrapping_add(1));
-    }
-
-    /// Producer: make every staged message visible to the consumer.
-    /// This is the ring's only Release store — the batch boundary.
-    pub fn publish(&self) {
-        self.tail.0.store(self.staged.get(), Ordering::Release);
-    }
-
-    /// Consumer: move every published message (ring, then spill) into
-    /// `out`; returns how many were taken. Delivery order within a ring
-    /// is FIFO but callers must not rely on cross-ring or spill order —
-    /// determinism is re-established downstream by intrinsic-key sort.
-    pub fn drain_into(&self, out: &mut Vec<M>) -> usize {
-        let tail = self.tail.0.load(Ordering::Acquire);
-        let mut head = self.head.0.load(Ordering::Relaxed);
-        let mut taken = 0usize;
-        while head != tail {
-            // SAFETY: slots in `head..tail` were fully written before
-            // the Release publish we Acquired above; each is read once.
-            let msg = unsafe { (*self.buf[head & self.mask].get()).assume_init_read() };
-            out.push(msg);
-            taken += 1;
-            head = head.wrapping_add(1);
-        }
-        self.head.0.store(head, Ordering::Release);
-        let mut spill = self.spill.lock().expect("ring spill poisoned");
-        taken += spill.len();
-        out.append(&mut spill);
-        taken
-    }
-}
-
-impl<M> Drop for SpscRing<M> {
-    fn drop(&mut self) {
-        // Drain staged-but-unpublished slots too: `&mut self` proves
-        // exclusive access, so `staged` is the true end of live data.
-        let end = self.staged.get();
-        let mut head = self.head.0.load(Ordering::Relaxed);
-        while head != end {
-            // SAFETY: exclusive access; slots in `head..staged` hold
-            // initialized messages nobody else will read.
-            unsafe { (*self.buf[head & self.mask].get()).assume_init_drop() };
-            head = head.wrapping_add(1);
-        }
-    }
-}
-
-impl<M> std::fmt::Debug for SpscRing<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpscRing")
-            .field("capacity", &self.capacity())
-            .field("head", &self.head.0.load(Ordering::Relaxed))
-            .field("tail", &self.tail.0.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
-/// The full worker-to-worker exchange fabric: one [`SpscRing`] per
-/// ordered (src, dst) pair.
-///
-/// Worker *s* owns the producer side of row *s* (all
-/// [`post`](EdgeRings::post)s and the batched
-/// [`publish_from`](EdgeRings::publish_from)) and the consumer side of
-/// column *s* ([`drain_into`](EdgeRings::drain_into)); as long as each
-/// worker index is driven by one thread, every ring sees exactly one
-/// producer and one consumer and the whole exchange is lock-free off
-/// the spill path. A synchronization point (an [`EpochGate`] crossing)
-/// between publish and drain keeps delivery batched per window; the
-/// rings' own Release/Acquire pair carries the data.
-#[derive(Debug)]
-pub struct EdgeRings<M> {
-    workers: usize,
-    /// Row-major: `rings[src * workers + dst]`.
-    rings: Vec<SpscRing<M>>,
-}
-
-impl<M> EdgeRings<M> {
-    /// Rings for `workers` workers, each holding `capacity` messages
-    /// before spilling.
-    pub fn new(workers: usize, capacity: usize) -> Self {
-        EdgeRings {
-            workers,
-            rings: std::iter::repeat_with(|| SpscRing::new(capacity))
-                .take(workers * workers)
-                .collect(),
-        }
-    }
-
-    /// Number of workers the fabric connects.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Whether the fabric connects no workers.
-    pub fn is_empty(&self) -> bool {
-        self.workers == 0
-    }
-
-    /// Producer side: stage `msgs` on the `src → dst` edge. Only worker
-    /// `src`'s thread may call this.
-    ///
-    /// # Panics
-    /// Panics if `src` or `dst` is out of range.
-    pub fn post(&self, src: usize, dst: usize, msgs: impl IntoIterator<Item = M>) {
-        assert!(
-            src < self.workers && dst < self.workers,
-            "edge out of range"
-        );
-        let ring = &self.rings[src * self.workers + dst];
-        for m in msgs {
-            ring.push(m);
-        }
-    }
-
-    /// Producer side: publish everything worker `src` staged this
-    /// window, one Release store per outgoing edge.
-    pub fn publish_from(&self, src: usize) {
-        for dst in 0..self.workers {
-            self.rings[src * self.workers + dst].publish();
-        }
-    }
-
-    /// Consumer side: move every published message addressed to `dst`
-    /// into `out` (source rows in ascending order, spill after ring per
-    /// row); returns the total taken. Only worker `dst`'s thread may
-    /// call this.
-    pub fn drain_into(&self, dst: usize, out: &mut Vec<M>) -> usize {
-        let mut taken = 0usize;
-        for src in 0..self.workers {
-            taken += self.rings[src * self.workers + dst].drain_into(out);
-        }
-        taken
-    }
-}
 
 /// Flag bit in an [`EpochGate`] digest: the worker hit an error.
 pub const GATE_ERROR: u64 = 1;
@@ -352,11 +133,6 @@ impl EpochGate {
         }
     }
 
-    /// Number of workers the gate synchronizes.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Publish this worker's digest for `round`, wait for every worker
     /// to do the same, and return the aggregate. `round` must advance
     /// by exactly one per call per worker, in lockstep across workers
@@ -437,76 +213,6 @@ impl EpochGate {
 mod tests {
     use super::*;
     use std::time::{Duration, Instant};
-
-    #[test]
-    fn ring_round_trips_one_batch() {
-        let ring: SpscRing<u32> = SpscRing::new(8);
-        for v in 0..5 {
-            ring.push(v);
-        }
-        let mut out = Vec::new();
-        // Nothing visible before publish.
-        assert_eq!(ring.drain_into(&mut out), 0);
-        ring.publish();
-        assert_eq!(ring.drain_into(&mut out), 5);
-        assert_eq!(out, vec![0, 1, 2, 3, 4]);
-        assert_eq!(ring.drain_into(&mut out), 0);
-    }
-
-    #[test]
-    fn ring_overflow_spills_without_loss() {
-        let ring: SpscRing<u32> = SpscRing::new(2);
-        assert_eq!(ring.capacity(), 2);
-        for v in 0..10 {
-            ring.push(v);
-        }
-        ring.publish();
-        let mut out = Vec::new();
-        assert_eq!(ring.drain_into(&mut out), 10);
-        out.sort_unstable();
-        assert_eq!(out, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn ring_drop_releases_unpublished_messages() {
-        // Leak-checked indirectly: Box contents must be dropped.
-        let ring: SpscRing<Box<u64>> = SpscRing::new(4);
-        ring.push(Box::new(1));
-        ring.push(Box::new(2));
-        ring.publish();
-        ring.push(Box::new(3)); // staged, never published
-        drop(ring); // must not leak any of the three
-    }
-
-    #[test]
-    fn edge_rings_route_all_pairs_across_threads() {
-        let rings: EdgeRings<(usize, u64)> = EdgeRings::new(3, 4);
-        let barrier = std::sync::Barrier::new(3);
-        std::thread::scope(|s| {
-            for me in 0..3usize {
-                let rings = &rings;
-                let barrier = &barrier;
-                s.spawn(move || {
-                    // Everyone posts one message to everyone else.
-                    for dst in 0..3 {
-                        if dst != me {
-                            rings.post(me, dst, [(me, 100 + me as u64)]);
-                        }
-                    }
-                    rings.publish_from(me);
-                    barrier.wait();
-                    let mut got = Vec::new();
-                    assert_eq!(rings.drain_into(me, &mut got), 2);
-                    got.sort_unstable();
-                    let expect: Vec<_> = (0..3)
-                        .filter(|&o| o != me)
-                        .map(|o| (o, 100 + o as u64))
-                        .collect();
-                    assert_eq!(got, expect);
-                });
-            }
-        });
-    }
 
     #[test]
     fn gate_aggregates_identically_on_every_worker() {

@@ -746,7 +746,7 @@ mod tests {
     #[test]
     fn seeded_phantom_dirty_windows_are_caught() {
         // The dual bug: a scheduler that marks windows dirty (forcing
-        // ring drains) although nothing was ever posted — legal only if
+        // mailbox takes) although nothing was ever posted — legal only if
         // the mailbox totals back it up.
         let (cfg, mut report) = traced_run();
         assert!(report.pdes.epochs > 1);

@@ -50,9 +50,14 @@
 //! Migration-heavy runs that keep a few of 64 shards busy thus pay for
 //! those few per window, not for all 64. The single-worker scheduler is
 //! that same routine over one group holding every shard. Threaded
-//! workers each own the shards a run-start planner assigned them, post
-//! cross-shard events on per-worker-pair [`EdgeRings`], and agree on
-//! each window with one [`EpochGate`] crossing. An engine takes its
+//! workers each own the shards a run-start planner assigned them and
+//! agree on each window with one [`EpochGate`] crossing. Each worker
+//! has two mutexed mailboxes, one per gate-round parity: before the
+//! crossing a worker appends the mail it posted to each owner's box of
+//! that round's parity, one lock per destination worker, and after it
+//! takes its own box whole. A peer can refill that box only two rounds
+//! later, past a crossing the owner joins after its take, so every take
+//! holds exactly one window's mail. An engine takes its
 //! worker count from the [`RunCtx`] current when it is built (see
 //! [`crate::ctx`]; `EMU_SIM_THREADS` outside any scope, default 1), and
 //! [`Engine::set_sim_threads`] overrides it for that engine alone, so
@@ -78,7 +83,7 @@ use crate::metrics::{
 };
 use crate::trace::{TraceEvent, TraceKind, TraceLog, TraceRecorder};
 use desim::arena::{Arena, Idx as TRef};
-use desim::pdes::{EdgeRings, EpochGate, GateView, GATE_DIRTY, GATE_ERROR};
+use desim::pdes::{EpochGate, GateView, GATE_DIRTY, GATE_ERROR};
 use desim::queue::EventQueue;
 use desim::server::{FifoServer, Grant, Link, MultiServer};
 use desim::stats::{LogHistogram, Summary};
@@ -86,12 +91,7 @@ use desim::time::Time;
 use desim::timeline::{Gauge, Timeline};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
-/// Capacity in messages of each per-worker-pair SPSC exchange ring.
-/// Overflow spills to a mutex-guarded side list, so any capacity is
-/// correct; a bigger ring just locks less.
-const RING_CAPACITY: usize = 512;
+use std::sync::{Arc, Mutex};
 
 /// Pending events a shard needs at run start to count as *loaded* for
 /// the merge planner (see [`Engine::enable_merge`]).
@@ -257,14 +257,6 @@ struct OutMsg {
     dest: u32,
     at: Time,
     key: u64,
-    /// Window the message was posted in, stamped by the scheduler at
-    /// post time. The depth high-water mark batches deliveries by this
-    /// field rather than by drain round: a drain may pick up mail
-    /// another worker published moments after the crossing (harmless
-    /// for results — the event lies beyond the open window and queues
-    /// order by intrinsic key), so only the posting window is a
-    /// deterministic batch identity.
-    epoch: u64,
     ev: WireEv,
 }
 
@@ -303,12 +295,10 @@ struct Shard {
     /// Cross-shard events sent / delivered (conservation-checked).
     sent: u64,
     delivered: u64,
-    /// Per-batch delivery counts for the two most recent exchange
-    /// batches, as `(mark, count)` slots. Two batches can be live at
-    /// once: a drain may pick up the next window's early-published
-    /// mail interleaved (per-edge) with the previous window's, so the
-    /// count must key on the mark, not on delivery adjacency.
-    mail_batch: [(u64, u64); 2],
+    /// Deliveries in the current exchange batch, as `(mark, count)`.
+    /// Every scheduler delivers one batch whole before the next, so a
+    /// new mark starts a new count.
+    mail_batch: (u64, u64),
     /// Most deliveries this shard absorbed in any single exchange
     /// batch — deterministic, so it lives in [`PdesSummary`].
     mail_hwm: u64,
@@ -323,6 +313,40 @@ struct Shard {
 }
 
 impl Shard {
+    /// A fresh thread context on this shard of a `width`-nodelet
+    /// machine, counted as spawned and alive here. IDs are strided by
+    /// the machine width so every shard mints from a disjoint namespace
+    /// without coordination.
+    fn new_thread(
+        &mut self,
+        width: u32,
+        kernel: Box<dyn Kernel>,
+        loc: NodeletId,
+        home: NodeletId,
+    ) -> (ThreadId, TRef) {
+        let tid = ThreadId(self.next_tid.wrapping_mul(width).wrapping_add(self.id));
+        self.next_tid += 1;
+        self.live += 1;
+        self.spawned += 1;
+        let r = self.arena.insert(Thread {
+            tid,
+            kernel: Some(kernel),
+            loc,
+            home,
+            dest: loc,
+            resume: None,
+            in_flight_migration: false,
+            mig_issue_at: Time::ZERO,
+            migrations: 0,
+            mig_attempts: 0,
+            link_attempts: 0,
+            newborn: false,
+            op_started: Time::ZERO,
+            op_kind: OpKind::None,
+        });
+        (tid, r)
+    }
+
     /// Deliver one cross-shard message into this shard's queue,
     /// tracking the per-exchange-batch depth high-water mark. `mark`
     /// identifies the exchange batch — the posting window under the
@@ -331,20 +355,12 @@ impl Shard {
     /// timing), or the high-water mark stops being deterministic.
     #[inline]
     fn absorb_mail(&mut self, mark: u64, m: OutMsg) {
-        let slot = if self.mail_batch[0].0 == mark {
-            0
-        } else if self.mail_batch[1].0 == mark {
-            1
-        } else {
-            // Evict the older batch: marks only move forward, so a
-            // mark smaller than both live ones can never recur.
-            let older = usize::from(self.mail_batch[0].0 > self.mail_batch[1].0);
-            self.mail_batch[older] = (mark, 0);
-            older
-        };
-        self.mail_batch[slot].1 += 1;
-        if self.mail_batch[slot].1 > self.mail_hwm {
-            self.mail_hwm = self.mail_batch[slot].1;
+        if self.mail_batch.0 != mark {
+            self.mail_batch = (mark, 0);
+        }
+        self.mail_batch.1 += 1;
+        if self.mail_batch.1 > self.mail_hwm {
+            self.mail_hwm = self.mail_batch.1;
         }
         let ev = match m.ev {
             WireEv::Arrive(t) => Event::Arrive(self.arena.insert(t)),
@@ -597,9 +613,7 @@ impl Engine {
                 outbox: Vec::new(),
                 sent: 0,
                 delivered: 0,
-                // Mark 0 never occurs (batch identifiers start at 1),
-                // so zeroed slots are evictable empties.
-                mail_batch: [(0, 0), (0, 0)],
+                mail_batch: (0, 0),
                 mail_hwm: 0,
                 min_cross_delay: Time::MAX,
                 now: Time::ZERO,
@@ -786,35 +800,16 @@ impl Engine {
             }
         }
         let sh = &mut self.shards[to.idx()];
-        let tid = ThreadId(sh.next_tid.wrapping_mul(total).wrapping_add(to.0));
-        sh.next_tid += 1;
-        sh.live += 1;
-        sh.spawned += 1;
+        let (tid, r) = sh.new_thread(total, kernel, to, to);
         sh.nl.counters.spawns += 1;
-        if let Some(r) = sh.recorder.as_mut() {
-            r.record(TraceEvent {
+        if let Some(rec) = sh.recorder.as_mut() {
+            rec.record(TraceEvent {
                 at: Time::ZERO,
                 nodelet: to,
                 thread: Some(tid),
                 kind: TraceKind::Spawn,
             });
         }
-        let r = sh.arena.insert(Thread {
-            tid,
-            kernel: Some(kernel),
-            loc: to,
-            home: to,
-            dest: to,
-            resume: None,
-            in_flight_migration: false,
-            mig_issue_at: Time::ZERO,
-            migrations: 0,
-            mig_attempts: 0,
-            link_attempts: 0,
-            newborn: false,
-            op_started: Time::ZERO,
-            op_kind: OpKind::None,
-        });
         let key = self.init_seq;
         self.init_seq += 1;
         sh.q.schedule_keyed(Time::ZERO, key, Event::Arrive(r));
@@ -898,7 +893,7 @@ impl Engine {
             wall_ns: t0.elapsed().as_nanos() as u64,
             barrier_crossings: stats.crossings,
             // A threaded run commits every clean window on its one gate
-            // crossing, with no ring drain.
+            // crossing, with no mailbox take.
             fused_windows: if groups > 1 { stats.clean } else { 0 },
             merge_groups: groups as u64,
             shard_owners: owners,
@@ -1269,17 +1264,24 @@ struct RunEnv<'a> {
     cancel: Option<&'a Cancel>,
 }
 
+/// One worker's inbound mail: a box per gate-round parity.
+type Mailboxes = [Mutex<Vec<OutMsg>>; 2];
+
 /// A threaded worker's links to its peers: the gate every window is
-/// agreed on and the rings that carry mail between workers.
+/// agreed on and the mailboxes that carry mail between workers.
 struct Peers<'a> {
     /// This worker's index.
     me: usize,
     gate: &'a EpochGate,
-    rings: &'a EdgeRings<OutMsg>,
+    /// Every worker's mailboxes, by worker index.
+    mailboxes: &'a [Mailboxes],
     /// Owning worker of each shard.
     owners: &'a [u32],
     /// Position of each shard within its owner's group.
     local_idx: &'a [u32],
+    /// This worker's outgoing mail, batched by destination worker so
+    /// each destination's box is locked once per window.
+    outgoing: Vec<Vec<OutMsg>>,
 }
 
 /// The shards one scheduler worker drains (every shard, inline), with
@@ -1356,12 +1358,16 @@ impl<'a> Group<'a> {
         }
     }
 
-    /// Threaded exchange: post the mail the last window posted to its
-    /// owners' rings, commit this group's digest at the gate, and
-    /// deliver whatever mail the gate says is waiting.
+    /// Threaded exchange: append the mail the last window (number
+    /// `epoch`) posted to its owners' mailboxes of this round's parity,
+    /// commit this group's digest at the gate, and, when the gate says
+    /// mail is waiting, take this worker's own box of that parity whole.
+    /// A peer posts into that box again only in round `round + 2`, after
+    /// a crossing this worker joins once its take is done, so the take
+    /// holds exactly the mail of window `epoch`.
     fn exchange_gate(
         &mut self,
-        p: &Peers,
+        p: &mut Peers,
         round: u64,
         epoch: u64,
         clk: &mut PhaseClock,
@@ -1370,26 +1376,35 @@ impl<'a> Group<'a> {
         // heads in the digest: the gate-wide minimum then equals the
         // post-delivery one, and the window is decided before delivery.
         let flags = gate_flags(self.error, !self.posted.is_empty());
+        let parity = (round & 1) as usize;
         let mut next = self.first;
         for k in 0..self.posted.len() {
-            for mut m in self.shards[self.posted[k] as usize].outbox.drain(..) {
+            for m in self.shards[self.posted[k] as usize].outbox.drain(..) {
                 next = next.min(m.at.ps());
-                m.epoch = epoch;
-                p.rings.post(p.me, p.owners[m.dest as usize] as usize, [m]);
+                p.outgoing[p.owners[m.dest as usize] as usize].push(m);
             }
         }
         self.posted.clear();
-        p.rings.publish_from(p.me);
+        for (boxes, batch) in p.mailboxes.iter().zip(&mut p.outgoing) {
+            if !batch.is_empty() {
+                boxes[parity]
+                    .lock()
+                    .expect("mailbox poisoned")
+                    .append(batch);
+            }
+        }
         clk.mark(Phase::Exchange);
         let next = (next != u64::MAX).then_some(next);
         let view = p.gate.sync(p.me, round, self.events, next, flags);
         clk.mark(Phase::Barrier);
         if view.any_dirty() {
             let mut mail = std::mem::take(&mut self.mail);
-            p.rings.drain_into(p.me, &mut mail);
+            std::mem::swap(
+                &mut mail,
+                &mut p.mailboxes[p.me][parity].lock().expect("mailbox poisoned"),
+            );
             for m in mail.drain(..) {
-                let mark = m.epoch;
-                self.absorb(p.local_idx[m.dest as usize] as usize, mark, m);
+                self.absorb(p.local_idx[m.dest as usize] as usize, epoch, m);
             }
             self.mail = mail;
             clk.mark(Phase::Exchange);
@@ -1443,7 +1458,7 @@ fn gate_flags(error: bool, dirty: bool) -> u64 {
 /// on, the worker's phase split.
 fn run_group(
     mut g: Group,
-    peers: Option<&Peers>,
+    mut peers: Option<Peers>,
     env: &RunEnv,
     profile: bool,
 ) -> (SchedStats, Option<PhaseBreakdown>) {
@@ -1451,7 +1466,7 @@ fn run_group(
     let mut clk = PhaseClock::new(profile);
     let mut drained = false;
     loop {
-        let view = match peers {
+        let view = match peers.as_mut() {
             None => g.exchange_inline(stats.epochs, &mut clk),
             Some(p) => {
                 let round = stats.crossings;
@@ -1483,9 +1498,9 @@ fn run_group(
 
 /// Epoch scheduler over a scoped worker pool. Each worker runs
 /// [`run_group`] over the shards [`Engine::plan_groups`] assigned it,
-/// posts cross-shard mail on per-edge SPSC rings, and agrees on every
-/// window with one [`EpochGate`] crossing. The caller runs worker 0, so
-/// `groups - 1` threads are spawned.
+/// posts cross-shard mail into its owners' [`Mailboxes`], and agrees on
+/// every window with one [`EpochGate`] crossing. The caller runs worker
+/// 0, so `groups - 1` threads are spawned.
 fn run_epochs_threaded(
     shards: &mut [Shard],
     env: &RunEnv,
@@ -1493,8 +1508,8 @@ fn run_epochs_threaded(
     groups: usize,
     profile: bool,
 ) -> (SchedStats, Vec<PhaseBreakdown>) {
-    // Route table: a message for shard `d` is posted on edge (worker,
-    // owners[d]) and delivered to that group's `local_idx[d]`-th shard
+    // Route table: a message for shard `d` is posted to worker
+    // owners[d] and delivered to that group's `local_idx[d]`-th shard
     // (groups keep ascending shard order).
     let mut local_idx = vec![0u32; shards.len()];
     let mut counts = vec![0u32; groups];
@@ -1506,19 +1521,18 @@ fn run_epochs_threaded(
     for (s, &o) in shards.iter_mut().zip(owners.iter()) {
         grouped[o as usize].push(s);
     }
-    let rings: EdgeRings<OutMsg> = EdgeRings::new(groups, RING_CAPACITY);
+    let mailboxes: Vec<Mailboxes> = (0..groups).map(|_| Default::default()).collect();
     let gate = EpochGate::new(groups);
-    let peers: Vec<Peers> = (0..groups)
-        .map(|me| Peers {
-            me,
-            gate: &gate,
-            rings: &rings,
-            owners,
-            local_idx: &local_idx,
-        })
-        .collect();
+    let peers = (0..groups).map(|me| Peers {
+        me,
+        gate: &gate,
+        mailboxes: &mailboxes,
+        owners,
+        local_idx: &local_idx,
+        outgoing: (0..groups).map(|_| Vec::new()).collect(),
+    });
     std::thread::scope(|scope| {
-        let mut workers = grouped.into_iter().zip(&peers);
+        let mut workers = grouped.into_iter().zip(peers);
         let (first, p0) = workers.next().expect("a threaded run has workers");
         let others: Vec<_> = workers
             .map(|(mine, p)| {
@@ -1671,7 +1685,6 @@ impl ShardCtx<'_> {
             dest: dest.0,
             at,
             key,
-            epoch: 0,
             ev,
         });
     }
@@ -1800,37 +1813,6 @@ impl ShardCtx<'_> {
         } else {
             GlobalAddr::new(self.redirected(addr.nodelet, now), addr.offset)
         }
-    }
-
-    /// A fresh thread context spawned on this shard. IDs are strided by
-    /// the machine width so every shard mints from a disjoint namespace
-    /// without coordination.
-    fn alloc_thread(&mut self, kernel: Box<dyn Kernel>, loc: NodeletId, home: NodeletId) -> TRef {
-        let s = &mut *self.s;
-        let tid = ThreadId(
-            s.next_tid
-                .wrapping_mul(self.cfg.total_nodelets())
-                .wrapping_add(s.id),
-        );
-        s.next_tid += 1;
-        s.live += 1;
-        s.spawned += 1;
-        s.arena.insert(Thread {
-            tid,
-            kernel: Some(kernel),
-            loc,
-            home,
-            dest: loc,
-            resume: None,
-            in_flight_migration: false,
-            mig_issue_at: Time::ZERO,
-            migrations: 0,
-            mig_attempts: 0,
-            link_attempts: 0,
-            newborn: false,
-            op_started: Time::ZERO,
-            op_kind: OpKind::None,
-        })
     }
 
     fn on_arrive(&mut self, r: TRef, now: Time) {
@@ -2060,20 +2042,18 @@ impl ShardCtx<'_> {
                         // A remote spawn ships the newborn context through
                         // the local migration engine, exactly like a
                         // migration; the child's home (stack) is the target.
-                        let child = self.alloc_thread(kernel, loc, target);
-                        let ctid = {
-                            let c = self
-                                .s
-                                .arena
-                                .get_mut(child)
-                                .expect("just-allocated child is live");
-                            c.newborn = true;
-                            c.dest = target;
-                            c.in_flight_migration = true;
-                            c.mig_issue_at = grant.done;
-                            c.migrations = 1;
-                            c.tid
-                        };
+                        let width = self.cfg.total_nodelets();
+                        let (ctid, child) = self.s.new_thread(width, kernel, loc, target);
+                        let c = self
+                            .s
+                            .arena
+                            .get_mut(child)
+                            .expect("just-allocated child is live");
+                        c.newborn = true;
+                        c.dest = target;
+                        c.in_flight_migration = true;
+                        c.mig_issue_at = grant.done;
+                        c.migrations = 1;
                         self.s.nl.counters.migrations_out += 1;
                         self.emit(now, loc, Some(ctid), TraceKind::MigrateOut);
                         self.send_local(grant.done, Event::MigrateOut(child));
@@ -2100,13 +2080,8 @@ impl ShardCtx<'_> {
     /// Spawn a child on this nodelet; it arrives after the local spawn
     /// latency past the issuing grant.
     fn spawn_local(&mut self, kernel: Box<dyn Kernel>, loc: NodeletId, done: Time, now: Time) {
-        let child = self.alloc_thread(kernel, loc, loc);
-        let ctid = self
-            .s
-            .arena
-            .get(child)
-            .expect("just-allocated child is live")
-            .tid;
+        let width = self.cfg.total_nodelets();
+        let (ctid, child) = self.s.new_thread(width, kernel, loc, loc);
         self.s.nl.counters.spawns += 1;
         self.emit(now, loc, Some(ctid), TraceKind::Spawn);
         let latency = self.cfg.costs.spawn_local_latency;
@@ -3123,11 +3098,12 @@ mod tests {
     }
 
     #[test]
-    fn ring_overflow_spills_without_changing_the_report() {
+    fn remote_store_burst_into_one_nodelet_keeps_the_report() {
         // 64 threads on each of nodelets 0-31 post 8 remote stores each
-        // to nodelet 63. With merging off, 2 workers split the shards
-        // 0-31 / 32-63, so one window's burst far exceeds the 512-slot
-        // ring between them and most of it takes the spill path.
+        // to nodelet 63: 16,384 messages, 2,048 of them in one window.
+        // With merging off, 2 workers split the shards 0-31 / 32-63, and
+        // 3 workers split them 0-21 / 22-43 / 44-63, so workers 0 and 1
+        // both post into worker 2's mailbox in the same round.
         let run = |workers: usize| {
             let mut e = Engine::new(presets::emu64_full_speed()).unwrap();
             e.set_sim_threads(workers);
@@ -3145,13 +3121,15 @@ mod tests {
             }
             e.run().unwrap()
         };
-        let one = run(1);
+        let one = format!("{:?}", run(1));
         let two = run(2);
-        assert_eq!(format!("{one:?}"), format!("{two:?}"));
-        assert!(
-            two.pdes.mailbox_depth_hwm > RING_CAPACITY as u64,
-            "burst of {} never overflowed the {RING_CAPACITY}-slot ring",
-            two.pdes.mailbox_depth_hwm
+        assert_eq!(one, format!("{two:?}"));
+        assert_eq!(one, format!("{:?}", run(3)));
+        assert_eq!(two.pdes.mailbox_sent, 32 * 64 * 8);
+        assert_eq!(
+            two.pdes.mailbox_depth_hwm,
+            32 * 64,
+            "one window's burst should land in one delivery batch"
         );
     }
 

@@ -145,7 +145,7 @@ pub struct PdesSummary {
     pub epochs: u64,
     /// Windows after which no shard had posted any cross-shard event —
     /// the all-local case the threaded scheduler commits on its gate
-    /// crossing alone, with no ring drain. A function of the simulated
+    /// crossing alone, with no mailbox take. A function of the simulated
     /// event stream (which shards talk when), not of worker placement,
     /// so it is worker-count- and merge-invariant like every other
     /// field here.
@@ -214,7 +214,7 @@ pub struct PdesPhaseProfile {
     /// the closing one, zero for inline/merged runs.
     pub barrier_crossings: u64,
     /// Clean windows the worker pool committed on the gate crossing
-    /// alone, with no ring drain: every clean window of a threaded run,
+    /// alone, with no mailbox take: every clean window of a threaded run,
     /// zero for inline/merged runs.
     pub fused_windows: u64,
     /// Worker-pool size the run-start merge planner chose (1 for

@@ -145,13 +145,7 @@ mod tests {
 
     #[test]
     fn all_presets_validate() {
-        for cfg in [
-            chick_prototype(),
-            chick_toolchain_sim(),
-            chick_full_speed(),
-            emu64_full_speed(),
-            chick_8node_prototype(),
-        ] {
+        for (_, cfg) in all() {
             cfg.validate().unwrap();
         }
     }
