@@ -1,6 +1,6 @@
-//! Fault-tolerant experiment harness: run each sweep point on a worker
-//! thread with a wall-clock timeout and a bounded retry policy, and keep
-//! partial results when individual points fail.
+//! Fault-tolerant experiment harness: run each sweep point under a
+//! wall-clock deadline with a bounded retry policy, and keep partial
+//! results when individual points fail.
 //!
 //! The paper's own campaign lost runs to system-software crashes and
 //! hangs on the prototype; this harness is the simulation-side analogue,
@@ -8,10 +8,9 @@
 //! high NACK rate, say) costs one labelled row instead of the whole
 //! sweep.
 
-use emu_core::ctx::RunCtx;
+use emu_core::ctx::{Deadline, RunCtx};
 use emu_core::fault::SimError;
-use std::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Outcome of one sweep point, preserved row-by-row in the results.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,50 +63,36 @@ impl Default for RunPolicy {
     }
 }
 
-/// Run `f` under `policy`: each attempt on its own worker thread with a
-/// wall-clock timeout. A completed attempt (Ok or Err) ends the point —
-/// deterministic errors replay identically, so only timeouts retry.
+/// Run `f` under `policy`: each attempt inline, in a child of the
+/// caller's [`RunCtx`] ([`RunCtx::child`]) whose deadline lies
+/// `policy.timeout` after the attempt starts. Every engine run the
+/// attempt starts stops with [`SimError::DeadlineExceeded`] once that
+/// deadline passes; host-side work in `f` between runs is not cut
+/// short. An attempt that ends in `DeadlineExceeded` is retried; any
+/// other result ends the point, since deterministic errors replay
+/// identically.
 ///
-/// A timed-out worker thread is detached, not killed: it finishes (or
-/// not) in the background while the sweep moves on, which is exactly the
-/// "abandon the hung run, keep the campaign going" behaviour the paper's
-/// measurement campaign needed on the prototype.
-///
-/// Telemetry: every attempt runs in its own child of the caller's
-/// [`RunCtx`] ([`RunCtx::child`]), and only the attempt that decides
-/// the point (the one whose result is returned) has its reports
-/// appended to the caller's sink. A detached straggler that finishes
-/// after its point was abandoned reports into a sink nobody reads: the
-/// `runs` array under `--report-json` matches the table's rows, in
-/// sweep order, at any `-j`.
+/// Telemetry: only the attempt that decides the point (the one whose
+/// result is returned) has its reports appended to the caller's sink,
+/// so the `runs` array under `--report-json` matches the table's rows,
+/// in sweep order, at any `-j`.
 pub fn run_point<T, F>(policy: RunPolicy, f: F) -> PointOutcome<T>
 where
-    T: Send + 'static,
-    F: Fn() -> Result<T, SimError> + Send + Sync + 'static,
+    F: Fn() -> Result<T, SimError>,
 {
     let parent = RunCtx::current();
-    let f = std::sync::Arc::new(f);
-    let attempts = policy.attempts.max(1);
-    for _ in 0..attempts {
-        let (tx, rx) = mpsc::channel();
-        let g = std::sync::Arc::clone(&f);
-        let ctx = parent.child();
-        let worker_ctx = ctx.clone();
-        std::thread::spawn(move || {
-            let out = worker_ctx.scope(|| g());
-            // The receiver may have given up; a send error is fine.
-            let _ = tx.send(out);
-        });
-        match rx.recv_timeout(policy.timeout) {
-            Ok(out) => {
-                parent.adopt(&ctx);
-                return match out {
-                    Ok(v) => PointOutcome::Ok(v),
-                    Err(e) => PointOutcome::Failed(e),
-                };
-            }
-            Err(mpsc::RecvTimeoutError::Timeout | mpsc::RecvTimeoutError::Disconnected) => {}
-        }
+    for _ in 0..policy.attempts.max(1) {
+        let ctx = RunCtx {
+            deadline: Deadline::new(Instant::now(), policy.timeout),
+            ..parent.child()
+        };
+        let out = match ctx.scope(&f) {
+            Err(SimError::DeadlineExceeded { .. }) => continue,
+            Ok(v) => PointOutcome::Ok(v),
+            Err(e) => PointOutcome::Failed(e),
+        };
+        parent.adopt(&ctx);
+        return out;
     }
     PointOutcome::TimedOut(policy.timeout)
 }
@@ -143,17 +128,24 @@ mod tests {
 
     #[test]
     fn hang_times_out_and_retries() {
+        use emu_core::presets;
+        use membench::stream::{run_stream_emu, EmuStreamConfig};
         use std::sync::atomic::{AtomicU32, Ordering};
         static TRIES: AtomicU32 = AtomicU32::new(0);
-        let r: PointOutcome<u64> = run_point(
+        let r = run_point(
             RunPolicy {
-                timeout: Duration::from_millis(20),
+                timeout: Duration::from_millis(1),
                 attempts: 2,
             },
             || {
                 TRIES.fetch_add(1, Ordering::SeqCst);
-                std::thread::sleep(Duration::from_secs(30));
-                Ok(0)
+                // A STREAM of 2^18 elements runs far longer than 1 ms.
+                let sc = EmuStreamConfig {
+                    total_elems: 1 << 18,
+                    nthreads: 64,
+                    ..Default::default()
+                };
+                run_stream_emu(&presets::chick_prototype(), &sc).map(|r| r.report.events)
             },
         );
         assert!(matches!(r, PointOutcome::TimedOut(_)));

@@ -4,7 +4,7 @@
 //! construction: a lossless trace summed by kind must reproduce the
 //! per-nodelet counters exactly, every spawned threadlet must quit,
 //! every migration that departs must arrive, and no resource can be
-//! busy for longer than the run lasted. [`audit`] checks all of that on
+//! busy for longer than it was in use. [`audit`] checks all of that on
 //! a finished report and returns the list of violated invariants — an
 //! independent referee used by the conformance fuzzer (`simctl fuzz`)
 //! and available to any test that wants to assert a run is internally
@@ -51,9 +51,11 @@ impl fmt::Display for Violation {
 ///   included);
 /// * **monotone sim-time** — trace events are in nondecreasing time
 ///   order and never stamped after the makespan;
-/// * **no negative queue residency** — per-nodelet core/channel/
-///   migration busy time never exceeds the run's capacity for it, and
-///   the threadlet time breakdown fits within `threads x makespan`;
+/// * **no negative queue residency** — per-nodelet core and migration
+///   busy time never exceeds the run's capacity for it, channel busy
+///   time never exceeds the time the channel last became free (a
+///   posted store may hold it past the makespan), and the threadlet
+///   time breakdown fits within `threads x makespan`;
 /// * **fault-totals consistency** — fault classes the plan disabled
 ///   recorded zero events, every NACK of a completed run was retried,
 ///   and dead nodelets stayed silent;
@@ -133,15 +135,18 @@ pub fn audit(cfg: &MachineConfig, report: &RunReport) -> Vec<Violation> {
                 ),
             );
         }
-        for (what, busy) in [
-            ("channel", occ.channel_busy),
-            ("migration", occ.migration_busy),
+        // A posted store takes the channel with no completion event,
+        // so the channel is bounded by when it last became free, not by
+        // the makespan.
+        for (what, busy, bound, name) in [
+            ("channel", occ.channel_busy, occ.channel_free, "last free"),
+            ("migration", occ.migration_busy, span, "makespan"),
         ] {
-            if busy > span {
+            if busy > bound {
                 fail(
                     &mut v,
                     "queue-residency",
-                    format!("nodelet {i} {what} busy {busy} beyond makespan {span}"),
+                    format!("nodelet {i} {what} busy {busy} beyond {name} {bound}"),
                 );
             }
         }
@@ -655,7 +660,7 @@ mod tests {
     #[test]
     fn seeded_overfull_occupancy_is_caught() {
         let (cfg, mut report) = traced_run();
-        report.occupancy[0].channel_busy = report.makespan + Time::from_ns(1);
+        report.occupancy[0].channel_busy = report.occupancy[0].channel_free + Time::from_ns(1);
         let v = audit(&cfg, &report);
         assert!(
             v.iter().any(|v| v.invariant == "queue-residency"),

@@ -4,25 +4,32 @@
 //! A [`RunCtx`] holds the scheduler worker count and phase profiling,
 //! the [`TelemetryConfig`] engines collect under, an optional
 //! [`ReportSink`] for finished runs' reports, the sweep job count and
-//! quick sizing, and the result-cache directory. [`RunCtx::scope`]
-//! makes it current on the calling thread for a closure, and
-//! [`RunCtx::collect`] does the same with a fresh sink whose reports it
-//! returns. Two callers in one process each enter their own ctx and
-//! never see each other's settings. Work moved to another thread
-//! carries the ctx along: sweeps and the fault-tolerant harness run
-//! each point in a [`RunCtx::child`], and the daemon's pool enters the
-//! ctx it was started in.
+//! quick sizing, the result-cache directory, and the budget of each
+//! engine run: a wall-clock [`Deadline`] and an event cap.
+//! [`RunCtx::scope`] makes it current on the calling thread for a
+//! closure, and [`RunCtx::collect`] does the same with a fresh sink
+//! whose reports it returns. Two callers in one process each enter
+//! their own ctx and never see each other's settings. Work moved to
+//! another thread carries the ctx along: sweeps run each point in a
+//! [`RunCtx::child`], and the daemon's pool enters the ctx it was
+//! started in.
+//!
+//! An engine reads the worker count, phase profiling and telemetry
+//! when it is built, and the budget each time a run starts, so a warm
+//! engine reused across scopes runs under each scope's own budget.
 //!
 //! Outside any scope the environment snapshot applies:
 //! [`RunCtx::from_env`] parses `EMU_SIM_THREADS`, `EMU_PDES_PHASES`,
 //! `EMU_JOBS`, `EMU_QUICK`, `EMU_CACHE` and `EMU_CACHE_DIR` once per
 //! process, on first use, and is the only reader of those variables.
 
+use crate::fault::SimError;
 use crate::metrics::RunReport;
 use crate::trace::TelemetryConfig;
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 /// Result-cache store directory (relative to the working directory)
 /// when `EMU_CACHE_DIR` is unset.
@@ -56,6 +63,40 @@ impl ReportSink {
     }
 }
 
+/// A wall-clock deadline for engine runs: the instant it passes and
+/// the budget, in milliseconds, that [`SimError::DeadlineExceeded`]
+/// reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Deadline {
+    /// When the budget runs out.
+    pub at: Instant,
+    /// The budget in milliseconds.
+    pub ms: u64,
+}
+
+impl Deadline {
+    /// The deadline `budget` after `start`, or `None` when that instant
+    /// lies beyond what the clock can represent (no deadline at all).
+    pub fn new(start: Instant, budget: Duration) -> Option<Deadline> {
+        Some(Deadline {
+            at: start.checked_add(budget)?,
+            ms: u64::try_from(budget.as_millis()).unwrap_or(u64::MAX),
+        })
+    }
+
+    /// Whether the deadline has passed (reads the clock).
+    pub fn passed(&self) -> bool {
+        Instant::now() >= self.at
+    }
+
+    /// The error a run stopped by this deadline returns.
+    pub fn error(&self) -> SimError {
+        SimError::DeadlineExceeded {
+            deadline_ms: self.ms,
+        }
+    }
+}
+
 /// Run-wide settings and sinks, entered for a scope with
 /// [`RunCtx::scope`].
 #[derive(Debug, Clone)]
@@ -77,11 +118,20 @@ pub struct RunCtx {
     pub quick: bool,
     /// Result-cache store directory; `None` means the cache is off.
     pub cache: Option<PathBuf>,
+    /// Wall-clock deadline of every engine run started in scope: a run
+    /// still going when it passes stops with
+    /// [`SimError::DeadlineExceeded`]. `None` sets no deadline.
+    pub deadline: Option<Deadline>,
+    /// Dispatched-event cap of every engine run started in scope,
+    /// overriding the fault plan's `max_events`; a run past it stops
+    /// with [`SimError::EventCapExceeded`]. `None` and `Some(0)` defer
+    /// to the plan.
+    pub max_events: Option<u64>,
 }
 
 impl Default for RunCtx {
     /// A plain sequential run: one scheduler worker, one sweep job,
-    /// full sizes, no telemetry, no sink, no cache.
+    /// full sizes, no telemetry, no sink, no cache, no budget.
     fn default() -> Self {
         RunCtx {
             sim_threads: 1,
@@ -91,6 +141,8 @@ impl Default for RunCtx {
             jobs: 1,
             quick: false,
             cache: None,
+            deadline: None,
+            max_events: None,
         }
     }
 }
@@ -165,6 +217,8 @@ impl RunCtx {
             jobs: count(get("EMU_JOBS").map(|v| v.trim().to_string())).unwrap_or_else(host_cores),
             quick: get("EMU_QUICK").is_some_and(|v| v == "1"),
             cache: cache_on.then(|| cache_dir_from(&get)),
+            deadline: None,
+            max_events: None,
         }
     }
 

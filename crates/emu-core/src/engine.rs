@@ -72,10 +72,22 @@
 //! every counter, and every trace byte are identical whether the run
 //! used one worker or many. The [`PdesSummary`] on the report records
 //! how the sharded scheduler ran.
+//!
+//! ## Budgets
+//!
+//! Each run takes its budget from the [`RunCtx`] current when it
+//! starts: an event cap ([`RunCtx::max_events`], deterministic, and
+//! ahead of the fault plan's `max_events`) and a wall-clock deadline
+//! ([`RunCtx::deadline`]). Only an armed deadline makes the engine read
+//! the clock outside phase profiling: at the start of every lookahead
+//! window, every 1024 events of a shard's drain, and every 1024 events
+//! of the zero-lookahead scheduler. A run still going when it passes
+//! stops with [`SimError::DeadlineExceeded`]; a run that finishes first
+//! is byte-identical to an unbudgeted one.
 
 use crate::addr::{GlobalAddr, NodeletId};
 use crate::config::{MachineConfig, ServiceTimes};
-use crate::ctx::{self, RunCtx};
+use crate::ctx::{self, Deadline, RunCtx};
 use crate::fault::{self, SimError};
 use crate::kernel::{Kernel, KernelCtx, Op, Placement, ThreadId};
 use crate::metrics::{
@@ -90,8 +102,7 @@ use desim::stats::{LogHistogram, Summary};
 use desim::time::Time;
 use desim::timeline::{Gauge, Timeline};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Pending events a shard needs at run start to count as *loaded* for
 /// the merge planner (see [`Engine::enable_merge`]).
@@ -462,10 +473,6 @@ struct SchedStats {
     crossings: u64,
 }
 
-/// A cooperative cancellation flag paired with the wall-clock deadline
-/// (in milliseconds) it stands for — see [`Engine::set_cancel`].
-type Cancel = (Arc<AtomicBool>, u64);
-
 /// The Emu machine simulator. Construct, seed initial threadlets with
 /// [`Engine::spawn_at`], then [`Engine::run`] to completion — or keep
 /// the engine warm across runs with [`Engine::run_once`] +
@@ -488,11 +495,6 @@ pub struct Engine {
     /// Timeline bucket width, remembered so [`Engine::reset`] can re-arm
     /// the per-shard series ([`None`] when timelines are off).
     timeline_bucket: Option<Time>,
-    /// Per-run event-cap override (takes precedence over the fault
-    /// plan's `max_events`; [`None`] defers to the plan).
-    event_cap: Option<u64>,
-    /// Cooperative wall-clock cancellation flag for the current run.
-    cancel: Option<Cancel>,
     /// Whether the epoch schedulers measure their wall-clock phase
     /// split (see [`Engine::enable_phase_profile`]).
     phase_profile: bool,
@@ -557,8 +559,6 @@ impl Engine {
             sim_threads,
             trace_capacity: 0,
             timeline_bucket: None,
-            event_cap: None,
-            cancel: None,
             phase_profile,
             merge: true,
             pending_phases: None,
@@ -629,9 +629,8 @@ impl Engine {
 
     /// Return the engine to its just-constructed state so it can run
     /// another workload: every shard is rebuilt from the configuration
-    /// (fresh queues, servers, counters, statistics), the pre-run spawn
-    /// sequence restarts at zero, and any per-run event cap or
-    /// cancellation flag is cleared. Trace/timeline settings and the
+    /// (fresh queues, servers, counters, statistics) and the pre-run
+    /// spawn sequence restarts at zero. Trace/timeline settings and the
     /// worker-count override survive. A reset engine is
     /// indistinguishable from a cold [`Engine::new`] of the same
     /// configuration — reports from warm reuse are byte-identical to
@@ -639,8 +638,6 @@ impl Engine {
     pub fn reset(&mut self) {
         self.shards = Self::build_shards(&self.cfg);
         self.init_seq = 0;
-        self.event_cap = None;
-        self.cancel = None;
         self.pending_phases = None;
         self.pending_clean = 0;
         let cap = self.trace_capacity;
@@ -653,34 +650,6 @@ impl Engine {
             self.enable_timeline(bucket)
                 .expect("bucket was valid when first enabled");
         }
-    }
-
-    /// Cap the next run at `cap` dispatched events, overriding the fault
-    /// plan's `max_events` watchdog. `Some(0)` and [`None`] both restore
-    /// the plan's own setting (0 there means uncapped). The cap trips as
-    /// [`SimError::EventCapExceeded`] — deterministic, unlike the
-    /// wall-clock deadline of [`Engine::set_cancel`].
-    pub fn set_event_cap(&mut self, cap: Option<u64>) {
-        self.event_cap = cap.filter(|&n| n > 0);
-    }
-
-    /// Arm cooperative wall-clock cancellation: the epoch schedulers
-    /// poll `flag` once per lookahead window and every ~1k events of a
-    /// shard's drain (the zero-lookahead fallback every ~1k events), and
-    /// abort the run with [`SimError::DeadlineExceeded`] (reporting
-    /// `deadline_ms`) once it reads `true`. The per-window poll stops a
-    /// run whose few busy shards never reach a 1024-event mark. The
-    /// flag is typically set by an external timer thread; the engine
-    /// itself never measures wall time, so runs that finish before the
-    /// flag trips stay byte-identical to uncancelled runs. Cleared by
-    /// [`Engine::reset`] or [`Engine::clear_cancel`].
-    pub fn set_cancel(&mut self, flag: Arc<AtomicBool>, deadline_ms: u64) {
-        self.cancel = Some((flag, deadline_ms));
-    }
-
-    /// Disarm [`Engine::set_cancel`]'s cancellation flag.
-    pub fn clear_cancel(&mut self) {
-        self.cancel = None;
     }
 
     /// Override the worker count for this engine's runs (clamped to at
@@ -828,7 +797,9 @@ impl Engine {
     /// error instead of hanging or panicking:
     /// [`SimError::Stalled`] if the event queues drain while threads are
     /// still alive (a deadlock), [`SimError::EventCapExceeded`] if the
-    /// fault plan's wall-event cap trips (a livelock),
+    /// current [`RunCtx`]'s event cap or else the fault plan's trips (a
+    /// livelock), [`SimError::DeadlineExceeded`] if the current
+    /// [`RunCtx`]'s deadline passes mid-run,
     /// [`SimError::RetryBudgetExhausted`] if injected NACKs/drops outlast
     /// their retry budget, and [`SimError::MissingKernel`] on engine-state
     /// corruption.
@@ -841,12 +812,13 @@ impl Engine {
     /// Call [`Engine::reset`] before seeding and running it again — this
     /// is the warm-reuse path (a reset engine skips allocation-heavy
     /// construction but reports byte-identically to a cold one).
+    /// The run's budget is the current [`RunCtx`]'s when it starts.
     ///
     /// # Errors
-    /// As [`Engine::run`], plus [`SimError::DeadlineExceeded`] when a
-    /// flag armed via [`Engine::set_cancel`] trips mid-run.
+    /// As [`Engine::run`].
     pub fn run_once(&mut self) -> Result<RunReport, SimError> {
-        let cap = match self.event_cap {
+        let (deadline, ctx_cap) = RunCtx::with_current(|c| (c.deadline, c.max_events));
+        let cap = match ctx_cap.filter(|&n| n > 0) {
             Some(n) => n,
             None => match self.cfg.faults.max_events {
                 0 => u64::MAX,
@@ -858,7 +830,7 @@ impl Engine {
         let profile = self.phase_profile;
         let t0 = profile.then(std::time::Instant::now);
         let (stats, phase_workers, owners, groups) = if lookahead == Time::ZERO {
-            self.run_merged(cap);
+            self.run_merged(cap, deadline);
             (
                 SchedStats::default(),
                 Vec::new(),
@@ -873,7 +845,7 @@ impl Engine {
                 redirect: &self.redirect,
                 cap,
                 lookahead,
-                cancel: self.cancel.as_ref(),
+                deadline,
             };
             if groups <= 1 {
                 // One group holds every shard and exchanges mail with
@@ -965,7 +937,7 @@ impl Engine {
     /// loop popping the minimum `(time, key)` across all shards, with
     /// immediate cross-shard delivery — sequential, but identical
     /// semantics to the epoch schedulers.
-    fn run_merged(&mut self, cap: u64) {
+    fn run_merged(&mut self, cap: u64, deadline: Option<Deadline>) {
         let mut total = 0u64;
         loop {
             let mut best: Option<(Time, u64, usize)> = None;
@@ -977,14 +949,11 @@ impl Engine {
                 }
             }
             let Some((_, _, i)) = best else { break };
-            if total & 0x3FF == 0 {
-                if let Some((flag, ms)) = &self.cancel {
-                    if flag.load(Ordering::Relaxed) {
-                        let s = &mut self.shards[i];
-                        let e = SimError::DeadlineExceeded { deadline_ms: *ms };
-                        s.error = Some((s.now, s.cur_key, e));
-                        break;
-                    }
+            if let Some(d) = deadline {
+                if total & 0x3FF == 0 && d.passed() {
+                    let s = &mut self.shards[i];
+                    s.error = Some((s.now, s.cur_key, d.error()));
+                    break;
                 }
             }
             let (cfg, svc) = (&self.cfg, &self.svc);
@@ -1129,6 +1098,7 @@ impl Engine {
             occupancy.push(NodeletOccupancy {
                 core_busy: s.nl.cores.busy_time(),
                 channel_busy: s.nl.channel.busy_time(),
+                channel_free: s.nl.channel.next_free(),
                 migration_busy: s.nl.mig_engine.busy_time(),
                 channel_mean_wait: s.nl.channel.mean_wait(),
                 migration_mean_wait: s.nl.mig_engine.mean_wait(),
@@ -1261,7 +1231,8 @@ struct RunEnv<'a> {
     cap: u64,
     /// Width of every window.
     lookahead: Time,
-    cancel: Option<&'a Cancel>,
+    /// Wall-clock deadline of the run.
+    deadline: Option<Deadline>,
 }
 
 /// One worker's inbound mail: a box per gate-round parity.
@@ -1414,15 +1385,14 @@ impl<'a> Group<'a> {
 
     /// Drain every shard due before `end`, then refresh its head and the
     /// running values; one pass over the heads finds the due shards and
-    /// the new earliest head. The cancellation flag is polled once per
-    /// window here, so a run whose busy shards never reach a 1024-event
-    /// poll inside a drain still stops.
+    /// the new earliest head. The deadline is checked once per window
+    /// here, so a run whose busy shards never reach a 1024-event check
+    /// inside a drain still stops.
     fn drain(&mut self, env: &RunEnv, end: Time) {
-        if let Some((flag, ms)) = env.cancel {
-            if flag.load(Ordering::Relaxed) {
+        if let Some(d) = env.deadline {
+            if d.passed() {
                 let s = &mut *self.shards[0];
-                let e = SimError::DeadlineExceeded { deadline_ms: *ms };
-                s.error = Some((s.now, s.cur_key, e));
+                s.error = Some((s.now, s.cur_key, d.error()));
                 self.error = true;
                 return;
             }
@@ -1559,10 +1529,9 @@ fn run_window(env: &RunEnv, s: &mut Shard, end: Time) {
         if s.error.is_some() {
             break;
         }
-        if let Some((flag, ms)) = env.cancel {
-            if s.events & 0x3FF == 0 && flag.load(Ordering::Relaxed) {
-                let e = SimError::DeadlineExceeded { deadline_ms: *ms };
-                s.error = Some((s.now, s.cur_key, e));
+        if let Some(d) = env.deadline {
+            if s.events & 0x3FF == 0 && d.passed() {
+                s.error = Some((s.now, s.cur_key, d.error()));
                 break;
             }
         }

@@ -75,8 +75,8 @@ pub enum SimError {
         /// The configured cap.
         cap: u64,
     },
-    /// A cooperative wall-clock deadline expired mid-run (see
-    /// [`crate::engine::Engine::set_cancel`]). Unlike the deterministic
+    /// The run's wall-clock deadline passed mid-run (see
+    /// [`crate::ctx::RunCtx::deadline`]). Unlike the deterministic
     /// event cap, where the run stops depends on host speed — callers use
     /// this as a typed timeout, not a reproducible simulation outcome.
     DeadlineExceeded {

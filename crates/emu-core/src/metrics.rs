@@ -78,6 +78,10 @@ pub struct NodeletOccupancy {
     pub core_busy: Time,
     /// Memory-channel busy time.
     pub channel_busy: Time,
+    /// When the memory channel last became free. A posted store takes
+    /// the channel with no completion event, so this can lie past the
+    /// makespan. Not rendered into the report JSON.
+    pub channel_free: Time,
     /// Migration-engine busy time.
     pub migration_busy: Time,
     /// Mean queueing delay at the memory channel.

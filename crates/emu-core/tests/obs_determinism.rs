@@ -120,8 +120,11 @@ fn failed_runs_count_separately() {
     let base = obs::snapshot();
     let mut engine = Engine::new(presets::chick_prototype()).unwrap();
     seed(&mut engine);
-    engine.set_event_cap(Some(3));
-    let err = engine.run_once();
+    let capped = emu_core::ctx::RunCtx {
+        max_events: Some(3),
+        ..Default::default()
+    };
+    let err = capped.scope(|| engine.run_once());
     assert!(matches!(err, Err(SimError::EventCapExceeded { .. })));
     let delta = obs::snapshot().delta(&base);
     assert_eq!(delta.counter("emu_engine_runs_total"), 0);

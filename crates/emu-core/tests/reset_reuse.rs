@@ -4,10 +4,10 @@
 //! preset. This is the invariant the `simd` daemon's warm worker pool
 //! rests on: reusing an engine must never leak state between requests.
 
+use emu_core::ctx::{Deadline, RunCtx};
 use emu_core::json::{json_ok, report_json};
 use emu_core::prelude::*;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// A migration-heavy mixed workload: every nodelet hosts a threadlet
 /// that loads locally, reads a remote word (migrating), computes, posts
@@ -107,18 +107,33 @@ fn warm_reset_matches_cold_with_trace_and_timelines() {
     assert_eq!(cold_json, warm_json);
 }
 
+/// A ctx that caps every run started in scope at `cap` events.
+fn capped(cap: u64) -> RunCtx {
+    RunCtx {
+        max_events: Some(cap),
+        ..RunCtx::default()
+    }
+}
+
+/// A ctx whose runs must finish within `ms` milliseconds from now.
+fn due_in(ms: u64) -> RunCtx {
+    RunCtx {
+        deadline: Deadline::new(Instant::now(), Duration::from_millis(ms)),
+        ..RunCtx::default()
+    }
+}
+
 #[test]
 fn warm_reset_matches_cold_after_error() {
-    // A run killed by the per-request event cap must not poison the
-    // engine for the next request.
+    // A run stopped by the ctx's event cap must not poison the engine
+    // for the next request.
     let cfg = presets::chick_prototype();
     let cold = cold_report(&cfg, 2);
 
     let mut warm = Engine::new(cfg.clone()).unwrap();
-    warm.set_event_cap(Some(10));
     seed_workload(&mut warm, 6);
     assert!(matches!(
-        warm.run_once(),
+        capped(10).scope(|| warm.run_once()),
         Err(SimError::EventCapExceeded { cap: 10 })
     ));
     warm.reset();
@@ -127,97 +142,80 @@ fn warm_reset_matches_cold_after_error() {
 }
 
 #[test]
-fn event_cap_override_beats_fault_plan_and_resets() {
-    let cfg = presets::chick_prototype();
+fn ctx_event_cap_beats_fault_plan_and_ends_with_its_scope() {
+    let mut cfg = presets::chick_prototype();
+    cfg.faults.max_events = 1_000_000;
     let mut e = Engine::new(cfg).unwrap();
-    e.set_event_cap(Some(5));
     seed_workload(&mut e, 4);
     assert!(matches!(
-        e.run_once(),
+        capped(5).scope(|| e.run_once()),
         Err(SimError::EventCapExceeded { cap: 5 })
     ));
-    // reset() clears the override: the same workload now completes.
+    // A cap of 0 defers to the plan, and so does the world outside the
+    // scope: the same workload completes on the same engine.
+    e.reset();
+    seed_workload(&mut e, 4);
+    assert!(capped(0).scope(|| e.run_once()).is_ok());
     e.reset();
     seed_workload(&mut e, 4);
     assert!(e.run_once().is_ok());
 }
 
 #[test]
-fn tripped_cancel_flag_raises_deadline_exceeded() {
+fn passed_deadline_raises_deadline_exceeded() {
     let cfg = presets::chick_prototype();
     let mut e = Engine::new(cfg).unwrap();
-    let flag = Arc::new(AtomicBool::new(true));
-    e.set_cancel(Arc::clone(&flag), 123);
     seed_workload(&mut e, 4);
     assert!(matches!(
-        e.run_once(),
-        Err(SimError::DeadlineExceeded { deadline_ms: 123 })
+        due_in(0).scope(|| e.run_once()),
+        Err(SimError::DeadlineExceeded { deadline_ms: 0 })
     ));
-    // An unset flag leaves the run untouched and byte-identical.
+    // A deadline that does not pass leaves the run untouched and
+    // byte-identical.
     e.reset();
-    let calm = Arc::new(AtomicBool::new(false));
-    e.set_cancel(calm, 123);
     seed_workload(&mut e, 2);
-    let guarded = report_json("run", &e.run_once().unwrap());
+    let guarded = report_json("run", &due_in(60_000).scope(|| e.run_once()).unwrap());
     assert_eq!(guarded, cold_report(e.cfg(), 2));
 }
 
-/// Bounces between two nodelets for `hops` migrations and raises `flag`
-/// from inside its `trip_at`-th step (never, when `trip_at` is 0).
-struct Tripper {
-    flag: Arc<AtomicBool>,
-    ends: (NodeletId, NodeletId),
-    hops: u32,
-    trip_at: u32,
-    steps: u32,
-}
-
-impl Kernel for Tripper {
-    fn step(&mut self, ctx: &KernelCtx) -> Op {
-        self.steps += 1;
-        if self.steps == self.trip_at {
-            self.flag.store(true, Ordering::Relaxed);
-        }
-        if self.steps > self.hops {
-            return Op::Quit;
-        }
-        let (a, b) = self.ends;
-        Op::MigrateTo {
-            nodelet: if ctx.here == a { b } else { a },
-        }
-    }
-}
-
-/// A sparse `emu64` ping-pong on two of 64 shards, dispatching fewer
-/// than 1024 events in all, so no drain reaches the every-1024-events
-/// poll after its shard's first window: a flag raised mid-run must
-/// still stop it, through the scheduler's once-per-window poll.
-fn sparse_tripped_run(trip_at: u32) -> Result<RunReport, SimError> {
+/// A sparse `emu64` ping-pong on two of 64 shards under a deadline of
+/// `ms`, dispatching fewer than 1024 events in all, so no drain reaches
+/// the every-1024-events check after its shard's first window. From its
+/// `sleep_at`-th step (never, when 0), one threadlet sleeps past the
+/// deadline, which must still stop the run, through the scheduler's
+/// once-per-window check.
+fn sparse_sleeping_run(ms: u64, sleep_at: u32) -> Result<RunReport, SimError> {
     let cfg = presets::emu64_full_speed();
-    let ends = (NodeletId(0), NodeletId(cfg.nodelets_per_node));
+    let (a, b) = (NodeletId(0), NodeletId(cfg.nodelets_per_node));
     let mut e = Engine::new(cfg).unwrap();
-    let flag = Arc::new(AtomicBool::new(false));
-    e.set_cancel(Arc::clone(&flag), 77);
-    for start in [ends.0, ends.1] {
-        let k = Tripper {
-            flag: Arc::clone(&flag),
-            ends,
-            hops: 40,
-            trip_at: if start == ends.0 { trip_at } else { 0 },
-            steps: 0,
+    let ctx = due_in(ms);
+    let until = ctx.deadline.expect("representable").at;
+    for (start, nap_at) in [(a, sleep_at), (b, 0)] {
+        let mut steps = 0;
+        let bounce = move |k: &KernelCtx| {
+            steps += 1;
+            if steps == nap_at {
+                let left = until.saturating_duration_since(Instant::now());
+                std::thread::sleep(left + Duration::from_millis(1));
+            }
+            match steps {
+                41.. => Op::Quit,
+                _ if k.here == a => Op::MigrateTo { nodelet: b },
+                _ => Op::MigrateTo { nodelet: a },
+            }
         };
-        e.spawn_at(start, Box::new(k)).unwrap();
+        e.spawn_at(start, Box::new(bounce)).unwrap();
     }
-    e.run_once()
+    ctx.scope(|| e.run_once())
 }
 
 #[test]
-fn cancel_flag_raised_mid_run_stops_a_sparse_run() {
-    let calm = sparse_tripped_run(0).expect("an untripped run completes");
+fn deadline_passing_mid_run_stops_a_sparse_run() {
+    let calm = sparse_sleeping_run(60_000, 0).expect("a run inside its deadline completes");
     assert_eq!(calm.total_migrations(), 80);
     assert!(calm.events < 1024, "{} events", calm.events);
     assert!(matches!(
-        sparse_tripped_run(10),
+        sparse_sleeping_run(77, 10),
         Err(SimError::DeadlineExceeded { deadline_ms: 77 })
     ));
 }

@@ -351,13 +351,17 @@ pub fn enabled() -> bool {
 }
 
 /// Whether a run may be served from (or published to) the cache right
-/// now: the current [`RunCtx`] has the cache on and is not observed
-/// (no telemetry, report sink or phase profiling). A traced, profiled,
-/// or report-collecting run must execute every point for its artifacts
-/// to mean anything. Every execution path (figure cells, scenario
+/// now: the current [`RunCtx`] has the cache on, is not observed (no
+/// telemetry, report sink or phase profiling) and sets no run budget.
+/// A traced, profiled, or report-collecting run must execute every
+/// point for its artifacts to mean anything, and a budget may cut a
+/// run short, which must never be stored under a key that does not
+/// cover the budget. Every execution path (figure cells, scenario
 /// points, daemon runs) asks this before probing.
 pub fn active() -> bool {
-    RunCtx::with_current(|c| c.cache.is_some() && !c.observed())
+    RunCtx::with_current(|c| {
+        c.cache.is_some() && !c.observed() && c.deadline.is_none() && c.max_events.is_none()
+    })
 }
 
 /// The directory the default store resolves to right now: the current

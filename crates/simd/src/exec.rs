@@ -9,17 +9,18 @@
 //! [`scenario::exec::execute_stream_on`], so its checksum is verified
 //! and its report audited before it leaves the daemon. A scenario point
 //! runs on engines of its own and leaves the slot as it found it.
+//! Either way the request's budget rides on the [`RunCtx`] it runs in.
 //!
 //! Any failed run discards the slot's engine: a partially drained or
 //! faulted engine is never reused.
 
 use crate::proto::{run_request_line, ErrorKind, RunRequest, Spec};
+use emu_core::ctx::{Deadline, RunCtx};
 use emu_core::json::report_json;
 use emu_core::prelude::*;
 use membench::stream::{EmuStreamConfig, StreamKernel};
 use scenario::exec::execute_stream_on;
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// A worker's persistent engine, keyed by the config that built it.
 #[derive(Default)]
@@ -191,27 +192,41 @@ fn sim_error(e: SimError) -> ExecError {
     ExecError::new(kind, e.to_string())
 }
 
-/// Execute one run request on `slot`.
+/// Execute one run request on `slot`, under the request's budget.
 ///
-/// `cancel` is the watchdog flag armed by the pool's deadline timer;
-/// the engine polls it cooperatively and raises
-/// [`SimError::DeadlineExceeded`] when it trips. On any error the
-/// slot is left empty; a stream run that completes and passes its
-/// audit parks its engine for the next request with a matching config.
+/// The request runs in a copy of the current [`RunCtx`] that holds its
+/// budget: `max_events` caps every engine run (`None` or 0 defers to
+/// the machine's fault plan), and `deadline_ms` (`None` or 0 = none),
+/// counted from `started`, stops a run still going when it passes with
+/// [`SimError::DeadlineExceeded`]. `started = None` sets no deadline.
+/// On any error the slot is left empty; a stream run that completes and
+/// passes its audit parks its engine for the next request with a
+/// matching config.
 pub fn execute(
     slot: &mut WarmSlot,
     req: &RunRequest,
-    cancel: Option<(Arc<AtomicBool>, u64)>,
+    started: Option<Instant>,
 ) -> Result<ExecOutcome, ExecError> {
+    let deadline = started.zip(req.deadline_ms.filter(|&ms| ms > 0));
+    let budget = RunCtx {
+        deadline: deadline.and_then(|(t, ms)| Deadline::new(t, Duration::from_millis(ms))),
+        max_events: req.max_events,
+        ..RunCtx::current()
+    };
+    budget.scope(|| execute_in_scope(slot, req))
+}
+
+fn execute_in_scope(slot: &mut WarmSlot, req: &RunRequest) -> Result<ExecOutcome, ExecError> {
     let parked = slot.0.take();
     let (cfg, sc) = match resolve(&req.spec)? {
         // A scenario point runs through the scenario crate's own runner
         // (which builds the workload's engines, audits every report,
         // and verifies the result against the functional oracle), so
-        // the parked engine stays as it was. Deadline and event budgets
-        // do not reach inside `run_point`; problems travel back as data
-        // in the outcome document so the server can evaluate the
-        // scenario's expect block over every point (see `crate::scn`).
+        // the parked engine stays as it was. The budget reaches every
+        // engine the point builds; problems, a budget's stop among
+        // them, travel back as data in the outcome document so the
+        // server can evaluate the scenario's expect block over every
+        // point (see `crate::scn`).
         Plan::ScenarioPoint(s, point) => {
             slot.0 = parked;
             return Ok(ExecOutcome {
@@ -233,11 +248,6 @@ pub fn execute(
         _ => (Engine::new(cfg.clone()).map_err(sim_error)?, false),
     };
 
-    engine.set_event_cap(req.max_events);
-    if let Some((flag, ms)) = cancel {
-        engine.set_cancel(flag, ms);
-    }
-
     // A finished engine is drained but structurally sound; vouch for
     // its report only if the checksum and audit pass, then park the
     // engine for reuse.
@@ -245,7 +255,6 @@ pub fn execute(
     if !x.problems.is_empty() {
         return Err(ExecError::new(ErrorKind::Audit, x.problems.join("; ")));
     }
-    engine.clear_cancel();
     slot.0 = Some((key, engine));
 
     Ok(ExecOutcome {
@@ -333,9 +342,12 @@ mod tests {
         let ok = execute(&mut slot, &stream_req(2, 512), None).unwrap();
         assert!(!ok.warm);
 
-        let tripped = Arc::new(AtomicBool::new(true));
-        let e = execute(&mut slot, &stream_req(3, 2048), Some((tripped, 9))).unwrap_err();
+        let mut late = stream_req(3, 2048);
+        late.deadline_ms = Some(9);
+        let started = Instant::now() - Duration::from_millis(10);
+        let e = execute(&mut slot, &late, Some(started)).unwrap_err();
         assert_eq!(e.kind, ErrorKind::Deadline);
+        assert!(e.message.contains("9 ms"), "{}", e.message);
 
         let mut fresh = WarmSlot::new();
         let cold = execute(&mut fresh, &stream_req(4, 512), None).unwrap();

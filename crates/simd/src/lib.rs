@@ -14,10 +14,12 @@
 //! - **Admission control** — a bounded in-flight cap; overload gets an
 //!   explicit `busy` rejection with a retry hint instead of unbounded
 //!   queueing.
-//! - **Deadlines** — per-request wall-clock budgets armed on a timer
-//!   wheel and polled cooperatively by the engine
-//!   ([`SimError::DeadlineExceeded`](emu_core::fault::SimError)), plus
-//!   per-request event caps.
+//! - **Deadlines** — a request's wall-clock budget and event cap ride
+//!   on the [`RunCtx`](emu_core::ctx::RunCtx) it runs in, and the
+//!   engine enforces both itself, reading the clock only when a
+//!   deadline is armed
+//!   ([`SimError::DeadlineExceeded`](emu_core::fault::SimError)). A
+//!   scenario request's budget applies to each of its points.
 //! - **Fault isolation** — a panicking worker is caught, answered on
 //!   behalf of, and respawned by a supervisor; its queue (owned by the
 //!   pool) loses nothing, and other in-flight requests are untouched.
@@ -62,8 +64,6 @@ pub fn pool_config_from_env() -> PoolConfig {
     PoolConfig {
         workers,
         queue_cap: env_u64("EMU_SIMD_QUEUE", 2 * workers as u64 + 4).max(1) as usize,
-        default_deadline_ms: env_u64("EMU_SIMD_DEADLINE_MS", 0),
-        default_max_events: env_u64("EMU_SIMD_MAX_EVENTS", 0),
         selfcheck: env_flag("EMU_SIMD_SELFCHECK"),
     }
 }

@@ -1,6 +1,5 @@
 //! The warm worker pool: persistent per-thread engines, admission
-//! control, a cooperative deadline timer, and a supervisor that
-//! respawns faulted workers.
+//! control, and a supervisor that respawns faulted workers.
 //!
 //! Requests are routed *sticky-first*: a request whose config matches
 //! an engine some worker already has warm goes to that worker (a reset
@@ -11,6 +10,10 @@
 //! the same queue. Every accepted request gets exactly one response —
 //! success, typed failure, or the panic notice sent on the worker's
 //! behalf after `catch_unwind`.
+//!
+//! A request's deadline counts from when its worker picks it up; the
+//! engine checks it itself ([`exec::execute`]), so the pool runs no
+//! timer.
 //!
 //! Every [`PoolStats`] transition is mirrored into the process-global
 //! [`emu_core::obs`] registry (plus queue-wait/execute latency
@@ -99,17 +102,13 @@ impl WorkerObs {
     }
 }
 
-/// Pool sizing and per-request defaults.
+/// Pool sizing and checking.
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
     /// Worker threads (each owns one warm engine slot).
     pub workers: usize,
     /// Admission cap: maximum requests in flight (queued + running).
     pub queue_cap: usize,
-    /// Default wall-clock budget per request in ms (0 = unlimited).
-    pub default_deadline_ms: u64,
-    /// Default event budget per request (0 = the config's own cap).
-    pub default_max_events: u64,
     /// Re-run every warm result cold and compare report bytes.
     pub selfcheck: bool,
 }
@@ -119,8 +118,6 @@ impl Default for PoolConfig {
         PoolConfig {
             workers: 2,
             queue_cap: 8,
-            default_deadline_ms: 0,
-            default_max_events: 0,
             selfcheck: false,
         }
     }
@@ -344,7 +341,6 @@ enum SupMsg {
 /// The shared state every worker and the supervisor can see.
 struct Shared {
     stats: Arc<PoolStats>,
-    timer: TimerCore,
     queues: Vec<Arc<Mutex<mpsc::Receiver<Job>>>>,
     cfg: PoolConfig,
     sup_tx: mpsc::Sender<SupMsg>,
@@ -365,17 +361,15 @@ pub struct Pool {
     draining: Arc<AtomicBool>,
     shared: Arc<Shared>,
     supervisor: Mutex<Option<thread::JoinHandle<()>>>,
-    _timer: DeadlineTimer,
 }
 
 impl Pool {
-    /// Start `cfg.workers` warm workers, the deadline timer, and the
-    /// supervisor. The workers (and [`Pool::submit`]'s cache probe) run
-    /// in the caller's current [`RunCtx`].
+    /// Start `cfg.workers` warm workers and the supervisor. The workers
+    /// (and [`Pool::submit`]'s cache probe) run in the caller's current
+    /// [`RunCtx`].
     pub fn start(cfg: PoolConfig) -> Pool {
         let workers = cfg.workers.max(1);
         let stats = Arc::new(PoolStats::default());
-        let timer = DeadlineTimer::start();
         let (sup_tx, sup_rx) = mpsc::channel();
 
         let mut senders = Vec::with_capacity(workers);
@@ -387,7 +381,6 @@ impl Pool {
         }
         let shared = Arc::new(Shared {
             stats: Arc::clone(&stats),
-            timer: timer.core(),
             queues,
             cfg,
             sup_tx,
@@ -422,7 +415,6 @@ impl Pool {
             draining: Arc::new(AtomicBool::new(false)),
             shared,
             supervisor: Mutex::new(Some(supervisor)),
-            _timer: timer,
         }
     }
 
@@ -605,40 +597,31 @@ fn worker_main(idx: usize, shared: Arc<Shared>) {
 
 fn handle_run(idx: usize, slot: &mut WarmSlot, run: RunJob, shared: &Shared, wobs: &WorkerObs) {
     let RunJob {
-        mut req,
+        req,
         resp,
         queued_at,
     } = run;
+    // The request's deadline counts from here.
+    let started = Instant::now();
     let id = req.id;
     let stats = &shared.stats;
     let m = pool_obs();
-    // Latency histograms need clock reads, so they honor the global
-    // obs switch; plain counter mirrors are one relaxed atomic and
-    // stay on so the registry always reconciles against `PoolStats`.
+    // Latency histograms honor the global obs switch; plain counter
+    // mirrors are one relaxed atomic and stay on so the registry
+    // always reconciles against `PoolStats`.
     let record_latency = obs::enabled();
     if record_latency {
-        m.queue_wait.record(queued_at.elapsed().as_nanos() as u64);
+        m.queue_wait
+            .record(started.duration_since(queued_at).as_nanos() as u64);
     }
 
     if req.chaos == Some(Chaos::Panic) {
         panic!("chaos: poison request {id}");
     }
 
-    if req.max_events.is_none() && shared.cfg.default_max_events > 0 {
-        req.max_events = Some(shared.cfg.default_max_events);
-    }
-    let deadline_ms = req.deadline_ms.unwrap_or(shared.cfg.default_deadline_ms);
-    let cancel = (deadline_ms > 0).then(|| {
-        (
-            shared.timer.arm(Duration::from_millis(deadline_ms)),
-            deadline_ms,
-        )
-    });
-
-    let exec_start = record_latency.then(Instant::now);
-    let result = exec::execute(slot, &req, cancel);
-    if let Some(t0) = exec_start {
-        let busy = t0.elapsed().as_nanos() as u64;
+    let result = exec::execute(slot, &req, Some(started));
+    if record_latency {
+        let busy = started.elapsed().as_nanos() as u64;
         m.execute.record(busy);
         wobs.busy_ns.add(busy);
         wobs.jobs.inc();
@@ -721,90 +704,6 @@ fn handle_run(idx: usize, slot: &mut WarmSlot, run: RunJob, shared: &Shared, wob
     let _ = resp.send(line);
 }
 
-/// One armed deadline: when it trips, and the flag the engine polls.
-type TimerEntry = (Instant, Arc<AtomicBool>);
-
-/// The armable half of the deadline timer, shared with workers.
-#[derive(Clone)]
-struct TimerCore {
-    entries: Arc<Mutex<Vec<TimerEntry>>>,
-}
-
-impl TimerCore {
-    /// Arm a fresh flag that trips `after` from now. Dropping every
-    /// clone of the returned flag disarms it.
-    fn arm(&self, after: Duration) -> Arc<AtomicBool> {
-        let flag = Arc::new(AtomicBool::new(false));
-        self.entries
-            .lock()
-            .unwrap()
-            .push((Instant::now() + after, Arc::clone(&flag)));
-        flag
-    }
-}
-
-/// A polling wheel for cooperative wall-clock deadlines. Engines check
-/// the armed flag every ~1k events; the wheel trips expired flags every
-/// couple of milliseconds.
-struct DeadlineTimer {
-    core: TimerCore,
-    stop: Arc<AtomicBool>,
-    handle: Option<thread::JoinHandle<()>>,
-}
-
-impl DeadlineTimer {
-    fn start() -> DeadlineTimer {
-        let core = TimerCore {
-            entries: Arc::new(Mutex::new(Vec::new())),
-        };
-        let stop = Arc::new(AtomicBool::new(false));
-        let handle = {
-            let core = core.clone();
-            let stop = Arc::clone(&stop);
-            thread::Builder::new()
-                .name("simd-deadline-timer".into())
-                .spawn(move || {
-                    while !stop.load(Ordering::SeqCst) {
-                        {
-                            let now = Instant::now();
-                            let mut entries = core.entries.lock().unwrap();
-                            entries.retain(|(when, flag)| {
-                                if Arc::strong_count(flag) == 1 {
-                                    return false; // run finished; disarm
-                                }
-                                if *when <= now {
-                                    flag.store(true, Ordering::SeqCst);
-                                    return false; // tripped; one-shot
-                                }
-                                true
-                            });
-                        }
-                        thread::sleep(Duration::from_millis(2));
-                    }
-                })
-                .expect("spawn deadline timer")
-        };
-        DeadlineTimer {
-            core,
-            stop,
-            handle: Some(handle),
-        }
-    }
-
-    fn core(&self) -> TimerCore {
-        self.core.clone()
-    }
-}
-
-impl Drop for DeadlineTimer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -840,7 +739,6 @@ mod tests {
             workers: 2,
             queue_cap: 8,
             selfcheck: true,
-            ..PoolConfig::default()
         });
         let mut responses = Vec::new();
         for i in 0..6 {
@@ -1011,7 +909,7 @@ mod tests {
     }
 
     #[test]
-    fn deadline_timer_trips_long_runs() {
+    fn over_deadline_runs_fail_typed_and_the_worker_serves_on() {
         let pool = Pool::start(PoolConfig {
             workers: 1,
             queue_cap: 4,

@@ -73,9 +73,11 @@ pub struct RunRequest {
     pub id: u64,
     /// What to simulate.
     pub spec: Spec,
-    /// Wall-clock budget override in milliseconds (`None` = server default).
+    /// Wall-clock budget in milliseconds, counted from when a worker
+    /// starts the request (`None` or 0 = none).
     pub deadline_ms: Option<u64>,
-    /// Event-count budget override (`None` = server default).
+    /// Event-count budget of each engine run (`None` or 0 = the
+    /// machine's own fault-plan cap).
     pub max_events: Option<u64>,
     /// Test-only fault injection directive.
     pub chaos: Option<Chaos>,
@@ -89,9 +91,10 @@ pub struct ScenarioRequest {
     pub id: u64,
     /// The full `.scn` text (validated by [`scenario::parse()`]).
     pub text: String,
-    /// Per-point wall-clock budget override in milliseconds.
+    /// Per-point wall-clock budget in milliseconds, reaching every
+    /// engine the point builds (`None` or 0 = none).
     pub deadline_ms: Option<u64>,
-    /// Per-point event-count budget override.
+    /// Per-engine-run event-count budget within each point.
     pub max_events: Option<u64>,
 }
 

@@ -85,7 +85,6 @@ fn seeded_chaos_loses_and_corrupts_nothing() {
         workers: 2,
         queue_cap: 3,
         selfcheck: true,
-        ..PoolConfig::default()
     });
 
     // Phase 1: deterministically provoke a queue-full rejection by

@@ -158,3 +158,52 @@ fn scenario_op_runs_sweeps_through_the_pool() {
         summary.violations
     );
 }
+
+/// One point that runs far longer than a millisecond and dispatches far
+/// more than a thousand events.
+const LONG: &str = "\
+scenario over-budget
+
+machine chick
+
+workload stream
+  elems = 65536
+  threads = 64
+
+expect
+  counter events >= 1
+";
+
+#[test]
+fn scenario_points_honour_their_deadline_and_event_cap() {
+    let (addr, handle) = start_daemon();
+    let opts = ClientOpts {
+        addr: addr.to_string(),
+        ..ClientOpts::default()
+    };
+    for (id, deadline_ms, max_events, named) in [
+        (1, Some(1), None, "DeadlineExceeded { deadline_ms: 1 }"),
+        (2, None, Some(1000), "EventCapExceeded { cap: 1000 }"),
+    ] {
+        let line = scenario_request_line(&ScenarioRequest {
+            id,
+            text: LONG.into(),
+            deadline_ms,
+            max_events,
+        });
+        let reply = request(&opts, &line).unwrap();
+        assert!(reply.contains("\"ok\":true"), "{reply}");
+        assert!(
+            reply.contains("\"pass\":false"),
+            "over budget, passed: {reply}"
+        );
+        assert!(reply.contains(named), "no failure names {named}: {reply}");
+    }
+    let bye = request(&opts, "{\"op\":\"shutdown\",\"id\":9}").unwrap();
+    assert!(bye.contains("\"shutting_down\":true"), "{bye}");
+    let summary = handle.join().expect("daemon thread");
+    assert!(
+        summary.drained && summary.violations.is_empty(),
+        "{summary:?}"
+    );
+}

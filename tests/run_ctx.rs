@@ -9,11 +9,10 @@ use emu_bench::figures;
 use emu_bench::harness::{self, PointOutcome, RunPolicy};
 use emu_bench::output::Table;
 use emu_bench::telemetry::report_set_json;
-use emu_core::ctx::{ReportSink, RunCtx};
+use emu_core::ctx::{Deadline, ReportSink, RunCtx};
 use emu_core::fault::SimError;
 use emu_core::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 type FigureFn = fn() -> Result<Table, SimError>;
@@ -130,7 +129,8 @@ fn a_traced_scope_leaves_the_cache_to_other_scopes() {
     });
     assert_eq!(calls.load(Ordering::SeqCst), 1, "the cached scope missed");
 
-    // Observed scopes execute every cell and store nothing.
+    // Observed scopes, and scopes whose budget could cut a run short,
+    // execute every cell and store nothing.
     let collecting = RunCtx {
         reports: Some(ReportSink::default()),
         ..cached.clone()
@@ -139,7 +139,18 @@ fn a_traced_scope_leaves_the_cache_to_other_scopes() {
         phase_profile: true,
         ..cached.clone()
     };
-    for (i, observed) in [traced_ctx, collecting, profiled].iter().enumerate() {
+    let due = RunCtx {
+        deadline: Deadline::new(Instant::now(), Duration::from_secs(600)),
+        ..cached.clone()
+    };
+    let capped = RunCtx {
+        max_events: Some(1 << 40),
+        ..cached.clone()
+    };
+    for (i, observed) in [traced_ctx, collecting, profiled, due, capped]
+        .iter()
+        .enumerate()
+    {
         observed.scope(|| {
             assert!(!runcache::active());
             cell("a");
@@ -157,61 +168,49 @@ fn a_traced_scope_leaves_the_cache_to_other_scopes() {
 
 /// A one-nodelet run of `threads` empty threadlets: its report's
 /// `threads` count names the caller.
-fn tagged_run(threads: u32) -> RunReport {
-    let mut e = Engine::new(presets::chick_prototype()).unwrap();
+fn tagged_run(threads: u32) -> Result<RunReport, SimError> {
+    let mut e = Engine::new(presets::chick_prototype())?;
     for _ in 0..threads {
-        e.spawn_at(NodeletId(0), Box::new(ScriptKernel::new(vec![])))
-            .unwrap();
+        e.spawn_at(NodeletId(0), Box::new(ScriptKernel::new(vec![])))?;
     }
-    e.run().unwrap()
+    e.run()
 }
 
-/// (c) A timed-out harness attempt's straggler reports never reach the
-/// sink; the returned attempt's do.
+/// (c) A harness attempt that runs past its deadline is retried, and
+/// its reports never reach the sink; the deciding attempt's do.
 #[test]
-fn a_straggling_attempts_reports_never_reach_the_sink() {
-    let tries = Arc::new(AtomicU32::new(0));
-    let straggler_done = Arc::new(AtomicBool::new(false));
+fn a_timed_out_attempts_reports_never_reach_the_sink() {
+    const TIMEOUT: Duration = Duration::from_secs(2);
+    let tries = AtomicU32::new(0);
     let sink = ReportSink::default();
     let ctx = RunCtx {
         reports: Some(sink.clone()),
         ..RunCtx::default()
     };
-    let outcome = {
-        let (tries, straggler_done) = (Arc::clone(&tries), Arc::clone(&straggler_done));
-        ctx.scope(|| {
-            harness::run_point(
-                RunPolicy {
-                    timeout: Duration::from_secs(2),
-                    attempts: 2,
-                },
-                move || {
-                    let attempt = tries.fetch_add(1, Ordering::SeqCst);
-                    // The first attempt hangs until the harness has given
-                    // up on it and started the second.
-                    let t0 = Instant::now();
-                    while attempt == 0 && tries.load(Ordering::SeqCst) < 2 {
-                        assert!(t0.elapsed() < Duration::from_secs(60), "no retry");
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    let r = tagged_run(attempt + 1);
-                    if attempt == 0 {
-                        straggler_done.store(true, Ordering::SeqCst);
-                    }
-                    Ok(r.threads)
-                },
-            )
-        })
-    };
+    let outcome = ctx.scope(|| {
+        harness::run_point(
+            RunPolicy {
+                timeout: TIMEOUT,
+                attempts: 2,
+            },
+            || {
+                let attempt = tries.fetch_add(1, Ordering::SeqCst);
+                // Every attempt finishes one run. The first then outlives
+                // its deadline, so its next run stops at once.
+                let r = tagged_run(attempt + 1)?;
+                if attempt == 0 {
+                    std::thread::sleep(TIMEOUT + Duration::from_millis(50));
+                    tagged_run(9)?;
+                }
+                Ok(r.threads)
+            },
+        )
+    });
     assert_eq!(outcome, PointOutcome::Ok(2));
-    let t0 = Instant::now();
-    while !straggler_done.load(Ordering::SeqCst) {
-        assert!(t0.elapsed() < Duration::from_secs(60), "straggler hung");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    assert_eq!(tries.load(Ordering::SeqCst), 2, "the timeout was retried");
     let runs = sink.take();
     let threads: Vec<u64> = runs.iter().map(|r| r.threads).collect();
-    assert_eq!(threads, vec![2], "only the returned attempt's report");
+    assert_eq!(threads, vec![2], "only the deciding attempt's report");
 }
 
 /// (d) While a scenario point fingerprints at 1, 2 and 4 workers, an
@@ -270,5 +269,60 @@ expect
                 runs += 1;
             }
         });
+    });
+}
+
+/// An eight-threadlet `chick` run whose loads migrate between nodelets.
+fn migrating_run() -> Result<RunReport, SimError> {
+    let mut e = Engine::new(presets::chick_prototype())?;
+    for t in 0..8u32 {
+        let there = GlobalAddr::new(NodeletId((t + 3) % 8), 0x40);
+        e.spawn_at(
+            NodeletId(t % 8),
+            Box::new(ScriptKernel::new(vec![Op::Load {
+                addr: there,
+                bytes: 8,
+            }])),
+        )?;
+    }
+    e.run()
+}
+
+/// (e) A budget holds only in its own scope: while one thread's runs
+/// stop on a passed deadline or a one-event cap, engines on another
+/// thread run uncapped and byte-identical to a run alone.
+#[test]
+fn a_budgeted_run_never_caps_an_engine_on_another_thread() {
+    let alone = emu_core::json::report_json("run", &migrating_run().unwrap());
+    let passed = RunCtx {
+        deadline: Deadline::new(Instant::now(), Duration::ZERO),
+        ..RunCtx::default()
+    };
+    let capped = RunCtx {
+        max_events: Some(1),
+        ..RunCtx::default()
+    };
+    let finished = AtomicBool::new(false);
+    std::thread::scope(|sc| {
+        sc.spawn(|| {
+            let (mut stops, t0) = (0, Instant::now());
+            while stops < 6 || !finished.load(Ordering::SeqCst) {
+                assert!(t0.elapsed() < Duration::from_secs(120), "no finish");
+                assert!(matches!(
+                    passed.scope(migrating_run),
+                    Err(SimError::DeadlineExceeded { deadline_ms: 0 })
+                ));
+                assert!(matches!(
+                    capped.scope(migrating_run),
+                    Err(SimError::EventCapExceeded { cap: 1 })
+                ));
+                stops += 1;
+            }
+        });
+        for run in 0..20 {
+            let r = migrating_run().unwrap_or_else(|e| panic!("run {run} stopped: {e}"));
+            assert_eq!(emu_core::json::report_json("run", &r), alone, "run {run}");
+        }
+        finished.store(true, Ordering::SeqCst);
     });
 }

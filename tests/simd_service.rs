@@ -42,7 +42,6 @@ fn start_daemon(workers: usize, queue_cap: usize) -> (SocketAddr, JoinHandle<Ser
                 workers,
                 queue_cap,
                 selfcheck: true,
-                ..PoolConfig::default()
             },
             drain_ms: 30_000,
             max_conns: 16,
