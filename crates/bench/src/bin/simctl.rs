@@ -11,6 +11,9 @@ use emu_core::ctx::RunCtx;
 use emu_core::prelude::*;
 use std::sync::Arc;
 
+/// `run` returns usage errors (an unknown command or option, a value
+/// that does not parse or fit), which exit 2 after the usage text; a
+/// run that fails ends the process through [`fail`].
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
@@ -21,6 +24,13 @@ fn main() {
             std::process::exit(2);
         }
     }
+}
+
+/// End a failed run (a simulation error, a result that does not verify,
+/// an artifact that cannot be written) with its message and exit 1.
+fn fail(e: impl std::fmt::Display) -> ! {
+    eprintln!("error: {e}");
+    std::process::exit(1);
 }
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -113,9 +123,9 @@ fn cmd_stream(p: &Parsed) -> Result<(), String> {
         single_nodelet: p.get("single-nodelet", false)?,
         stack_touch_period: p.get("stack-touch", 4u32)?,
     };
-    let r = run_stream_emu(&cfg, &sc).map_err(|e| e.to_string())?;
+    let r = run_stream_emu(&cfg, &sc).unwrap_or_else(|e| fail(e));
     if r.checksum != stream_checksum(sc.total_elems, kernel) {
-        return Err("STREAM checksum mismatch".into());
+        fail("STREAM checksum mismatch");
     }
     println!(
         "STREAM {} on {} threads ({}):",
@@ -158,13 +168,13 @@ fn cmd_chase(p: &Parsed) -> Result<(), String> {
     let r = match p.get_str("platform", "emu").as_str() {
         "emu" => {
             let cfg = presets::by_name(&p.get_str("preset", "chick"))?;
-            run_chase_emu(&cfg, &cc).map_err(|e| e.to_string())?
+            run_chase_emu(&cfg, &cc).unwrap_or_else(|e| fail(e))
         }
         "xeon" => cpu::run_chase_cpu(&xeon_sim::config::sandy_bridge(), &cc),
         other => return Err(format!("unknown platform {other:?}")),
     };
     if r.checksum != cc.expected_checksum() {
-        return Err("chase checksum mismatch".into());
+        fail("chase checksum mismatch");
     }
     println!(
         "pointer chase, {} lists x {} elems, block {}, {}:",
@@ -211,8 +221,8 @@ fn cmd_spmv(p: &Parsed) -> Result<(), String> {
                     grain_nnz: p.get("grain", 16usize)?,
                 },
             )
-            .map_err(|e| e.to_string())?;
-            verify(&reference, &r.y)?;
+            .unwrap_or_else(|e| fail(e));
+            verify(&reference, &r.y);
             (r.bandwidth.mb_per_sec(), r.migrations)
         }
         "xeon" => {
@@ -232,7 +242,7 @@ fn cmd_spmv(p: &Parsed) -> Result<(), String> {
                     nthreads: p.get("threads", 56usize)?,
                 },
             );
-            verify(&reference, &r.y)?;
+            verify(&reference, &r.y);
             (r.bandwidth.mb_per_sec(), 0)
         }
         other => return Err(format!("unknown platform {other:?}")),
@@ -243,16 +253,14 @@ fn cmd_spmv(p: &Parsed) -> Result<(), String> {
     Ok(())
 }
 
-fn verify(reference: &[f64], y: &[f64]) -> Result<(), String> {
+fn verify(reference: &[f64], y: &[f64]) {
     let err = reference
         .iter()
         .zip(y)
         .map(|(a, b)| (a - b).abs())
         .fold(0.0, f64::max);
-    if err < 1e-9 {
-        Ok(())
-    } else {
-        Err(format!("result check failed: max err {err}"))
+    if err >= 1e-9 {
+        fail(format!("result check failed: max err {err}"));
     }
 }
 
@@ -266,7 +274,7 @@ fn cmd_pingpong(p: &Parsed) -> Result<(), String> {
         a: NodeletId(p.get("a", 0u32)?),
         b: NodeletId(p.get("b", 1u32)?),
     };
-    let r = run_pingpong(&cfg, &pc).map_err(|e| e.to_string())?;
+    let r = run_pingpong(&cfg, &pc).unwrap_or_else(|e| fail(e));
     println!(
         "ping-pong, {} threads x {} round trips:",
         pc.nthreads, pc.round_trips
@@ -292,7 +300,7 @@ fn cmd_gups(p: &Parsed) -> Result<(), String> {
     let r = match p.get_str("platform", "emu").as_str() {
         "emu" => {
             let cfg = presets::by_name(&p.get_str("preset", "chick"))?;
-            run_gups_emu(&cfg, &gc).map_err(|e| e.to_string())?
+            run_gups_emu(&cfg, &gc).unwrap_or_else(|e| fail(e))
         }
         "xeon" => cpu::run_gups_cpu(&xeon_sim::config::sandy_bridge(), &gc),
         other => return Err(format!("unknown platform {other:?}")),
@@ -324,9 +332,9 @@ fn cmd_bfs(p: &Parsed) -> Result<(), String> {
     };
     let src = p.get("src", 0u32)?;
     let r = run_bfs_emu(&cfg, Arc::clone(&g), src, mode, p.get("threads", 512usize)?)
-        .map_err(|e| e.to_string())?;
+        .unwrap_or_else(|e| fail(e));
     if r.levels != g.bfs_reference(src) {
-        return Err("BFS levels diverged from reference".into());
+        fail("BFS levels diverged from reference");
     }
     println!(
         "BFS ({}) over RMAT scale {scale}, {} edges, from vertex {src}:",
@@ -369,7 +377,7 @@ fn cmd_mttkrp(p: &Parsed) -> Result<(), String> {
             nthreads: p.get("threads", 512usize)?,
         },
     )
-    .map_err(|e| e.to_string())?;
+    .unwrap_or_else(|e| fail(e));
     let reference = mttkrp_reference(&t, rank);
     let err = reference
         .iter()
@@ -377,7 +385,7 @@ fn cmd_mttkrp(p: &Parsed) -> Result<(), String> {
         .map(|(a, b)| (a - b).abs())
         .fold(0.0, f64::max);
     if err > 1e-6 {
-        return Err(format!("MTTKRP diverged: max err {err}"));
+        fail(format!("MTTKRP diverged: max err {err}"));
     }
     println!(
         "MTTKRP rank {rank}, {} nnz, {} layout:",
@@ -444,17 +452,21 @@ fn cmd_trace(p: &Parsed) -> Result<(), String> {
         .iter()
         .rev()
         .find(|r| r.trace.is_some())
-        .ok_or("no traced emu run was collected")?;
+        .unwrap_or_else(|| fail("no traced emu run was collected"));
 
     let chrome = chrome_trace(traced);
     let jsonl = trace_jsonl(traced);
     let report = report_set_json(&format!("trace_{bench}"), None, &reports);
     if !json_ok(&chrome) || !json_ok(&report) || !jsonl_ok(&jsonl) {
-        return Err("internal error: emitted telemetry failed JSON validation".into());
+        fail("internal error: emitted telemetry failed JSON validation");
     }
-    emu_bench::output::write_artifact("trace-out", &trace_out, &chrome);
-    emu_bench::output::write_artifact("jsonl-out", &jsonl_out, &jsonl);
-    emu_bench::output::write_artifact("report-json", &report_out, &report);
+    for (label, path, body) in [
+        ("trace-out", &trace_out, &chrome),
+        ("jsonl-out", &jsonl_out, &jsonl),
+        ("report-json", &report_out, &report),
+    ] {
+        emu_bench::output::write_artifact(label, path, body).unwrap_or_else(|e| fail(e));
+    }
 
     let log = traced.trace.as_ref().expect("traced run has a log");
     println!(
@@ -491,9 +503,9 @@ fn run_traced_bench(p: &Parsed, bench: &str, cfg: &MachineConfig) -> Result<(), 
                 single_nodelet: false,
                 stack_touch_period: 4,
             };
-            let r = run_stream_emu(cfg, &sc).map_err(|e| e.to_string())?;
+            let r = run_stream_emu(cfg, &sc).unwrap_or_else(|e| fail(e));
             if r.checksum != stream_checksum(sc.total_elems, StreamKernel::Add) {
-                return Err("STREAM checksum mismatch".into());
+                fail("STREAM checksum mismatch");
             }
             Ok(())
         }
@@ -512,9 +524,9 @@ fn run_traced_bench(p: &Parsed, bench: &str, cfg: &MachineConfig) -> Result<(), 
                     cc.elems_per_list, cc.block_elems
                 ));
             }
-            let r = run_chase_emu(cfg, &cc).map_err(|e| e.to_string())?;
+            let r = run_chase_emu(cfg, &cc).unwrap_or_else(|e| fail(e));
             if r.checksum != cc.expected_checksum() {
-                return Err("chase checksum mismatch".into());
+                fail("chase checksum mismatch");
             }
             Ok(())
         }
@@ -542,22 +554,22 @@ fn cmd_fuzz(p: &Parsed) -> Result<(), String> {
             );
             Ok(())
         }
-        Err(fail) => {
-            eprintln!("fuzz: case {} violated conformance:", fail.case_index);
-            for problem in &fail.problems {
+        Err(failure) => {
+            eprintln!("fuzz: case {} violated conformance:", failure.case_index);
+            for problem in &failure.problems {
                 eprintln!("  {problem}");
             }
             let dir = std::path::Path::new(&corpus);
-            std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
+            std::fs::create_dir_all(dir).unwrap_or_else(|e| fail(e));
             // The repro is a `.scn` scenario, replayed with
             // `simctl scenario run`.
-            let path = dir.join(format!("{}.scn", fail.minimized.name));
-            std::fs::write(&path, scenario::print(&fail.minimized)).map_err(|e| e.to_string())?;
+            let path = dir.join(format!("{}.scn", failure.minimized.name));
+            std::fs::write(&path, scenario::print(&failure.minimized)).unwrap_or_else(|e| fail(e));
             eprintln!("fuzz: minimized repro written to {}", path.display());
-            Err(format!(
+            fail(format!(
                 "{} conformance violation(s) on case {}",
-                fail.problems.len(),
-                fail.case_index
+                failure.problems.len(),
+                failure.case_index
             ))
         }
     }

@@ -21,24 +21,10 @@ use simd::proto::{parse_request, Request};
 /// Entry point from `simctl`; `args` excludes the `cache` word.
 /// Returns the process exit code.
 pub fn dispatch(args: &[String]) -> i32 {
-    match run(args) {
-        Ok(clean) => {
-            if clean {
-                0
-            } else {
-                1
-            }
-        }
-        Err(e) => {
-            eprintln!("cache: {e}");
-            eprintln!(
-                "usage: simctl cache stats\n\
+    let usage = "usage: simctl cache stats\n\
                  \u{20}      simctl cache gc [--max-mb N]\n\
-                 \u{20}      simctl cache verify [--sample N]"
-            );
-            2
-        }
-    }
+                 \u{20}      simctl cache verify [--sample N]";
+    crate::cli::exit_code("cache", usage, run(args))
 }
 
 fn run(args: &[String]) -> Result<bool, String> {

@@ -83,6 +83,19 @@ impl Parsed {
     }
 }
 
+/// The exit code of a subcommand with a grammar of its own: 0 when it
+/// ran clean, 1 when it ran and found failures, and 2 after printing
+/// the error and its `usage` when it was called wrongly.
+pub fn exit_code(label: &str, usage: &str, outcome: Result<bool, String>) -> i32 {
+    match outcome {
+        Ok(clean) => i32::from(!clean),
+        Err(e) => {
+            eprintln!("{label}: {e}\n{usage}");
+            2
+        }
+    }
+}
+
 /// Resolve a chase shuffle mode by name. Unlike the `.scn` spelling
 /// it also accepts the short aliases `intra`, `block`, and `full`.
 pub fn mode_by_name(name: &str) -> Result<membench::chase::ShuffleMode, String> {
@@ -125,12 +138,12 @@ COMMANDS
             corpus as a .scn scenario)
   scenario  conformance suite     run <path>... [--jobs N] [--cache]
             (.scn files)          [--report-json F]
-                                  check <path>... | gen <dir>
+                                  check <path>...
             (declarative scenarios: machine + workload + faults +
             sweep + expect; `run` executes every point with checksum,
             audit, oracle, monotonicity, and byte-identity checks;
-            `gen` regenerates the committed scenarios/ registry;
-            `--cache` serves unchanged points from the result cache)
+            `check` parses and resolves without running; `--cache`
+            serves unchanged points from the result cache)
   cache     result-cache tools    stats | gc [--max-mb N]
             (.emu-cache store)    verify [--sample N]
             (content-addressed run results keyed by config + workload

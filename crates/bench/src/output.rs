@@ -177,17 +177,25 @@ impl TelemetryArgs {
     }
 }
 
-/// Write a telemetry artifact, creating parent directories and
-/// reporting the path (or the failure) on the console.
-pub fn write_artifact(label: &str, path: &Path, body: &str) {
+/// Write a telemetry artifact, creating parent directories, and report
+/// the path on the console. A failed write returns its message.
+pub fn write_artifact(label: &str, path: &Path, body: &str) -> Result<(), String> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             let _ = std::fs::create_dir_all(parent);
         }
     }
-    match std::fs::write(path, body) {
-        Ok(()) => println!("[{label}] {}", path.display()),
-        Err(e) => eprintln!("[{label}] write failed ({}): {e}", path.display()),
+    std::fs::write(path, body)
+        .map_err(|e| format!("[{label}] write failed ({}): {e}", path.display()))?;
+    println!("[{label}] {}", path.display());
+    Ok(())
+}
+
+/// [`write_artifact`] for a figure, whose table still prints when an
+/// artifact cannot be written.
+fn write_figure_artifact(label: &str, path: &Path, body: &str) {
+    if let Err(e) = write_artifact(label, path, body) {
+        eprintln!("{e}");
     }
 }
 
@@ -229,20 +237,20 @@ pub fn run_figure_with(
 
     if let Some(path) = &args.report_json {
         let body = crate::telemetry::report_set_json(name, table.as_ref().ok(), &runs);
-        write_artifact("report-json", path, &body);
+        write_figure_artifact("report-json", path, &body);
     }
     // Chrome trace / JSONL describe a single run: use the last traced
     // report (the figure's final emu configuration).
     let traced = runs.iter().rev().find(|r| r.trace.is_some());
     if let Some(path) = &args.trace_out {
         match traced {
-            Some(r) => write_artifact("trace-out", path, &emu_core::json::chrome_trace(r)),
+            Some(r) => write_figure_artifact("trace-out", path, &emu_core::json::chrome_trace(r)),
             None => eprintln!("[trace-out] no traced emu run to export"),
         }
     }
     if let Some(path) = &args.jsonl_out {
         match traced {
-            Some(r) => write_artifact("jsonl-out", path, &emu_core::json::trace_jsonl(r)),
+            Some(r) => write_figure_artifact("jsonl-out", path, &emu_core::json::trace_jsonl(r)),
             None => eprintln!("[jsonl-out] no traced emu run to export"),
         }
     }

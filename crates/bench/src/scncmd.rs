@@ -3,14 +3,16 @@
 //! ```sh
 //! simctl scenario run scenarios/ --jobs 4 --report-json suite.json
 //! simctl scenario check scenarios/stream-kernel-add-chick.scn
-//! simctl scenario gen scenarios/
 //! ```
 //!
 //! `run` executes every `.scn` under the given paths (scenarios in
 //! parallel across `--jobs` workers, points sequentially within one
-//! scenario), `check` parses and resolves without running, and `gen`
-//! writes the deterministic registry (`scenario::registry`) to a
-//! directory. Exit codes: 0 = all pass, 1 = failures, 2 = bad usage.
+//! scenario), and `check` parses and resolves without running. The
+//! committed `scenarios/` registry is kept by hand: add a scenario by
+//! writing its `.scn` file and running `check` on it. The scenario
+//! crate's `tests/registry.rs` holds every file to canonical form and
+//! the registry to its coverage floors. Exit codes: 0 = all pass,
+//! 1 = failures, 2 = bad usage.
 
 use emu_core::ctx::RunCtx;
 use emu_core::json::jstr;
@@ -19,24 +21,9 @@ use std::path::{Path, PathBuf};
 /// Entry point from `simctl`; `args` excludes the `scenario` word.
 /// Returns the process exit code.
 pub fn dispatch(args: &[String]) -> i32 {
-    match run(args) {
-        Ok(clean) => {
-            if clean {
-                0
-            } else {
-                1
-            }
-        }
-        Err(e) => {
-            eprintln!("scenario: {e}");
-            eprintln!(
-                "usage: simctl scenario run <path>... [--jobs N] [--cache] [--report-json FILE]\n\
-                 \u{20}      simctl scenario check <path>...\n\
-                 \u{20}      simctl scenario gen <dir>"
-            );
-            2
-        }
-    }
+    let usage = "usage: simctl scenario run <path>... [--jobs N] [--cache] [--report-json FILE]\n\
+                 \u{20}      simctl scenario check <path>...";
+    crate::cli::exit_code("scenario", usage, run(args))
 }
 
 /// Collect `.scn` files below `path` (sorted for stable output).
@@ -91,28 +78,10 @@ fn run(args: &[String]) -> Result<bool, String> {
     }
 
     match verb.as_str() {
-        "gen" => cmd_gen(&paths),
         "check" => cmd_check(&paths),
         "run" => ctx.scope(|| cmd_run(&paths, report_json.as_deref())),
         other => Err(format!("unknown subcommand {other:?}")),
     }
-}
-
-fn cmd_gen(paths: &[PathBuf]) -> Result<bool, String> {
-    let [dir] = paths else {
-        return Err("gen takes exactly one directory".into());
-    };
-    std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    let files = scenario::registry::files();
-    for (name, text) in &files {
-        std::fs::write(dir.join(name), text).map_err(|e| format!("{name}: {e}"))?;
-    }
-    println!(
-        "scenario gen: wrote {} scenarios to {}",
-        files.len(),
-        dir.display()
-    );
-    Ok(true)
 }
 
 /// Parsed scenarios plus `(file, error)` entries for the ones that

@@ -1,5 +1,10 @@
-//! A declarative scenario language for the Emu Chick simulator, and
-//! the committed registry that serves as the main conformance suite.
+//! A declarative scenario language for the Emu Chick simulator.
+//!
+//! The main conformance suite is the committed `scenarios/` tree, kept
+//! by hand: each file is in the canonical form [`fn@print`] writes and
+//! is named after its `scenario` line. `tests/registry.rs` checks both,
+//! and the registry's coverage floors: every preset x workload pair, at
+//! least 20 fault-bearing and 20 byte-identity scenarios.
 //!
 //! One `.scn` file names a machine (preset + inline overrides), a
 //! workload (STREAM, pointer chase, BFS, MTTKRP, SpMV, or a raw
@@ -23,8 +28,6 @@
 //!   assertion evaluator, and the point outcome's JSON form.
 //! - [`fuzz`] — generating, checking, and shrinking random script
 //!   scenarios (`simctl fuzz`).
-//! - [`registry`] — the deterministic generator of the committed
-//!   `scenarios/` tree.
 //!
 //! The runner in `simctl scenario run` and the daemon's
 //! `{"op":"scenario"}` request both sit on these modules; neither adds
@@ -34,7 +37,6 @@ pub mod ast;
 pub mod exec;
 pub mod fuzz;
 pub mod parse;
-pub mod registry;
 pub mod resolve;
 pub mod run;
 

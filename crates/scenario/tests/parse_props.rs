@@ -12,8 +12,8 @@ fn gen_random(case: u64, rng: &mut desim::rng::Rng64) -> Scenario {
     if rng.gen_range(0..4u32) == 0 {
         return scenario::fuzz::gen_scenario(&format!("prop-script-{case}"), rng);
     }
-    let presets = scenario::registry::PRESETS;
-    let preset = presets[rng.gen_range(0..presets.len() as u32) as usize];
+    let presets = emu_core::presets::all();
+    let preset = presets[rng.gen_range(0..presets.len() as u32) as usize].0;
     let kinds = [
         WorkloadKind::Stream,
         WorkloadKind::Chase,
@@ -89,10 +89,18 @@ fn print_parse_round_trips() {
 
 #[test]
 fn registry_round_trips() {
-    for s in scenario::registry::generate() {
-        let text = print(&s);
-        let back = parse(&text).unwrap_or_else(|e| panic!("{}: {e}", s.name));
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_none_or(|e| e != "scn") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        let s = parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let printed = print(&s);
+        let back = parse(&printed).unwrap_or_else(|e| panic!("{}: {e}", s.name));
         assert_eq!(back, s, "{}: registry round trip diverged", s.name);
+        assert_eq!(print(&back), printed, "{}: print not canonical", s.name);
     }
 }
 

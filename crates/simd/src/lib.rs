@@ -42,6 +42,7 @@ pub mod top;
 
 use pool::PoolConfig;
 use server::ServeOpts;
+use std::time::Instant;
 
 /// Read a `u64` env knob, falling back to `default` when unset/invalid.
 pub fn env_u64(name: &str, default: u64) -> u64 {
@@ -86,7 +87,7 @@ pub fn serve_opts_from_env() -> ServeOpts {
 }
 
 /// The cold one-shot comparator: read one request line from stdin,
-/// execute it on a fresh engine, write the response line to stdout.
+/// answer it with [`once`], write the reply line to stdout.
 ///
 /// This is what a daemonless client pays per run — process startup
 /// plus a cold engine build — and is the cold leg of the warm-pool
@@ -99,15 +100,22 @@ pub fn run_once_stdin() -> i32 {
         eprintln!("simd-once: expected one request line on stdin");
         return 2;
     }
-    let reply = match proto::parse_request(line.trim_end()) {
+    let reply = once(line.trim_end());
+    let mut out = std::io::stdout();
+    let _ = writeln!(out, "{reply}");
+    let _ = out.flush();
+    0
+}
+
+/// Answer one request line on cold engines, under the budget the daemon
+/// would give it. A run's deadline counts from the call. A scenario's
+/// points run in sweep order, and each point's deadline counts from its
+/// own start, as a daemon worker counts it.
+pub fn once(line: &str) -> String {
+    let started = Instant::now();
+    match proto::parse_request(line) {
         Err(e) => proto::err_response(0, proto::ErrorKind::Proto, &e, None),
-        Ok(proto::Request::Run(req)) => {
-            let mut slot = exec::WarmSlot::new();
-            match exec::execute(&mut slot, &req, None) {
-                Ok(out) => proto::ok_response(req.id, 0, false, &out.report_json),
-                Err(e) => proto::err_response(req.id, e.kind, &e.message, None),
-            }
-        }
+        Ok(proto::Request::Run(req)) => run_cold(&req, started),
         Ok(proto::Request::Scenario(req)) => scn::handle_once(&req),
         Ok(proto::Request::Health { id })
         | Ok(proto::Request::Metrics { id })
@@ -117,11 +125,16 @@ pub fn run_once_stdin() -> i32 {
             "simd-once only handles runs",
             None,
         ),
-    };
-    let mut out = std::io::stdout();
-    let _ = writeln!(out, "{reply}");
-    let _ = out.flush();
-    0
+    }
+}
+
+/// Run `req` on a fresh engine, its deadline counted from `started`,
+/// and render the reply line a daemon worker would send.
+fn run_cold(req: &proto::RunRequest, started: Instant) -> String {
+    match exec::execute(&mut exec::WarmSlot::new(), req, Some(started)) {
+        Ok(out) => proto::ok_response(req.id, 0, false, &out.report_json),
+        Err(e) => proto::err_response(req.id, e.kind, &e.message, None),
+    }
 }
 
 /// Usage text for the daemon subcommands (shared by `simd` and
@@ -142,46 +155,47 @@ simd subcommands:
 /// Dispatch a daemon subcommand (`serve`, `client`, `simd-once`,
 /// `top`). Returns the process exit code.
 pub fn dispatch(args: &[String]) -> i32 {
-    let Some(cmd) = args.first() else {
+    let Some((cmd, rest)) = args.split_first() else {
         eprint!("{USAGE}");
         return 2;
     };
-    match cmd.as_str() {
-        "serve" => match server::serve(serve_opts_from_env()) {
-            Ok(summary) => {
-                if summary.violations.is_empty() {
-                    0
-                } else {
-                    for v in &summary.violations {
-                        eprintln!("simd: invariant violated: {v}");
-                    }
-                    1
-                }
+    let outcome = match (cmd.as_str(), rest) {
+        ("serve", []) => server::serve(serve_opts_from_env()).map(|summary| {
+            for v in &summary.violations {
+                eprintln!("simd: invariant violated: {v}");
             }
-            Err(e) => {
-                eprintln!("simd serve: {e}");
-                1
-            }
-        },
-        "client" => match client::run_cli(&args[1..]) {
-            Ok(()) => 0,
-            Err(e) => {
-                eprintln!("simd client: {e}");
-                1
-            }
-        },
-        "once" | "simd-once" => run_once_stdin(),
-        "top" => match top::run_cli(&args[1..]) {
-            Ok(()) => 0,
-            Err(e) => {
-                eprintln!("simd top: {e}");
-                1
-            }
-        },
-        other => {
+            summary.violations.is_empty()
+        }),
+        ("once" | "simd-once", []) => return run_once_stdin(),
+        ("client", _) => client::run_cli(rest).map(|()| true),
+        ("top", _) => top::run_cli(rest).map(|()| true),
+        // `serve` and `simd-once` read only the environment and stdin.
+        ("serve" | "once" | "simd-once", [extra, ..]) => {
+            eprintln!("simd {cmd}: unknown argument {extra:?}");
+            eprint!("{USAGE}");
+            return 2;
+        }
+        (other, _) => {
             eprintln!("unknown simd subcommand {other:?}");
             eprint!("{USAGE}");
-            2
+            return 2;
         }
+    };
+    match outcome {
+        Ok(clean) => i32::from(!clean),
+        Err(e) => {
+            eprintln!("simd {cmd}: {e}");
+            1
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn once_stops_a_run_at_its_deadline_as_the_daemon_does() {
+        let line = r#"{"op":"run","id":1,"spec":{"kind":"stream","elems":262144,"threads":64},"deadline_ms":1}"#;
+        let reply = super::once(line);
+        assert!(reply.contains(r#""kind":"deadline""#), "{reply}");
     }
 }

@@ -9,7 +9,8 @@
 //! execution therefore gets everything the pool gives ordinary runs —
 //! admission control, panic isolation, respawn — while cross-point
 //! assertions (monotonicity, byte identity) are checked exactly once,
-//! server-side.
+//! server-side. `simd-once` runs the same point requests inline on cold
+//! engines ([`handle_once`]), so both answer under one budget rule.
 //!
 //! A [`PointOutcome`] crosses the pool boundary as the "report" object
 //! of an ordinary ok response, in its one JSON form
@@ -20,8 +21,9 @@ use crate::proto::{err_response, report_slice, ErrorKind, RunRequest, ScenarioRe
 use emu_core::json::jstr;
 use emu_core::jsonread::parse;
 use scenario::run::PointOutcome;
+use scenario::Scenario;
 use std::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Busy-retry budget per point submission: the pool advertises ~25 ms
 /// hints; 400 × 5 ms ≈ 2 s of pushback before the scenario gives up.
@@ -49,36 +51,16 @@ fn error_summary(line: &str) -> String {
 /// `pass` reflects the evaluated expect block (an assertion failure is
 /// a *result*, not a protocol error).
 pub fn handle(pool: &Pool, req: &ScenarioRequest) -> String {
-    let s = match scenario::parse(&req.text) {
-        Ok(s) => s,
-        Err(e) => {
-            return err_response(
-                req.id,
-                ErrorKind::Proto,
-                &format!("bad scenario: {e}"),
-                None,
-            )
-        }
-    };
-    let points = match scenario::resolve(&s) {
-        Ok(p) => p,
-        Err(e) => return err_response(req.id, ErrorKind::Proto, &e, None),
+    let (s, n) = match plan(req) {
+        Ok(plan) => plan,
+        Err(reply) => return reply,
     };
 
     // Fan out: submit every point before reading any response, so the
     // pool keeps all workers busy; accepted submissions always answer.
-    let mut receivers = Vec::with_capacity(points.len());
-    for i in 0..points.len() {
-        let sub = RunRequest {
-            id: req.id,
-            spec: Spec::ScenarioPoint {
-                text: req.text.clone(),
-                index: i,
-            },
-            deadline_ms: req.deadline_ms,
-            max_events: req.max_events,
-            chaos: None,
-        };
+    let mut receivers = Vec::with_capacity(n);
+    for i in 0..n {
+        let sub = point_request(req, i);
         let (tx, rx) = mpsc::channel();
         let mut attempts = 0;
         loop {
@@ -108,17 +90,65 @@ pub fn handle(pool: &Pool, req: &ScenarioRequest) -> String {
         }
         receivers.push(rx);
     }
-
-    // Collect in sweep order. A point the pool failed (panic, typed
-    // sim error) becomes a scenario failure; the expect block is still
-    // evaluated over the points that did come back, so the response
-    // lists everything wrong, not just the first transport loss.
-    let mut outcomes: Vec<PointOutcome> = Vec::with_capacity(points.len());
-    let mut failures: Vec<String> = Vec::new();
-    for (i, rx) in receivers.into_iter().enumerate() {
-        let line = rx.recv().unwrap_or_else(|_| {
+    let replies = receivers.into_iter().map(|rx| {
+        rx.recv().unwrap_or_else(|_| {
             err_response(req.id, ErrorKind::Panic, "response channel lost", None)
-        });
+        })
+    });
+    respond(req.id, &s, n, replies)
+}
+
+/// The daemonless leg: run the points inline on this thread, in sweep
+/// order, each on a cold engine under the request's budget (the
+/// `simd-once` comparator has no pool); same response as [`handle`].
+pub fn handle_once(req: &ScenarioRequest) -> String {
+    let (s, n) = match plan(req) {
+        Ok(plan) => plan,
+        Err(reply) => return reply,
+    };
+    let replies = (0..n).map(|i| crate::run_cold(&point_request(req, i), Instant::now()));
+    respond(req.id, &s, n, replies)
+}
+
+/// The parsed scenario and its point count, or the typed error reply.
+fn plan(req: &ScenarioRequest) -> Result<(Scenario, usize), String> {
+    let s = scenario::parse(&req.text).map_err(|e| {
+        err_response(
+            req.id,
+            ErrorKind::Proto,
+            &format!("bad scenario: {e}"),
+            None,
+        )
+    })?;
+    let points =
+        scenario::resolve(&s).map_err(|e| err_response(req.id, ErrorKind::Proto, &e, None))?;
+    Ok((s, points.len()))
+}
+
+/// Point `index` of a scenario request as a run request: the scenario's
+/// text and the request's budget, which applies to each point.
+fn point_request(req: &ScenarioRequest, index: usize) -> RunRequest {
+    RunRequest {
+        id: req.id,
+        spec: Spec::ScenarioPoint {
+            text: req.text.clone(),
+            index,
+        },
+        deadline_ms: req.deadline_ms,
+        max_events: req.max_events,
+        chaos: None,
+    }
+}
+
+/// Collect the `n` points' reply lines in sweep order and evaluate the
+/// expect block. A point that failed (panic, typed sim error) becomes a
+/// scenario failure; the expect block is still evaluated over the
+/// points that did come back, so the response lists everything wrong,
+/// not just the first transport loss.
+fn respond(id: u64, s: &Scenario, n: usize, replies: impl Iterator<Item = String>) -> String {
+    let mut outcomes: Vec<PointOutcome> = Vec::with_capacity(n);
+    let mut failures: Vec<String> = Vec::new();
+    for (i, line) in replies.enumerate() {
         match report_slice(&line) {
             Some(doc) => match PointOutcome::from_json(doc) {
                 Ok(o) => outcomes.push(o),
@@ -127,31 +157,8 @@ pub fn handle(pool: &Pool, req: &ScenarioRequest) -> String {
             None => failures.push(format!("point {i}: {}", error_summary(&line))),
         }
     }
-    failures.extend(scenario::evaluate(&s, &outcomes));
-    scenario_response(req.id, &s.name, points.len(), &failures)
-}
-
-/// The daemonless leg: run the scenario inline on this thread (the
-/// `simd-once` comparator has no pool), same response shape as
-/// [`handle`].
-pub fn handle_once(req: &ScenarioRequest) -> String {
-    match scenario::parse(&req.text) {
-        Err(e) => err_response(
-            req.id,
-            ErrorKind::Proto,
-            &format!("bad scenario: {e}"),
-            None,
-        ),
-        Ok(s) => {
-            let outcome = scenario::run_scenario(&s);
-            scenario_response(
-                req.id,
-                &outcome.name,
-                outcome.points.len(),
-                &outcome.failures,
-            )
-        }
-    }
+    failures.extend(scenario::evaluate(s, &outcomes));
+    scenario_response(id, &s.name, n, &failures)
 }
 
 /// Render the `ok` scenario response line.

@@ -1,7 +1,8 @@
 //! End-to-end `{"op":"scenario"}`: a live daemon runs a swept `.scn`
 //! document point-by-point through the warm pool, evaluates its expect
 //! block, and answers one line — pass, assertion failures as data, or
-//! a typed protocol error — then drains clean.
+//! a typed protocol error — then drains clean. `simd-once` holds each
+//! point to the same budget.
 
 use emu_core::jsonread::{parse, Value};
 use simd::client::{request, ClientOpts};
@@ -174,24 +175,19 @@ expect
   counter events >= 1
 ";
 
-#[test]
-fn scenario_points_honour_their_deadline_and_event_cap() {
-    let (addr, handle) = start_daemon();
-    let opts = ClientOpts {
-        addr: addr.to_string(),
-        ..ClientOpts::default()
-    };
+/// Answer [`LONG`] under a 1 ms deadline and under a 1000-event cap
+/// with `answer`, and require each reply to fail naming its budget.
+fn assert_over_budget(answer: impl Fn(&str) -> String) {
     for (id, deadline_ms, max_events, named) in [
         (1, Some(1), None, "DeadlineExceeded { deadline_ms: 1 }"),
         (2, None, Some(1000), "EventCapExceeded { cap: 1000 }"),
     ] {
-        let line = scenario_request_line(&ScenarioRequest {
+        let reply = answer(&scenario_request_line(&ScenarioRequest {
             id,
             text: LONG.into(),
             deadline_ms,
             max_events,
-        });
-        let reply = request(&opts, &line).unwrap();
+        }));
         assert!(reply.contains("\"ok\":true"), "{reply}");
         assert!(
             reply.contains("\"pass\":false"),
@@ -199,6 +195,16 @@ fn scenario_points_honour_their_deadline_and_event_cap() {
         );
         assert!(reply.contains(named), "no failure names {named}: {reply}");
     }
+}
+
+#[test]
+fn scenario_points_honour_their_deadline_and_event_cap() {
+    let (addr, handle) = start_daemon();
+    let opts = ClientOpts {
+        addr: addr.to_string(),
+        ..ClientOpts::default()
+    };
+    assert_over_budget(|line| request(&opts, line).unwrap());
     let bye = request(&opts, "{\"op\":\"shutdown\",\"id\":9}").unwrap();
     assert!(bye.contains("\"shutting_down\":true"), "{bye}");
     let summary = handle.join().expect("daemon thread");
@@ -206,4 +212,9 @@ fn scenario_points_honour_their_deadline_and_event_cap() {
         summary.drained && summary.violations.is_empty(),
         "{summary:?}"
     );
+}
+
+#[test]
+fn once_holds_scenario_points_to_the_daemons_budget() {
+    assert_over_budget(simd::once);
 }
