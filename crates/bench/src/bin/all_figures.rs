@@ -24,11 +24,17 @@ fn main() {
     // One parse for the whole campaign: a usage error names the
     // campaign and exits before any figure runs.
     let args = args_or_exit("all_figures");
+    let mut written = true;
     for (name, run) in FIGURES {
-        run_figure_with(&args, name, run);
+        written &= run_figure_with(&args, name, run);
     }
     if runcache::enabled() {
         eprintln!("{}", emu_bench::cache::session_summary());
     }
     eprintln!("[all_figures] done in {:.1}s", t0.elapsed().as_secs_f64());
+    // Every figure ran; a requested artifact that was not written
+    // still fails the campaign.
+    if !written {
+        std::process::exit(1);
+    }
 }

@@ -10,9 +10,11 @@
 //! `verify` is the trust audit: every cached object that carries a
 //! self-contained recipe is re-simulated from scratch (through code
 //! paths that never consult the cache) and the fresh payload is
-//! compared byte-for-byte against the stored one. A mismatch means the
-//! simulator changed without the cache version salt being bumped — the
-//! exit code is nonzero and the stale digests are listed.
+//! compared byte-for-byte against the stored one. Keys carry the
+//! source fingerprint (`runcache::MODEL_FINGERPRINT`), so a lookup
+//! never reads an entry another build wrote; a mismatch means the same
+//! source produced different bytes — the exit code is nonzero and the
+//! stale digests are listed.
 
 use runcache::Store;
 use simd::exec::{self, WarmSlot};

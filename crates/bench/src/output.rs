@@ -192,11 +192,11 @@ pub fn write_artifact(label: &str, path: &Path, body: &str) -> Result<(), String
 }
 
 /// [`write_artifact`] for a figure, whose table still prints when an
-/// artifact cannot be written.
-fn write_figure_artifact(label: &str, path: &Path, body: &str) {
-    if let Err(e) = write_artifact(label, path, body) {
-        eprintln!("{e}");
-    }
+/// artifact cannot be written. Returns whether the write succeeded.
+fn write_figure_artifact(label: &str, path: &Path, body: &str) -> bool {
+    write_artifact(label, path, body)
+        .map_err(|e| eprintln!("{e}"))
+        .is_ok()
 }
 
 /// Parse the shared flags from the process's command line. A usage
@@ -210,21 +210,26 @@ pub fn args_or_exit(label: &str) -> TelemetryArgs {
 }
 
 /// Run a figure with telemetry plumbing: parses the shared flags
-/// ([`args_or_exit`]), then runs it as [`run_figure_with`] does.
+/// ([`args_or_exit`]), then runs it as [`run_figure_with`] does, and
+/// exits 1 if a requested artifact could not be written.
 pub fn run_figure(name: &str, f: impl FnOnce() -> Result<Table, emu_core::fault::SimError>) {
-    run_figure_with(&args_or_exit(name), name, f);
+    if !run_figure_with(&args_or_exit(name), name, f) {
+        std::process::exit(1);
+    }
 }
 
 /// Run a figure in the [`RunCtx`] that already-parsed flags describe
 /// (collecting reports when an artifact is requested, tracing when a
 /// trace is), write the requested artifacts, then emit the table
 /// exactly like [`emit_result`]. With no flags the run is untraced and
-/// uncollected.
+/// uncollected. Returns `false` if a requested `--report-json`,
+/// `--trace-out` or `--jsonl-out` write failed; every other artifact
+/// and the table are still written.
 pub fn run_figure_with(
     args: &TelemetryArgs,
     name: &str,
     f: impl FnOnce() -> Result<Table, emu_core::fault::SimError>,
-) {
+) -> bool {
     let ctx = RunCtx {
         telemetry: args.config(),
         ..args.ctx.clone()
@@ -235,26 +240,33 @@ pub fn run_figure_with(
         (ctx.scope(f), Vec::new())
     };
 
+    let mut written = true;
     if let Some(path) = &args.report_json {
         let body = crate::telemetry::report_set_json(name, table.as_ref().ok(), &runs);
-        write_figure_artifact("report-json", path, &body);
+        written &= write_figure_artifact("report-json", path, &body);
     }
     // Chrome trace / JSONL describe a single run: use the last traced
     // report (the figure's final emu configuration).
     let traced = runs.iter().rev().find(|r| r.trace.is_some());
     if let Some(path) = &args.trace_out {
         match traced {
-            Some(r) => write_figure_artifact("trace-out", path, &emu_core::json::chrome_trace(r)),
+            Some(r) => {
+                written &=
+                    write_figure_artifact("trace-out", path, &emu_core::json::chrome_trace(r))
+            }
             None => eprintln!("[trace-out] no traced emu run to export"),
         }
     }
     if let Some(path) = &args.jsonl_out {
         match traced {
-            Some(r) => write_figure_artifact("jsonl-out", path, &emu_core::json::trace_jsonl(r)),
+            Some(r) => {
+                written &= write_figure_artifact("jsonl-out", path, &emu_core::json::trace_jsonl(r))
+            }
             None => eprintln!("[jsonl-out] no traced emu run to export"),
         }
     }
     emit_result(name, table);
+    written
 }
 
 /// The directory figure CSVs are written to: `$EMU_RESULTS_DIR` or

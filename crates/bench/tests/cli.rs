@@ -22,6 +22,26 @@ fn all_figures_reports_a_bad_argument_once_under_its_own_name() {
     assert!(!dir.exists(), "a figure wrote its CSV");
 }
 
+#[test]
+fn a_figure_whose_requested_report_cannot_be_written_exits_1() {
+    let dir = std::env::temp_dir().join(format!("emu-bench-fig-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("file"), "").unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_fig04"))
+        .arg("--report-json")
+        .arg(dir.join("file/r.json"))
+        .env("EMU_QUICK", "1")
+        .env("EMU_RESULTS_DIR", &dir)
+        .output()
+        .expect("fig04 starts");
+    let csv_written = dir.join("fig04.csv").is_file();
+    std::fs::remove_dir_all(&dir).unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("[report-json] write failed"), "{stderr}");
+    assert!(csv_written, "the table's CSV must still be written");
+}
+
 const SIMCTL: &str = env!("CARGO_BIN_EXE_simctl");
 
 /// Run `simctl` to completion: its exit code and its stderr.

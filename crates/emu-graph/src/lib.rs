@@ -12,20 +12,16 @@
 //! * [`bfs`] — level-synchronous BFS in naive (migrate-per-edge) and
 //!   "smart migration" (remote-atomic discovery) variants, the graph
 //!   analogue of the paper's 1D-vs-2D SpMV lesson;
-//! * [`cc`] — connected components by label propagation, pull
-//!   (migrating) vs push (posted remote updates) variants;
 //! * [`gen`] — uniform, RMAT, path, and star generators.
 
 #![warn(missing_docs)]
 
 pub mod bfs;
-pub mod cc;
 pub mod gen;
 pub mod insert;
 pub mod stinger;
 
 pub use bfs::{run_bfs_emu, BfsMode, BfsResult};
-pub use cc::{cc_reference, run_cc_emu, CcMode, CcResult};
 pub use gen::EdgeList;
 pub use insert::{run_insert_emu, InsertResult};
 pub use stinger::{EdgeBlock, InsertOutcome, Stinger, DEFAULT_BLOCK_CAP};

@@ -18,9 +18,7 @@
 pub mod coo;
 pub mod cpu;
 pub mod emu;
-pub mod io;
 
 pub use coo::{mttkrp_reference, random_tensor, skewed_tensor, SparseTensor, TensorEntry};
 pub use cpu::{run_mttkrp_cpu, CpuMttkrpConfig, CpuMttkrpResult};
 pub use emu::{run_mttkrp_emu, EmuMttkrpConfig, EmuMttkrpResult, TensorLayout};
-pub use io::{read_tns, write_tns};

@@ -9,8 +9,9 @@
 //!   *resolved* run recipe (machine config, workload, seed, fault
 //!   plan — everything that affects output, nothing that doesn't) as
 //!   named records; the digest is SHA-256 over a length-prefixed
-//!   encoding plus a version salt, so an engine-semantics change bumps
-//!   [`KEY_VERSION`] and invalidates every old entry at once.
+//!   encoding that starts with [`MODEL_FINGERPRINT`], a hash of the
+//!   model's source, so any source change invalidates every old entry
+//!   at once.
 //! - [`Store`]: the on-disk object store (`.emu-cache/` by default,
 //!   `EMU_CACHE_DIR` override) with atomic tmp+rename writes, an
 //!   advisory `index.jsonl`, and mtime-ordered [`Store::gc`].
@@ -43,9 +44,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-/// Version salt mixed into every digest. Bump when engine semantics
-/// change in a way that alters outputs for unchanged inputs.
-pub const KEY_VERSION: &str = "emu-runcache-v1";
+/// SHA-256 (hex) over every `crates/*/src` file and `Cargo.lock`,
+/// computed by this crate's build script. Every [`Key`] records it
+/// first, so an entry written by a build of other source is never read:
+/// a cache hit always comes from the model that answers the lookup.
+pub const MODEL_FINGERPRINT: &str = include_str!(concat!(env!("OUT_DIR"), "/model_fingerprint"));
 
 // ---------------------------------------------------------------------------
 // Canonical key
@@ -71,7 +74,7 @@ impl Key {
         let mut k = Key {
             material: String::with_capacity(256),
         };
-        k.record("version", KEY_VERSION);
+        k.record("model", MODEL_FINGERPRINT);
         k.record("kind", kind);
         k
     }
@@ -465,10 +468,11 @@ mod tests {
     fn key_material_is_length_prefixed_and_salted() {
         let mut k = Key::new("figure");
         k.record("cfg", "a=1").record("seed", "42");
-        assert!(k.material().starts_with(&format!(
-            "version:{}:{KEY_VERSION}\nkind:6:figure\n",
-            KEY_VERSION.len()
-        )));
+        assert_eq!(MODEL_FINGERPRINT.len(), 64);
+        assert!(MODEL_FINGERPRINT.bytes().all(|b| b.is_ascii_hexdigit()));
+        assert!(k
+            .material()
+            .starts_with(&format!("model:64:{MODEL_FINGERPRINT}\nkind:6:figure\n")));
         assert!(k.material().contains("cfg:3:a=1\nseed:2:42\n"));
         assert_eq!(k.digest().len(), 64);
     }

@@ -31,17 +31,3 @@ fn committed_cross_shard_nack_scenario_exercises_the_fault_path() {
     assert!(report.total_migrations() > 0, "case must migrate");
     assert!(scenario::fuzz::check(&s).is_empty());
 }
-
-#[test]
-fn promoted_corpus_runs_clean_under_the_scenario_runner() {
-    for name in [
-        "cross-shard-nack.scn",
-        "faulty-node.scn",
-        "smoke-local.scn",
-        "two-node-link.scn",
-    ] {
-        let s = load(name);
-        let outcome = scenario::run_scenario(&s);
-        assert!(outcome.pass(), "{name}: {:#?}", outcome.failures);
-    }
-}

@@ -20,9 +20,10 @@
 //!   deadline is armed
 //!   ([`SimError::DeadlineExceeded`](emu_core::fault::SimError)). A
 //!   scenario request's budget applies to each of its points.
-//! - **Fault isolation** — a panicking worker is caught, answered on
-//!   behalf of, and respawned by a supervisor; its queue (owned by the
-//!   pool) loses nothing, and other in-flight requests are untouched.
+//! - **Fault isolation** — a panicking job is caught and answered on
+//!   behalf of its worker, which discards its warm engine and serves on
+//!   from its own queue on the same thread; nothing queued behind the
+//!   panic is lost, and other in-flight requests are untouched.
 //! - **Graceful drain** — shutdown stops admission, lets in-flight
 //!   work finish or deadline out, then flushes a telemetry summary
 //!   whose counters must reconcile exactly.

@@ -1,94 +1,119 @@
 //! The warm worker pool: persistent per-thread engines, admission
-//! control, and a supervisor that respawns faulted workers.
+//! control, and workers that recover from a panic in place.
 //!
 //! Requests are routed *sticky-first*: a request whose config matches
 //! an engine some worker already has warm goes to that worker (a reset
 //! is ~free; a cold build is not), and everything else falls back to
-//! round-robin over the per-worker mpsc queues. The pool (not the
-//! worker) owns each queue's receiver, so a worker that dies mid-panic
-//! never strands queued jobs: the supervisor's replacement picks up
-//! the same queue. Every accepted request gets exactly one response —
-//! success, typed failure, or the panic notice sent on the worker's
-//! behalf after `catch_unwind`.
+//! round-robin over the per-worker mpsc queues. Each worker owns its
+//! queue and runs every job under `catch_unwind`: a job that panics is
+//! answered on its behalf, the worker discards its (possibly corrupt)
+//! warm engine, and the same thread goes back to its queue, so nothing
+//! queued behind the panic is lost. Every accepted request gets
+//! exactly one response — success, typed failure, or that panic
+//! notice.
 //!
 //! A request's deadline counts from when its worker picks it up; the
 //! engine checks it itself ([`exec::execute`]), so the pool runs no
 //! timer.
 //!
-//! Every [`PoolStats`] transition is mirrored into the process-global
-//! [`emu_core::obs`] registry (plus queue-wait/execute latency
-//! histograms and per-worker busy counters the shutdown summary can't
-//! express), so a live daemon is observable via `{"op":"metrics"}`,
-//! the Prometheus exporter, and `simctl top`.
+//! The pool's counters are one table, [`Stat`]. Each transition is one
+//! [`PoolStats`] bump that advances both the pool's own count and its
+//! series in the process-global [`emu_core::obs`] registry, so the
+//! live views (`{"op":"metrics"}`, the Prometheus exporter, `simctl
+//! top`) agree with the pool's accounting by construction. Next to
+//! them the registry holds queue-wait/execute latency histograms and
+//! per-worker busy counters the shutdown summary can't express.
 
 use crate::exec::{self, WarmSlot};
 use crate::proto::{cached_response, err_response, ok_response, Chaos, ErrorKind, RunRequest};
 use emu_core::ctx::RunCtx;
 use emu_core::obs;
+use std::fmt::{self, Write};
+use std::ops::Index;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// The pool's registered live metrics: handles resolved once, then
-/// every update is one relaxed atomic next to the matching
-/// [`PoolStats`] bump (the obs deltas must reconcile exactly against
-/// the snapshot counters — `tests/metrics.rs` enforces it).
-struct PoolObs {
-    submitted: &'static obs::Counter,
-    accepted: &'static obs::Counter,
-    rejected_busy: &'static obs::Counter,
-    rejected_draining: &'static obs::Counter,
-    completed_ok: &'static obs::Counter,
-    failed_proto: &'static obs::Counter,
-    failed_sim: &'static obs::Counter,
-    failed_audit: &'static obs::Counter,
-    failed_event_cap: &'static obs::Counter,
-    failed_deadline: &'static obs::Counter,
-    failed_panic: &'static obs::Counter,
-    warm_hits: &'static obs::Counter,
-    cold_builds: &'static obs::Counter,
-    served_from_cache: &'static obs::Counter,
-    respawns: &'static obs::Counter,
-    selfcheck_runs: &'static obs::Counter,
-    selfcheck_failures: &'static obs::Counter,
-    routed_sticky: &'static obs::Counter,
-    in_flight: &'static obs::Gauge,
+/// Declares the pool's counters once: a [`Stat`] variant, its doc, and
+/// its name per line.
+macro_rules! stats {
+    ($($(#[doc = $doc:literal])+ $stat:ident = $name:literal,)+) => {
+        /// One monotonic pool counter. Its name is its key in
+        /// [`StatsSnapshot::json`] and, as `simd_pool_<name>_total`,
+        /// its series in the [`emu_core::obs`] registry.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Stat {
+            $($(#[doc = $doc])+ $stat,)+
+        }
+
+        impl Stat {
+            /// Every counter, in [`StatsSnapshot::json`] key order.
+            const ALL: &'static [Stat] = &[$(Stat::$stat),+];
+
+            /// The counter's name.
+            fn name(self) -> &'static str {
+                match self {
+                    $(Stat::$stat => $name,)+
+                }
+            }
+        }
+    };
+}
+
+stats! {
+    /// Requests offered to [`Pool::submit`].
+    Submitted = "submitted",
+    /// Requests admitted into a worker queue.
+    Accepted = "accepted",
+    /// Rejections because the in-flight cap was reached.
+    RejectedBusy = "rejected_busy",
+    /// Rejections because the pool was draining.
+    RejectedDraining = "rejected_draining",
+    // The terminal outcomes, `CompletedOk` through `FailedPanic`, stay
+    // contiguous: `StatsSnapshot::finished` sums that range.
+    /// Runs that finished and passed the audit.
+    CompletedOk = "completed_ok",
+    /// Failures: bad spec after admission.
+    FailedProto = "failed_proto",
+    /// Failures: the simulation faulted.
+    FailedSim = "failed_sim",
+    /// Failures: report audit or self-check mismatch.
+    FailedAudit = "failed_audit",
+    /// Failures: event budget exhausted.
+    FailedEventCap = "failed_event_cap",
+    /// Failures: wall-clock deadline exceeded.
+    FailedDeadline = "failed_deadline",
+    /// Failures: the worker panicked.
+    FailedPanic = "failed_panic",
+    /// Successful runs served by a reset warm engine.
+    WarmHits = "warm_hits",
+    /// Successful runs that built a fresh engine.
+    ColdBuilds = "cold_builds",
+    /// Successful runs answered from the content-addressed result
+    /// cache at admission, without touching a worker.
+    ServedFromCache = "served_from_cache",
+    /// Worker restarts after a panic: the worker discarded its warm
+    /// engine and went back to its queue on the same thread. Counted
+    /// before the panic reply is sent.
+    Respawns = "respawns",
+    /// Warm results re-validated against a cold run.
+    SelfcheckRuns = "selfcheck_runs",
+    /// Self-check byte mismatches (must stay 0).
+    SelfcheckFailures = "selfcheck_failures",
+    /// Requests routed to the worker already warm on their config
+    /// (each one is a reset the round-robin router would have wasted).
+    RoutedSticky = "routed_sticky",
+}
+
+const STATS: usize = Stat::ALL.len();
+
+/// One worker's live series: the pool-wide latency histograms, and its
+/// own busy time and jobs served.
+struct WorkerObs {
     queue_wait: &'static obs::Histogram,
     execute: &'static obs::Histogram,
-}
-
-fn pool_obs() -> &'static PoolObs {
-    static CELLS: std::sync::OnceLock<PoolObs> = std::sync::OnceLock::new();
-    CELLS.get_or_init(|| PoolObs {
-        submitted: obs::counter("simd_pool_submitted_total"),
-        accepted: obs::counter("simd_pool_accepted_total"),
-        rejected_busy: obs::counter("simd_pool_rejected_busy_total"),
-        rejected_draining: obs::counter("simd_pool_rejected_draining_total"),
-        completed_ok: obs::counter("simd_pool_completed_ok_total"),
-        failed_proto: obs::counter("simd_pool_failed_proto_total"),
-        failed_sim: obs::counter("simd_pool_failed_sim_total"),
-        failed_audit: obs::counter("simd_pool_failed_audit_total"),
-        failed_event_cap: obs::counter("simd_pool_failed_event_cap_total"),
-        failed_deadline: obs::counter("simd_pool_failed_deadline_total"),
-        failed_panic: obs::counter("simd_pool_failed_panic_total"),
-        warm_hits: obs::counter("simd_pool_warm_hits_total"),
-        cold_builds: obs::counter("simd_pool_cold_builds_total"),
-        served_from_cache: obs::counter("simd_pool_served_from_cache_total"),
-        respawns: obs::counter("simd_pool_respawns_total"),
-        selfcheck_runs: obs::counter("simd_pool_selfcheck_runs_total"),
-        selfcheck_failures: obs::counter("simd_pool_selfcheck_failures_total"),
-        routed_sticky: obs::counter("simd_pool_routed_sticky_total"),
-        in_flight: obs::gauge("simd_pool_in_flight"),
-        queue_wait: obs::histogram("simd_pool_queue_wait_ns"),
-        execute: obs::histogram("simd_pool_execute_ns"),
-    })
-}
-
-/// Per-worker live series (busy time and jobs served). A respawned
-/// worker resolves to the same handles, so the series survives panics.
-struct WorkerObs {
     busy_ns: &'static obs::Counter,
     jobs: &'static obs::Counter,
 }
@@ -96,6 +121,8 @@ struct WorkerObs {
 impl WorkerObs {
     fn new(idx: usize) -> WorkerObs {
         WorkerObs {
+            queue_wait: obs::histogram("simd_pool_queue_wait_ns"),
+            execute: obs::histogram("simd_pool_execute_ns"),
             busy_ns: obs::counter(format!("simd_worker_busy_ns_total{{worker=\"{idx}\"}}")),
             jobs: obs::counter(format!("simd_worker_jobs_total{{worker=\"{idx}\"}}")),
         }
@@ -123,185 +150,150 @@ impl Default for PoolConfig {
     }
 }
 
-/// Monotonic pool counters. All transitions are recorded so the totals
-/// reconcile exactly once the pool has quiesced (see [`PoolStats::reconcile`]).
-#[derive(Default)]
+/// The pool's counters: one atomic per [`Stat`] plus the requests in
+/// flight, each mirrored into its registry series. All transitions are
+/// recorded so the totals reconcile exactly once the pool has quiesced
+/// (see [`PoolStats::reconcile`]).
 pub struct PoolStats {
-    /// Requests offered to [`Pool::submit`].
-    pub submitted: AtomicU64,
-    /// Requests admitted into a worker queue.
-    pub accepted: AtomicU64,
-    /// Rejections because the in-flight cap was reached.
-    pub rejected_busy: AtomicU64,
-    /// Rejections because the pool was draining.
-    pub rejected_draining: AtomicU64,
-    /// Runs that finished and passed the audit.
-    pub completed_ok: AtomicU64,
-    /// Failures: bad spec after admission.
-    pub failed_proto: AtomicU64,
-    /// Failures: the simulation faulted.
-    pub failed_sim: AtomicU64,
-    /// Failures: report audit or self-check mismatch.
-    pub failed_audit: AtomicU64,
-    /// Failures: event budget exhausted.
-    pub failed_event_cap: AtomicU64,
-    /// Failures: wall-clock deadline exceeded.
-    pub failed_deadline: AtomicU64,
-    /// Failures: the worker panicked.
-    pub failed_panic: AtomicU64,
-    /// Successful runs served by a reset warm engine.
-    pub warm_hits: AtomicU64,
-    /// Successful runs that built a fresh engine.
-    pub cold_builds: AtomicU64,
-    /// Successful runs answered from the content-addressed result
-    /// cache at admission, without touching a worker.
-    pub served_from_cache: AtomicU64,
-    /// Workers respawned by the supervisor.
-    pub respawns: AtomicU64,
-    /// Warm results re-validated against a cold run.
-    pub selfcheck_runs: AtomicU64,
-    /// Self-check byte mismatches (must stay 0).
-    pub selfcheck_failures: AtomicU64,
-    /// Requests routed to the worker already warm on their config
-    /// (each one is a reset the round-robin router would have wasted).
-    pub routed_sticky: AtomicU64,
-    /// Requests admitted but not yet answered.
-    pub in_flight: AtomicU64,
+    counts: [AtomicU64; STATS],
+    in_flight: AtomicU64,
+    series: [&'static obs::Counter; STATS],
+    in_flight_gauge: &'static obs::Gauge,
 }
 
-/// A plain-integer copy of [`PoolStats`] taken at one instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)]
+/// A plain-integer copy of [`PoolStats`] taken at one instant, read by
+/// counter: `snapshot[Stat::WarmHits]`.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct StatsSnapshot {
-    pub submitted: u64,
-    pub accepted: u64,
-    pub rejected_busy: u64,
-    pub rejected_draining: u64,
-    pub completed_ok: u64,
-    pub failed_proto: u64,
-    pub failed_sim: u64,
-    pub failed_audit: u64,
-    pub failed_event_cap: u64,
-    pub failed_deadline: u64,
-    pub failed_panic: u64,
-    pub warm_hits: u64,
-    pub cold_builds: u64,
-    pub served_from_cache: u64,
-    pub respawns: u64,
-    pub selfcheck_runs: u64,
-    pub selfcheck_failures: u64,
-    pub routed_sticky: u64,
+    counts: [u64; STATS],
+    /// Requests admitted but not yet answered.
     pub in_flight: u64,
 }
 
+impl Index<Stat> for StatsSnapshot {
+    type Output = u64;
+
+    fn index(&self, stat: Stat) -> &u64 {
+        &self.counts[stat as usize]
+    }
+}
+
+/// Prints as [`StatsSnapshot::json`], so a failed assertion names
+/// every counter.
+impl fmt::Debug for StatsSnapshot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.json())
+    }
+}
+
 impl StatsSnapshot {
-    /// Sum of all terminal outcomes for admitted requests.
+    /// Sum of all terminal outcomes for admitted requests: the counters
+    /// declared from `CompletedOk` through `FailedPanic`.
     pub fn finished(&self) -> u64 {
-        self.completed_ok
-            + self.failed_proto
-            + self.failed_sim
-            + self.failed_audit
-            + self.failed_event_cap
-            + self.failed_deadline
-            + self.failed_panic
+        self.counts[Stat::CompletedOk as usize..=Stat::FailedPanic as usize]
+            .iter()
+            .sum()
     }
 
-    /// Serialize as a JSON object (stable key order).
+    /// Serialize as a JSON object: every [`Stat`] by name in
+    /// declaration order, then `in_flight`.
     pub fn json(&self) -> String {
-        format!(
-            "{{\"submitted\":{},\"accepted\":{},\"rejected_busy\":{},\"rejected_draining\":{},\
-             \"completed_ok\":{},\"failed_proto\":{},\"failed_sim\":{},\"failed_audit\":{},\
-             \"failed_event_cap\":{},\"failed_deadline\":{},\"failed_panic\":{},\
-             \"warm_hits\":{},\"cold_builds\":{},\"served_from_cache\":{},\"respawns\":{},\
-             \"selfcheck_runs\":{},\"selfcheck_failures\":{},\"routed_sticky\":{},\
-             \"in_flight\":{}}}",
-            self.submitted,
-            self.accepted,
-            self.rejected_busy,
-            self.rejected_draining,
-            self.completed_ok,
-            self.failed_proto,
-            self.failed_sim,
-            self.failed_audit,
-            self.failed_event_cap,
-            self.failed_deadline,
-            self.failed_panic,
-            self.warm_hits,
-            self.cold_builds,
-            self.served_from_cache,
-            self.respawns,
-            self.selfcheck_runs,
-            self.selfcheck_failures,
-            self.routed_sticky,
-            self.in_flight
-        )
+        let mut out = String::from("{");
+        for &stat in Stat::ALL {
+            let _ = write!(out, "\"{}\":{},", stat.name(), self[stat]);
+        }
+        let _ = write!(out, "\"in_flight\":{}}}", self.in_flight);
+        out
     }
 }
 
 impl PoolStats {
+    /// Zeroed counters whose registry series are all registered, so a
+    /// scrape lists every series before the first request.
+    fn new() -> PoolStats {
+        PoolStats {
+            counts: Default::default(),
+            in_flight: AtomicU64::new(0),
+            series: std::array::from_fn(|i| {
+                obs::counter(format!("simd_pool_{}_total", Stat::ALL[i].name()))
+            }),
+            in_flight_gauge: obs::gauge("simd_pool_in_flight"),
+        }
+    }
+
+    /// Record one transition: the pool's count and its registry series
+    /// advance together.
+    fn bump(&self, stat: Stat) {
+        self.counts[stat as usize].fetch_add(1, SeqCst);
+        self.series[stat as usize].inc();
+    }
+
+    /// Move the in-flight count and its `simd_pool_in_flight` gauge,
+    /// the one place either changes: `Some(cap)` takes a slot while
+    /// fewer than `cap` are taken (`Err` carries the count that refused
+    /// it), `None` gives one back.
+    fn step_in_flight(&self, cap: Option<u64>) -> Result<(), u64> {
+        let delta = match cap {
+            Some(cap) => {
+                self.in_flight
+                    .fetch_update(SeqCst, SeqCst, |n| (n < cap).then_some(n + 1))?;
+                1
+            }
+            None => {
+                self.in_flight.fetch_sub(1, SeqCst);
+                -1
+            }
+        };
+        self.in_flight_gauge.add(delta);
+        Ok(())
+    }
+
     /// Copy every counter. Individual loads are atomic but the snapshot
     /// as a whole is not; reconcile only a quiesced pool.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let g = |a: &AtomicU64| a.load(Ordering::SeqCst);
         StatsSnapshot {
-            submitted: g(&self.submitted),
-            accepted: g(&self.accepted),
-            rejected_busy: g(&self.rejected_busy),
-            rejected_draining: g(&self.rejected_draining),
-            completed_ok: g(&self.completed_ok),
-            failed_proto: g(&self.failed_proto),
-            failed_sim: g(&self.failed_sim),
-            failed_audit: g(&self.failed_audit),
-            failed_event_cap: g(&self.failed_event_cap),
-            failed_deadline: g(&self.failed_deadline),
-            failed_panic: g(&self.failed_panic),
-            warm_hits: g(&self.warm_hits),
-            cold_builds: g(&self.cold_builds),
-            served_from_cache: g(&self.served_from_cache),
-            respawns: g(&self.respawns),
-            selfcheck_runs: g(&self.selfcheck_runs),
-            selfcheck_failures: g(&self.selfcheck_failures),
-            routed_sticky: g(&self.routed_sticky),
-            in_flight: g(&self.in_flight),
+            counts: self.counts.each_ref().map(|c| c.load(SeqCst)),
+            in_flight: self.in_flight.load(SeqCst),
         }
     }
 
     /// Conservation checks for a quiesced pool (no requests in flight,
     /// no submissions racing). Returns one message per violated law.
     pub fn reconcile(&self) -> Vec<String> {
+        use Stat::*;
         let s = self.snapshot();
         let mut out = Vec::new();
-        if s.submitted != s.accepted + s.rejected_busy + s.rejected_draining {
+        if s[Submitted] != s[Accepted] + s[RejectedBusy] + s[RejectedDraining] {
             out.push(format!(
                 "admission leak: submitted {} != accepted {} + rejected_busy {} + rejected_draining {}",
-                s.submitted, s.accepted, s.rejected_busy, s.rejected_draining
+                s[Submitted], s[Accepted], s[RejectedBusy], s[RejectedDraining]
             ));
         }
-        if s.accepted != s.finished() + s.in_flight {
+        if s[Accepted] != s.finished() + s.in_flight {
             out.push(format!(
                 "response leak: accepted {} != finished {} + in_flight {}",
-                s.accepted,
+                s[Accepted],
                 s.finished(),
                 s.in_flight
             ));
         }
-        if s.completed_ok != s.warm_hits + s.cold_builds + s.served_from_cache {
+        if s[CompletedOk] != s[WarmHits] + s[ColdBuilds] + s[ServedFromCache] {
             out.push(format!(
                 "engine accounting leak: completed_ok {} != warm_hits {} + cold_builds {} \
                  + served_from_cache {}",
-                s.completed_ok, s.warm_hits, s.cold_builds, s.served_from_cache
+                s[CompletedOk], s[WarmHits], s[ColdBuilds], s[ServedFromCache]
             ));
         }
-        if s.selfcheck_failures > 0 {
+        if s[SelfcheckFailures] > 0 {
             out.push(format!(
                 "warm reuse corruption: {} self-check mismatches",
-                s.selfcheck_failures
+                s[SelfcheckFailures]
             ));
         }
-        if s.routed_sticky > s.accepted {
+        if s[RoutedSticky] > s[Accepted] {
             out.push(format!(
                 "routing overcount: routed_sticky {} exceeds accepted {}",
-                s.routed_sticky, s.accepted
+                s[RoutedSticky], s[Accepted]
             ));
         }
         out
@@ -328,22 +320,10 @@ struct RunJob {
     queued_at: Instant,
 }
 
-enum Job {
-    Run(Box<RunJob>),
-    Stop,
-}
-
-enum SupMsg {
-    Down(usize),
-    Stop,
-}
-
-/// The shared state every worker and the supervisor can see.
+/// The shared state every worker can see.
 struct Shared {
-    stats: Arc<PoolStats>,
-    queues: Vec<Arc<Mutex<mpsc::Receiver<Job>>>>,
+    stats: PoolStats,
     cfg: PoolConfig,
-    sup_tx: mpsc::Sender<SupMsg>,
     /// The config key each worker's engine is currently warm on
     /// (`None` after a failure or before the first run). Written by
     /// the owning worker, read by the submit-side sticky router.
@@ -355,72 +335,46 @@ struct Shared {
 
 /// The resident worker pool.
 pub struct Pool {
-    senders: Vec<mpsc::Sender<Job>>,
+    senders: Vec<mpsc::Sender<RunJob>>,
     next: AtomicUsize,
-    stats: Arc<PoolStats>,
-    draining: Arc<AtomicBool>,
+    draining: AtomicBool,
     shared: Arc<Shared>,
-    supervisor: Mutex<Option<thread::JoinHandle<()>>>,
 }
 
 impl Pool {
-    /// Start `cfg.workers` warm workers and the supervisor. The workers
-    /// (and [`Pool::submit`]'s cache probe) run in the caller's current
-    /// [`RunCtx`].
+    /// Start `cfg.workers` warm workers. The workers (and
+    /// [`Pool::submit`]'s cache probe) run in the caller's current
+    /// [`RunCtx`]; they exit once the pool is dropped.
     pub fn start(cfg: PoolConfig) -> Pool {
         let workers = cfg.workers.max(1);
-        let stats = Arc::new(PoolStats::default());
-        let (sup_tx, sup_rx) = mpsc::channel();
-
-        let mut senders = Vec::with_capacity(workers);
-        let mut queues = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = mpsc::channel();
-            senders.push(tx);
-            queues.push(Arc::new(Mutex::new(rx)));
-        }
         let shared = Arc::new(Shared {
-            stats: Arc::clone(&stats),
-            queues,
+            stats: PoolStats::new(),
             cfg,
-            sup_tx,
             warm_keys: (0..workers).map(|_| Mutex::new(None)).collect(),
             ctx: RunCtx::current(),
         });
-        for idx in 0..workers {
-            spawn_worker(idx, Arc::clone(&shared));
-        }
-        let supervisor = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("simd-supervisor".into())
-                .spawn(move || {
-                    while let Ok(msg) = sup_rx.recv() {
-                        match msg {
-                            SupMsg::Down(idx) => {
-                                shared.stats.respawns.fetch_add(1, Ordering::SeqCst);
-                                pool_obs().respawns.inc();
-                                spawn_worker(idx, Arc::clone(&shared));
-                            }
-                            SupMsg::Stop => break,
-                        }
-                    }
-                })
-                .expect("spawn supervisor")
-        };
+        let senders = (0..workers)
+            .map(|idx| {
+                let (tx, jobs) = mpsc::channel();
+                let shared = Arc::clone(&shared);
+                thread::Builder::new()
+                    .name(format!("simd-worker-{idx}"))
+                    .spawn(move || shared.ctx.scope(|| worker_main(idx, jobs, &shared)))
+                    .expect("spawn worker");
+                tx
+            })
+            .collect();
         Pool {
             senders,
             next: AtomicUsize::new(0),
-            stats,
-            draining: Arc::new(AtomicBool::new(false)),
+            draining: AtomicBool::new(false),
             shared,
-            supervisor: Mutex::new(Some(supervisor)),
         }
     }
 
     /// The pool's counters.
-    pub fn stats(&self) -> &Arc<PoolStats> {
-        &self.stats
+    pub fn stats(&self) -> &PoolStats {
+        &self.shared.stats
     }
 
     /// Number of worker queues.
@@ -430,18 +384,16 @@ impl Pool {
 
     /// Whether the pool has begun draining.
     pub fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
+        self.draining.load(SeqCst)
     }
 
     /// Offer a run for admission. On success exactly one response line
     /// will eventually arrive on `resp`.
     pub fn submit(&self, req: RunRequest, resp: mpsc::Sender<String>) -> Result<(), Reject> {
-        let m = pool_obs();
-        self.stats.submitted.fetch_add(1, Ordering::SeqCst);
-        m.submitted.inc();
-        if self.draining.load(Ordering::SeqCst) {
-            self.stats.rejected_draining.fetch_add(1, Ordering::SeqCst);
-            m.rejected_draining.inc();
+        let stats = self.stats();
+        stats.bump(Stat::Submitted);
+        if self.draining.load(SeqCst) {
+            stats.bump(Stat::RejectedDraining);
             return Err(Reject::Draining);
         }
         // Result-cache short circuit: a request whose digest is already
@@ -456,43 +408,26 @@ impl Pool {
             })
         });
         if let Some(entry) = cached.flatten() {
-            self.stats.accepted.fetch_add(1, Ordering::SeqCst);
-            m.accepted.inc();
-            self.stats.completed_ok.fetch_add(1, Ordering::SeqCst);
-            m.completed_ok.inc();
-            self.stats.served_from_cache.fetch_add(1, Ordering::SeqCst);
-            m.served_from_cache.inc();
+            stats.bump(Stat::Accepted);
+            stats.bump(Stat::CompletedOk);
+            stats.bump(Stat::ServedFromCache);
             let _ = resp.send(cached_response(req.id, &entry.payload));
             return Ok(());
         }
         let cap = self.shared.cfg.queue_cap.max(1) as u64;
-        loop {
-            let cur = self.stats.in_flight.load(Ordering::SeqCst);
-            if cur >= cap {
-                self.stats.rejected_busy.fetch_add(1, Ordering::SeqCst);
-                m.rejected_busy.inc();
-                return Err(Reject::Busy { in_flight: cur });
-            }
-            if self
-                .stats
-                .in_flight
-                .compare_exchange(cur, cur + 1, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                break;
-            }
+        if let Err(in_flight) = stats.step_in_flight(Some(cap)) {
+            stats.bump(Stat::RejectedBusy);
+            return Err(Reject::Busy { in_flight });
         }
-        self.stats.accepted.fetch_add(1, Ordering::SeqCst);
-        m.accepted.inc();
-        m.in_flight.add(1);
+        stats.bump(Stat::Accepted);
         let w = self.pick_worker(&req);
         self.senders[w]
-            .send(Job::Run(Box::new(RunJob {
+            .send(RunJob {
                 req,
                 resp,
                 queued_at: Instant::now(),
-            })))
-            .expect("pool holds every queue receiver");
+            })
+            .expect("workers serve until the pool is dropped");
         Ok(())
     }
 
@@ -506,202 +441,147 @@ impl Pool {
             for (i, slot) in self.shared.warm_keys.iter().enumerate() {
                 let warm = slot.lock().expect("warm key lock never poisoned");
                 if warm.as_deref() == Some(key.as_str()) {
-                    self.stats.routed_sticky.fetch_add(1, Ordering::SeqCst);
-                    pool_obs().routed_sticky.inc();
+                    self.stats().bump(Stat::RoutedSticky);
                     return i;
                 }
             }
         }
-        self.next.fetch_add(1, Ordering::SeqCst) % self.senders.len()
+        self.next.fetch_add(1, SeqCst) % self.senders.len()
     }
 
-    /// Stop admitting, wait up to `timeout` for in-flight work, then
-    /// stop the workers and supervisor. Returns `true` if the pool
-    /// fully quiesced within the budget.
+    /// Stop admitting and wait up to `timeout` for in-flight work.
+    /// Returns `true` if the pool fully quiesced within the budget.
     pub fn drain(&self, timeout: Duration) -> bool {
-        self.draining.store(true, Ordering::SeqCst);
+        self.draining.store(true, SeqCst);
+        let in_flight = || self.stats().in_flight.load(SeqCst);
         let start = Instant::now();
-        while self.stats.in_flight.load(Ordering::SeqCst) > 0 && start.elapsed() < timeout {
+        while in_flight() > 0 && start.elapsed() < timeout {
             thread::sleep(Duration::from_millis(5));
         }
-        let quiesced = self.stats.in_flight.load(Ordering::SeqCst) == 0;
-        for tx in &self.senders {
-            let _ = tx.send(Job::Stop);
-        }
-        let _ = self.shared.sup_tx.send(SupMsg::Stop);
-        if let Some(h) = self.supervisor.lock().unwrap().take() {
-            let _ = h.join();
-        }
-        quiesced
+        in_flight() == 0
     }
 }
 
-fn spawn_worker(idx: usize, shared: Arc<Shared>) {
-    thread::Builder::new()
-        .name(format!("simd-worker-{idx}"))
-        .spawn(move || {
-            let ctx = shared.ctx.clone();
-            ctx.scope(|| worker_main(idx, shared))
-        })
-        .expect("spawn worker");
-}
+/// The error message a job whose worker panicked is answered with.
+const PANIC_REPLY: &str = "worker panicked; engine discarded, worker respawned";
 
-fn worker_main(idx: usize, shared: Arc<Shared>) {
-    let rx = Arc::clone(&shared.queues[idx]);
+/// Serve `jobs` until the pool drops its sender. A job that panics is
+/// answered here, and the worker recovers in place: it discards its
+/// warm engine (possibly corrupt mid-panic) and takes the next job.
+fn worker_main(idx: usize, jobs: mpsc::Receiver<RunJob>, shared: &Shared) {
     let mut slot = WarmSlot::new();
     let wobs = WorkerObs::new(idx);
-    loop {
-        // Hold the queue lock only for the blocking recv, never while
-        // running a job, so a panicking job cannot poison the queue.
-        let job = {
-            let guard = rx.lock().expect("queue lock never poisoned");
-            guard.recv()
-        };
-        let job = match job {
-            Ok(j) => j,
-            Err(_) => break,
-        };
-        let run = match job {
-            Job::Run(r) => r,
-            Job::Stop => break,
-        };
-        let id = run.req.id;
-        let resp = run.resp.clone();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            handle_run(idx, &mut slot, *run, &shared, &wobs)
+    for job in jobs {
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            handle_run(idx, &mut slot, &job, shared, &wobs)
         }));
-        if outcome.is_err() {
-            // Fault isolation: record the failure, answer on the dead
-            // job's behalf, and hand the queue to a fresh worker. The
-            // warm engine (possibly corrupted mid-panic) dies with this
-            // thread, so the router must forget it.
-            shared.stats.failed_panic.fetch_add(1, Ordering::SeqCst);
-            shared.stats.in_flight.fetch_sub(1, Ordering::SeqCst);
-            let m = pool_obs();
-            m.failed_panic.inc();
-            m.in_flight.add(-1);
-            *shared.warm_keys[idx]
-                .lock()
-                .expect("warm key lock never poisoned") = None;
-            let _ = resp.send(err_response(
-                id,
-                ErrorKind::Panic,
-                "worker panicked; engine discarded, worker respawned",
-                None,
-            ));
-            let _ = shared.sup_tx.send(SupMsg::Down(idx));
-            return;
-        }
+        let (outcome, line) = run.unwrap_or_else(|_| {
+            slot = WarmSlot::new();
+            shared.stats.bump(Stat::Respawns);
+            let line = err_response(job.req.id, ErrorKind::Panic, PANIC_REPLY, None);
+            (Stat::FailedPanic, line)
+        });
+        // Advertise the engine the slot now holds (none after a failure;
+        // a scenario point leaves it as it was) before answering, so a
+        // client that submits its next request after reading this
+        // response is routed sticky.
+        *shared.warm_keys[idx]
+            .lock()
+            .expect("warm key lock never poisoned") = slot.key().map(str::to_string);
+        shared.stats.bump(outcome);
+        let _ = shared.stats.step_in_flight(None);
+        let _ = job.resp.send(line);
     }
 }
 
-fn handle_run(idx: usize, slot: &mut WarmSlot, run: RunJob, shared: &Shared, wobs: &WorkerObs) {
-    let RunJob {
-        req,
-        resp,
-        queued_at,
-    } = run;
+/// Run one job on worker `idx`'s engine: the outcome to count and the
+/// reply line.
+fn handle_run(
+    idx: usize,
+    slot: &mut WarmSlot,
+    job: &RunJob,
+    shared: &Shared,
+    wobs: &WorkerObs,
+) -> (Stat, String) {
     // The request's deadline counts from here.
     let started = Instant::now();
+    let req = &job.req;
     let id = req.id;
-    let stats = &shared.stats;
-    let m = pool_obs();
-    // Latency histograms honor the global obs switch; plain counter
-    // mirrors are one relaxed atomic and stay on so the registry
-    // always reconciles against `PoolStats`.
+    // Latency histograms honor the global obs switch; counters are one
+    // relaxed atomic and stay on so the registry always reconciles
+    // against `PoolStats`.
     let record_latency = obs::enabled();
     if record_latency {
-        m.queue_wait
-            .record(started.duration_since(queued_at).as_nanos() as u64);
+        wobs.queue_wait
+            .record(started.duration_since(job.queued_at).as_nanos() as u64);
     }
 
     if req.chaos == Some(Chaos::Panic) {
         panic!("chaos: poison request {id}");
     }
 
-    let result = exec::execute(slot, &req, Some(started));
+    let result = exec::execute(slot, req, Some(started));
     if record_latency {
         let busy = started.elapsed().as_nanos() as u64;
-        m.execute.record(busy);
+        wobs.execute.record(busy);
         wobs.busy_ns.add(busy);
         wobs.jobs.inc();
     }
-    let line = match result {
-        Ok(out) => {
-            let mut ok = true;
-            if out.warm && shared.cfg.selfcheck {
-                stats.selfcheck_runs.fetch_add(1, Ordering::SeqCst);
-                m.selfcheck_runs.inc();
-                let cold = exec::execute(&mut WarmSlot::new(), &req, None);
-                if cold.map(|c| c.report_json) != Ok(out.report_json.clone()) {
-                    stats.selfcheck_failures.fetch_add(1, Ordering::SeqCst);
-                    m.selfcheck_failures.inc();
-                    ok = false;
-                }
-            }
-            if ok {
-                stats.completed_ok.fetch_add(1, Ordering::SeqCst);
-                m.completed_ok.inc();
-                if out.warm {
-                    stats.warm_hits.fetch_add(1, Ordering::SeqCst);
-                    m.warm_hits.inc();
-                } else {
-                    stats.cold_builds.fetch_add(1, Ordering::SeqCst);
-                    m.cold_builds.inc();
-                }
-                // Publish for future `submit` probes. No-op unless the
-                // cache is on and the run is cacheable (`cache_plan`).
-                if req.chaos.is_none() {
-                    if let Some(plan) = exec::cache_plan(&req.spec) {
-                        runcache::publish(
-                            &plan.digest,
-                            &runcache::Entry {
-                                kind: "simd-run".into(),
-                                label: plan.label,
-                                payload: out.report_json.clone(),
-                                recipe: Some(plan.recipe),
-                            },
-                        );
-                    }
-                }
-                ok_response(id, idx, out.warm, &out.report_json)
-            } else {
-                // A warm engine that diverged from a cold run is never
-                // reused.
-                *slot = WarmSlot::new();
-                stats.failed_audit.fetch_add(1, Ordering::SeqCst);
-                m.failed_audit.inc();
-                err_response(
-                    id,
-                    ErrorKind::Audit,
-                    "warm self-check diverged from cold run",
-                    None,
-                )
-            }
-        }
+    let out = match result {
+        Ok(out) => out,
         Err(e) => {
-            let (counter, mirror) = match e.kind {
-                ErrorKind::Proto => (&stats.failed_proto, m.failed_proto),
-                ErrorKind::Deadline => (&stats.failed_deadline, m.failed_deadline),
-                ErrorKind::EventCap => (&stats.failed_event_cap, m.failed_event_cap),
-                ErrorKind::Audit => (&stats.failed_audit, m.failed_audit),
-                _ => (&stats.failed_sim, m.failed_sim),
+            let outcome = match e.kind {
+                ErrorKind::Proto => Stat::FailedProto,
+                ErrorKind::Deadline => Stat::FailedDeadline,
+                ErrorKind::EventCap => Stat::FailedEventCap,
+                ErrorKind::Audit => Stat::FailedAudit,
+                _ => Stat::FailedSim,
             };
-            counter.fetch_add(1, Ordering::SeqCst);
-            mirror.inc();
-            err_response(id, e.kind, &e.message, None)
+            return (outcome, err_response(id, e.kind, &e.message, None));
         }
     };
-    // Advertise the engine the slot now holds (none after a failure; a
-    // scenario point leaves it as it was) before answering, so a client
-    // that submits its next request after reading this response is
-    // routed sticky.
-    *shared.warm_keys[idx]
-        .lock()
-        .expect("warm key lock never poisoned") = slot.key().map(str::to_string);
-    stats.in_flight.fetch_sub(1, Ordering::SeqCst);
-    m.in_flight.add(-1);
-    let _ = resp.send(line);
+    let stats = &shared.stats;
+    if out.warm && shared.cfg.selfcheck {
+        stats.bump(Stat::SelfcheckRuns);
+        let cold = exec::execute(&mut WarmSlot::new(), req, None);
+        if cold.map(|c| c.report_json) != Ok(out.report_json.clone()) {
+            stats.bump(Stat::SelfcheckFailures);
+            // A warm engine that diverged from a cold run is never
+            // reused.
+            *slot = WarmSlot::new();
+            let line = err_response(
+                id,
+                ErrorKind::Audit,
+                "warm self-check diverged from cold run",
+                None,
+            );
+            return (Stat::FailedAudit, line);
+        }
+    }
+    stats.bump(if out.warm {
+        Stat::WarmHits
+    } else {
+        Stat::ColdBuilds
+    });
+    // Publish for future `submit` probes. No-op unless the cache is on
+    // and the run is cacheable (`cache_plan`).
+    if req.chaos.is_none() {
+        if let Some(plan) = exec::cache_plan(&req.spec) {
+            runcache::publish(
+                &plan.digest,
+                &runcache::Entry {
+                    kind: "simd-run".into(),
+                    label: plan.label,
+                    payload: out.report_json.clone(),
+                    recipe: Some(plan.recipe),
+                },
+            );
+        }
+    }
+    (
+        Stat::CompletedOk,
+        ok_response(id, idx, out.warm, &out.report_json),
+    )
 }
 
 #[cfg(test)]
@@ -755,9 +635,9 @@ mod tests {
         }
         assert!(pool.drain(Duration::from_secs(10)));
         let s = pool.stats().snapshot();
-        assert_eq!(s.completed_ok, 6);
-        assert!(s.warm_hits >= 4, "expected warm reuse, got {s:?}");
-        assert_eq!(s.selfcheck_failures, 0);
+        assert_eq!(s[Stat::CompletedOk], 6);
+        assert!(s[Stat::WarmHits] >= 4, "expected warm reuse, got {s:?}");
+        assert_eq!(s[Stat::SelfcheckFailures], 0);
         assert!(
             pool.stats().reconcile().is_empty(),
             "{:?}",
@@ -798,13 +678,14 @@ mod tests {
         }
         assert!(pool.drain(Duration::from_secs(10)));
         let s = pool.stats().snapshot();
-        assert_eq!(s.completed_ok, 6);
+        assert_eq!(s[Stat::CompletedOk], 6);
         assert_eq!(
-            s.cold_builds, 2,
+            s[Stat::ColdBuilds],
+            2,
             "one cold build per distinct config: {s:?}"
         );
-        assert_eq!(s.warm_hits, 4);
-        assert_eq!(s.routed_sticky, 4, "{s:?}");
+        assert_eq!(s[Stat::WarmHits], 4);
+        assert_eq!(s[Stat::RoutedSticky], 4, "{s:?}");
         assert!(pool.stats().reconcile().is_empty());
     }
 
@@ -845,7 +726,7 @@ mod tests {
         assert!(replies[3].contains("\"warm\":true"), "{}", replies[3]);
         assert!(pool.drain(Duration::from_secs(10)));
         let s = pool.stats().snapshot();
-        assert!(s.routed_sticky <= s.warm_hits, "{s:?}");
+        assert!(s[Stat::RoutedSticky] <= s[Stat::WarmHits], "{s:?}");
         assert!(pool.stats().reconcile().is_empty());
     }
 
@@ -856,18 +737,83 @@ mod tests {
             queue_cap: 8,
             ..PoolConfig::default()
         });
-        let mut poison = stream_req(1, 256);
+        let point = |id| {
+            let mut r = stream_req(id, 0);
+            r.spec = Spec::ScenarioPoint {
+                text: "scenario p\n\nmachine chick\n\nworkload stream\n  elems = 64\n".into(),
+                index: 0,
+            };
+            r
+        };
+        let mut poison = point(1);
         poison.chaos = Some(Chaos::Panic);
-        let r = submit_and_wait(&pool, poison);
+        // Scenario points skip the sticky router's warm-key scan, so
+        // holding the worker's warm-key lock parks it after the poison
+        // panics and before the poison is answered.
+        let parked = pool.shared.warm_keys[0].lock().unwrap();
+        let (poison_tx, poison_rx) = mpsc::channel();
+        pool.submit(poison, poison_tx).unwrap();
+        let (tx, rx) = mpsc::channel();
+        pool.submit(point(2), tx).unwrap();
+        assert!(poison_rx.try_recv().is_err(), "poison answered early");
+        drop(parked);
+        let r = poison_rx.recv().unwrap();
         assert!(r.contains("\"kind\":\"panic\""), "{r}");
-        // The sole worker died; the respawned one must serve this.
-        let r2 = submit_and_wait(&pool, stream_req(2, 256));
+        let r2 = rx.recv().unwrap();
         assert!(r2.contains("\"ok\":true"), "{r2}");
         assert!(pool.drain(Duration::from_secs(10)));
         let s = pool.stats().snapshot();
-        assert_eq!(s.failed_panic, 1);
-        assert!(s.respawns >= 1);
+        assert_eq!(s[Stat::Respawns], 1, "{s:?}");
+        assert_eq!(s[Stat::FailedPanic], 1, "{s:?}");
         assert!(pool.stats().reconcile().is_empty());
+    }
+
+    #[test]
+    fn snapshot_json_keeps_its_wire_bytes() {
+        let s = StatsSnapshot {
+            counts: std::array::from_fn(|i| i as u64 + 1),
+            in_flight: 19,
+        };
+        assert_eq!(
+            s.json(),
+            "{\"submitted\":1,\"accepted\":2,\"rejected_busy\":3,\"rejected_draining\":4,\
+             \"completed_ok\":5,\"failed_proto\":6,\"failed_sim\":7,\"failed_audit\":8,\
+             \"failed_event_cap\":9,\"failed_deadline\":10,\"failed_panic\":11,\
+             \"warm_hits\":12,\"cold_builds\":13,\"served_from_cache\":14,\"respawns\":15,\
+             \"selfcheck_runs\":16,\"selfcheck_failures\":17,\"routed_sticky\":18,\
+             \"in_flight\":19}"
+        );
+    }
+
+    #[test]
+    fn a_started_pool_registers_every_counter_series() {
+        let _pool = Pool::start(PoolConfig::default());
+        let registered = obs::snapshot().counters;
+        for series in [
+            "simd_pool_submitted_total",
+            "simd_pool_accepted_total",
+            "simd_pool_rejected_busy_total",
+            "simd_pool_rejected_draining_total",
+            "simd_pool_completed_ok_total",
+            "simd_pool_failed_proto_total",
+            "simd_pool_failed_sim_total",
+            "simd_pool_failed_audit_total",
+            "simd_pool_failed_event_cap_total",
+            "simd_pool_failed_deadline_total",
+            "simd_pool_failed_panic_total",
+            "simd_pool_warm_hits_total",
+            "simd_pool_cold_builds_total",
+            "simd_pool_served_from_cache_total",
+            "simd_pool_respawns_total",
+            "simd_pool_selfcheck_runs_total",
+            "simd_pool_selfcheck_failures_total",
+            "simd_pool_routed_sticky_total",
+        ] {
+            assert!(
+                registered.iter().any(|(name, _)| name == series),
+                "{series} not registered"
+            );
+        }
     }
 
     #[test]
@@ -905,7 +851,7 @@ mod tests {
         let (tx, _rx) = mpsc::channel();
         assert_eq!(pool.submit(stream_req(1, 256), tx), Err(Reject::Draining));
         let s = pool.stats().snapshot();
-        assert_eq!(s.rejected_draining, 1);
+        assert_eq!(s[Stat::RejectedDraining], 1);
     }
 
     #[test]
@@ -933,7 +879,7 @@ mod tests {
         assert!(r2.contains("\"ok\":true"), "{r2}");
         assert!(pool.drain(Duration::from_secs(10)));
         let s = pool.stats().snapshot();
-        assert_eq!(s.failed_deadline, 1);
+        assert_eq!(s[Stat::FailedDeadline], 1);
         assert!(pool.stats().reconcile().is_empty());
     }
 }

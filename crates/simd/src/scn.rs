@@ -7,7 +7,7 @@
 //! per-point outcome documents, and evaluates the scenario's `expect`
 //! block over them with the pure [`scenario::evaluate`]. Point
 //! execution therefore gets everything the pool gives ordinary runs —
-//! admission control, panic isolation, respawn — while cross-point
+//! admission control, panic isolation and recovery — while cross-point
 //! assertions (monotonicity, byte identity) are checked exactly once,
 //! server-side. `simd-once` runs the same point requests inline on cold
 //! engines ([`handle_once`]), so both answer under one budget rule.

@@ -7,7 +7,7 @@
 //! store, so the cache is on for this pool only.
 
 use emu_core::ctx::RunCtx;
-use simd::pool::{Pool, PoolConfig};
+use simd::pool::{Pool, PoolConfig, Stat};
 use simd::proto::{parse_request, report_slice, Request, RunRequest, Spec};
 use std::sync::mpsc;
 use std::time::Duration;
@@ -74,9 +74,9 @@ fn repeat_requests_are_served_from_cache_and_reconcile() {
 
     assert!(pool.drain(Duration::from_secs(10)));
     let s = pool.stats().snapshot();
-    assert_eq!(s.completed_ok, 5);
-    assert_eq!(s.served_from_cache, 3);
-    assert_eq!(s.warm_hits + s.cold_builds, 2);
+    assert_eq!(s[Stat::CompletedOk], 5);
+    assert_eq!(s[Stat::ServedFromCache], 3);
+    assert_eq!(s[Stat::WarmHits] + s[Stat::ColdBuilds], 2);
     assert!(
         pool.stats().reconcile().is_empty(),
         "{:?}",

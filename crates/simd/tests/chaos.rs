@@ -7,7 +7,7 @@
 
 use desim::rng::{rng_from_seed, trial_seed};
 use simd::exec::{execute, WarmSlot};
-use simd::pool::{Pool, PoolConfig, Reject};
+use simd::pool::{Pool, PoolConfig, Reject, Stat};
 use simd::proto::{report_slice, Chaos, RunRequest, Spec};
 use std::collections::HashMap;
 use std::sync::mpsc;
@@ -192,10 +192,13 @@ fn seeded_chaos_loses_and_corrupts_nothing() {
     assert!(leaks.is_empty(), "conservation violated: {leaks:?}");
     let s = pool.stats().snapshot();
     assert_eq!(s.in_flight, 0);
-    assert_eq!(s.failed_panic, panics);
-    assert!(s.respawns >= panics, "every panic must respawn a worker");
-    assert!(s.rejected_busy >= 1);
-    assert!(s.warm_hits >= 1, "storm never reused a warm engine");
-    assert_eq!(s.selfcheck_failures, 0);
-    assert_eq!(s.accepted, s.finished());
+    assert_eq!(s[Stat::FailedPanic], panics);
+    assert!(
+        s[Stat::Respawns] >= panics,
+        "every panic must respawn a worker"
+    );
+    assert!(s[Stat::RejectedBusy] >= 1);
+    assert!(s[Stat::WarmHits] >= 1, "storm never reused a warm engine");
+    assert_eq!(s[Stat::SelfcheckFailures], 0);
+    assert_eq!(s[Stat::Accepted], s.finished());
 }

@@ -13,12 +13,10 @@
 pub mod coo;
 pub mod csr;
 pub mod gen;
-pub mod io;
 pub mod laplacian;
 pub mod partition;
 
 pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
-pub use io::{load_matrix_market, read_matrix_market, write_matrix_market};
 pub use laplacian::{laplacian, LaplacianSpec};
 pub use partition::{contiguous, nnz_balanced, round_robin, RowPartition};

@@ -9,9 +9,9 @@
 //! whose lookahead windows leave most shards idle (a two-thread
 //! ping-pong on `emu64`, a migrating script on `chick-8node` at one and
 //! two workers). The result
-//! cache is keyed on configs, not on code, so a scheduler or handler
-//! change that shifted these bytes would otherwise be served stale
-//! without any error.
+//! cache's keys carry a fingerprint of the source, so a cached result
+//! never hides such a change; these pins are what says that a
+//! scheduler or handler change shifted the bytes at all.
 //!
 //! The Xeon model's `CpuReport` has no JSON form, so its points render
 //! every report field explicitly (`cpu_digest`) and pin the SHA-256 of
@@ -21,9 +21,8 @@
 //! `ChaseResult` carries no `CpuReport`) by makespan and checksum.
 //!
 //! If an assertion fails, the change altered simulated behaviour. When
-//! that is intended, re-pin the printed digests here, bump
-//! `runcache::KEY_VERSION` so cached results are orphaned, and say why
-//! in the commit message.
+//! that is intended, re-pin the printed digests here and say why in
+//! the commit message.
 
 use emu_chick::prelude::*;
 use emu_core::json::report_json;

@@ -7,7 +7,7 @@
 
 use simd::client::{request, ClientOpts};
 use simd::exec::{execute, WarmSlot};
-use simd::pool::PoolConfig;
+use simd::pool::{PoolConfig, Stat};
 use simd::proto::{report_slice, run_request_line, RunRequest, Spec};
 use simd::server::{serve_with, ServeOpts, ServeSummary};
 use std::collections::HashMap;
@@ -128,11 +128,11 @@ fn concurrent_clients_get_byte_identical_reports_at_any_pool_size() {
             summary.violations
         );
         let s = summary.stats;
-        assert_eq!(s.completed_ok, (CLIENTS * matrix.len()) as u64);
+        assert_eq!(s[Stat::CompletedOk], (CLIENTS * matrix.len()) as u64);
         assert_eq!(s.in_flight, 0);
-        assert_eq!(s.failed_panic, 0);
+        assert_eq!(s[Stat::FailedPanic], 0);
         assert!(
-            s.warm_hits >= 1,
+            s[Stat::WarmHits] >= 1,
             "pool size {workers} never reused a warm engine: {s:?}"
         );
     }
