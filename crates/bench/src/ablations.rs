@@ -1,14 +1,16 @@
 //! Ablation studies for the design choices called out in DESIGN.md and
 //! the paper's Section V discussion.
 
+use crate::figures::{batch, chase_cfg, emu, emu_mbs, grid, labeled, pingpong, stream};
 use crate::output::Table;
-use crate::runcfg::{sized, sized_usize};
+use crate::runcfg::{quick, sized, sized_usize};
 use emu_core::prelude::*;
 use membench::chase::{self, ChaseConfig, ShuffleMode};
 use membench::gups::{self, GupsConfig};
-use membench::pingpong::{run_pingpong, PingPongConfig};
-use membench::spmv_emu::{run_spmv_emu, EmuLayout, EmuSpmvConfig};
-use membench::stream::{run_stream_emu, EmuStreamConfig};
+use membench::spmv_cpu::{run_spmv_cpu, CpuSpmvConfig, CpuStrategy};
+use membench::spmv_emu::EmuLayout;
+use membench::stream::EmuStreamConfig;
+use scenario::ResolvedWorkload::{Chase, Spmv, Stream};
 use spmat::{laplacian, LaplacianSpec};
 use std::sync::Arc;
 
@@ -22,31 +24,22 @@ pub fn ablation_grain() -> Result<Table, SimError> {
     );
     let emu_cfg = presets::chick_prototype();
     let cpu_cfg = xeon_sim::config::haswell();
-    let n = if crate::runcfg::quick() { 60 } else { 150 };
+    let n = if quick() { 60 } else { 150 };
     let m = Arc::new(laplacian(LaplacianSpec::paper(n)));
-    for grain in [4usize, 16, 64, 256, 1024, 4096, 16384] {
-        let emu = run_spmv_emu(
-            &emu_cfg,
-            Arc::clone(&m),
-            &EmuSpmvConfig {
-                layout: EmuLayout::TwoD,
-                grain_nnz: grain,
-            },
-        )?;
-        let cpu = membench::spmv_cpu::run_spmv_cpu(
-            &cpu_cfg,
-            Arc::clone(&m),
-            &membench::spmv_cpu::CpuSpmvConfig {
-                strategy: membench::spmv_cpu::CpuStrategy::CilkSpawn { grain },
-                nthreads: 56,
-            },
-        );
-        t.row(vec![
-            grain.to_string(),
-            format!("{:.1}", emu.bandwidth.mb_per_sec()),
-            format!("{:.1}", cpu.bandwidth.mb_per_sec()),
-        ]);
-    }
+    let grains = [4usize, 16, 64, 256, 1024, 4096, 16384];
+    grid(&mut t, &grains, &[true, false], |&grain, &is_emu| {
+        if is_emu {
+            let layout = EmuLayout::TwoD;
+            return emu_mbs(&emu_cfg, &Spmv { n, layout, grain });
+        }
+        let sc = CpuSpmvConfig {
+            strategy: CpuStrategy::CilkSpawn { grain },
+            nthreads: 56,
+        };
+        Ok(run_spmv_cpu(&cpu_cfg, Arc::clone(&m), &sc)
+            .bandwidth
+            .mb_per_sec())
+    })?;
     Ok(t)
 }
 
@@ -62,40 +55,23 @@ pub fn ablation_migration_rate() -> Result<Table, SimError> {
             "chase block=128 (MB/s)",
         ],
     );
-    for rate_m in [1u64, 2, 4, 8, 16, 32] {
+    let round_trips = sized(1000, 100) as u32;
+    let rates = [1u64, 2, 4, 8, 16, 32];
+    // Each row's cells: ping-pong, then the chase at each block.
+    let cells = [None, Some(1), Some(128)];
+    grid(&mut t, &rates, &cells, |&rate_m, &block| {
         let cfg = MachineConfig {
             migration_rate_per_sec: rate_m * 1_000_000,
             ..presets::chick_prototype()
         };
-        let pp = run_pingpong(
-            &cfg,
-            &PingPongConfig {
-                nthreads: 64,
-                round_trips: sized(1000, 100) as u32,
-                ..Default::default()
-            },
-        )?;
-        let chase_at = |block: usize| -> Result<f64, SimError> {
-            Ok(chase::run_chase_emu(
-                &cfg,
-                &ChaseConfig {
-                    elems_per_list: sized_usize(2048, 512),
-                    nlists: 256,
-                    block_elems: block,
-                    mode: ShuffleMode::FullBlock,
-                    seed: 2,
-                },
-            )?
-            .bandwidth
-            .mb_per_sec())
-        };
-        t.row(vec![
-            rate_m.to_string(),
-            format!("{:.1}", pp.migrations_per_sec / 1e6),
-            format!("{:.1}", chase_at(1)?),
-            format!("{:.1}", chase_at(128)?),
-        ]);
-    }
+        match block {
+            None => pingpong(cfg, 64, round_trips, false)(),
+            Some(block) => {
+                let cc = chase_cfg(sized_usize(2048, 512), 256, block, 2);
+                emu_mbs(&cfg, &Chase(cc))
+            }
+        }
+    })?;
     Ok(t)
 }
 
@@ -141,26 +117,27 @@ pub fn ablation_stack_touch() -> Result<Table, SimError> {
             "recursive_remote (MB/s)",
         ],
     );
-    for period in [0u32, 1, 2, 4, 8, 16, 64] {
-        let mut cells = vec![if period == 0 {
+    let periods = [0u32, 1, 2, 4, 8, 16, 64];
+    let points = periods.iter().flat_map(|&stack_touch_period| {
+        [SpawnStrategy::Serial, SpawnStrategy::RecursiveRemote].map(|strategy| {
+            let sc = EmuStreamConfig {
+                total_elems: sized(1 << 17, 1 << 13),
+                nthreads: 512,
+                strategy,
+                stack_touch_period,
+                ..Default::default()
+            };
+            emu(cfg.clone(), Stream(sc))
+        })
+    });
+    let mbs = batch(points.collect())?;
+    for (&period, cells) in periods.iter().zip(mbs.chunks(2)) {
+        let label = if period == 0 {
             "off".to_string()
         } else {
             format!("1/{period}")
-        }];
-        for strategy in [SpawnStrategy::Serial, SpawnStrategy::RecursiveRemote] {
-            let r = run_stream_emu(
-                &cfg,
-                &EmuStreamConfig {
-                    total_elems: sized(1 << 17, 1 << 13),
-                    nthreads: 512,
-                    strategy,
-                    stack_touch_period: period,
-                    ..Default::default()
-                },
-            )?;
-            cells.push(format!("{:.1}", r.bandwidth.mb_per_sec()));
-        }
-        t.row(cells);
+        };
+        t.row(labeled(label, cells));
     }
     Ok(t)
 }
@@ -270,30 +247,15 @@ pub fn ablation_full_speed_path() -> Result<Table, SimError> {
             presets::chick_full_speed(),
         ),
     ];
-    for (name, cfg) in steps {
-        let stream = run_stream_emu(
-            &cfg,
-            &EmuStreamConfig {
-                total_elems: sized(1 << 18, 1 << 13),
-                nthreads: 512,
-                ..Default::default()
-            },
-        )?;
-        let ch = chase::run_chase_emu(
-            &cfg,
-            &ChaseConfig {
-                elems_per_list: sized_usize(2048, 512),
-                nlists: 512,
-                block_elems: 128,
-                mode: ShuffleMode::FullBlock,
-                seed: 4,
-            },
-        )?;
-        t.row(vec![
-            name.to_string(),
-            format!("{:.1}", stream.bandwidth.mb_per_sec()),
-            format!("{:.1}", ch.bandwidth.mb_per_sec()),
-        ]);
+    let elems = sized(1 << 18, 1 << 13);
+    let points = steps.iter().flat_map(|(_, cfg)| {
+        let w = stream(elems, 512, SpawnStrategy::RecursiveRemote, false);
+        let cc = chase_cfg(sized_usize(2048, 512), 512, 128, 4);
+        [emu(cfg.clone(), w), emu(cfg.clone(), Chase(cc))]
+    });
+    let mbs = batch(points.collect())?;
+    for ((name, _), cells) in steps.iter().zip(mbs.chunks(2)) {
+        t.row(labeled(name.to_string(), cells));
     }
     Ok(t)
 }

@@ -1,25 +1,14 @@
 //! Runs every ablation study.
+use emu_bench::ablations as a;
+
 fn main() {
-    emu_bench::output::emit_result("ablation_grain", emu_bench::ablations::ablation_grain());
-    emu_bench::output::emit_result(
-        "ablation_migration_rate",
-        emu_bench::ablations::ablation_migration_rate(),
-    );
-    emu_bench::output::emit_result(
-        "ablation_spawn_ramp",
-        emu_bench::ablations::ablation_spawn_ramp(),
-    );
-    emu_bench::output::emit_result(
-        "ablation_stack_touch",
-        emu_bench::ablations::ablation_stack_touch(),
-    );
-    emu_bench::output::emit_result(
-        "ablation_cpu_features",
-        emu_bench::ablations::ablation_cpu_features(),
-    );
-    emu_bench::output::emit_result(
-        "ablation_full_speed_path",
-        emu_bench::ablations::ablation_full_speed_path(),
-    );
-    emu_bench::output::emit_result("gups_compare", emu_bench::ablations::gups_compare());
+    emu_bench::output::emit_tables(&[
+        ("ablation_grain", a::ablation_grain),
+        ("ablation_migration_rate", a::ablation_migration_rate),
+        ("ablation_spawn_ramp", a::ablation_spawn_ramp),
+        ("ablation_stack_touch", a::ablation_stack_touch),
+        ("ablation_cpu_features", a::ablation_cpu_features),
+        ("ablation_full_speed_path", a::ablation_full_speed_path),
+        ("gups_compare", a::gups_compare),
+    ]);
 }

@@ -1,9 +1,6 @@
 //! Regenerates every figure and the headline table.
 use emu_bench::figures as f;
-use emu_bench::output::{args_or_exit, run_figure_with, Table};
-use emu_core::fault::SimError;
-
-type FigureFn = fn() -> Result<Table, SimError>;
+use emu_bench::output::{args_or_exit, run_campaign, FigureFn};
 
 /// Every figure, in campaign order.
 const FIGURES: [(&str, FigureFn); 10] = [
@@ -24,16 +21,13 @@ fn main() {
     // One parse for the whole campaign: a usage error names the
     // campaign and exits before any figure runs.
     let args = args_or_exit("all_figures");
-    let mut written = true;
-    for (name, run) in FIGURES {
-        written &= run_figure_with(&args, name, run);
-    }
+    let written = run_campaign(&args, &FIGURES);
     if runcache::enabled() {
         eprintln!("{}", emu_bench::cache::session_summary());
     }
     eprintln!("[all_figures] done in {:.1}s", t0.elapsed().as_secs_f64());
-    // Every figure ran; a requested artifact that was not written
-    // still fails the campaign.
+    // Every figure ran; a requested artifact or CSV that was not
+    // written still fails the campaign.
     if !written {
         std::process::exit(1);
     }

@@ -4,100 +4,6 @@
 //! of total threadlet wall-time spent computing, waiting on local
 //! memory, migrating, and posting stores, for each benchmark and
 //! configuration.
-
-use emu_bench::output::Table;
-use emu_core::engine::TimeBreakdown;
-use emu_core::prelude::*;
-use membench::chase::{run_chase_emu, ChaseConfig, ShuffleMode};
-use membench::spmv_emu::{run_spmv_emu, EmuLayout, EmuSpmvConfig};
-use membench::stream::{run_stream_emu, EmuStreamConfig};
-use spmat::{laplacian, LaplacianSpec};
-use std::sync::Arc;
-
-fn row(t: &mut Table, name: &str, b: &TimeBreakdown) {
-    let pct = |x| format!("{:.1}", 100.0 * b.fraction(x));
-    t.row(vec![
-        name.to_string(),
-        pct(b.compute),
-        pct(b.memory),
-        pct(b.migration),
-        pct(b.store_issue),
-        pct(b.spawn),
-    ]);
-}
-
 fn main() {
-    if let Err(e) = run() {
-        eprintln!("[breakdown] simulation failed: {e}");
-        std::process::exit(2);
-    }
-}
-
-fn run() -> Result<(), SimError> {
-    let cfg = presets::chick_prototype();
-    let mut t = Table::new(
-        "Threadlet time breakdown (% of total thread-time)",
-        &[
-            "workload",
-            "compute",
-            "memory",
-            "migration",
-            "stores",
-            "spawn",
-        ],
-    );
-
-    // STREAM: remote vs serial spawn.
-    for strategy in [SpawnStrategy::RecursiveRemote, SpawnStrategy::Serial] {
-        let r = run_stream_emu(
-            &cfg,
-            &EmuStreamConfig {
-                total_elems: 1 << 16,
-                nthreads: 512,
-                strategy,
-                ..Default::default()
-            },
-        )?;
-        row(
-            &mut t,
-            &format!("STREAM 512thr {}", strategy.name()),
-            &r.report.breakdown,
-        );
-    }
-
-    // Chase across the locality sweep.
-    for block in [1usize, 4, 64, 1024] {
-        let r = run_chase_emu(
-            &cfg,
-            &ChaseConfig {
-                elems_per_list: 2048.max(block),
-                nlists: 512,
-                block_elems: block,
-                mode: ShuffleMode::FullBlock,
-                seed: 5,
-            },
-        )?;
-        row(&mut t, &format!("chase block={block}"), &r.breakdown);
-    }
-
-    // SpMV layouts.
-    let m = Arc::new(laplacian(LaplacianSpec::paper(60)));
-    for layout in EmuLayout::ALL {
-        let r = run_spmv_emu(
-            &cfg,
-            Arc::clone(&m),
-            &EmuSpmvConfig {
-                layout,
-                grain_nnz: 16,
-            },
-        )?;
-        row(
-            &mut t,
-            &format!("SpMV {}", layout.name()),
-            &r.report.breakdown,
-        );
-    }
-
-    t.emit("breakdown");
-    Ok(())
+    emu_bench::output::emit_tables(&[("breakdown", emu_bench::extensions::time_breakdown)]);
 }

@@ -355,7 +355,7 @@ fn cmd_bfs(p: &Parsed) -> Result<(), String> {
 fn cmd_mttkrp(p: &Parsed) -> Result<(), String> {
     use emu_tensor::coo::{mttkrp_reference, random_tensor};
     use emu_tensor::emu::*;
-    p.check_known(&["preset", "rank", "nnz", "layout", "threads", "seed", "dims"])?;
+    p.check_known(&["preset", "rank", "nnz", "layout", "threads", "seed"])?;
     let cfg = presets::by_name(&p.get_str("preset", "chick"))?;
     let t = Arc::new(random_tensor(
         [256, 64, 64],

@@ -5,10 +5,18 @@
 //! * STREAM with serial vs recursive-remote spawn — the Fig 5 contrast
 //!   becomes visible as nodelet 0's long spawn/migration ramp;
 //! * a block-1 pointer chase — all eight migration engines pinned.
+//!
+//! Each run goes through [`scenario::exec::execute`], which checks its
+//! result and audits its report, in a run context that records
+//! timelines.
 
 use desim::time::Time;
+use emu_core::ctx::RunCtx;
 use emu_core::prelude::*;
-use membench::chase::{traversal_order, ShuffleMode};
+use emu_core::trace::TelemetryConfig;
+use membench::chase::{ChaseConfig, ShuffleMode};
+use membench::stream::EmuStreamConfig;
+use scenario::ResolvedWorkload::{Chase, Stream};
 
 fn show(title: &str, report: &emu_core::metrics::RunReport, gcs: u32) {
     println!("\n== {title} (makespan {}) ==", report.makespan);
@@ -23,120 +31,57 @@ fn show(title: &str, report: &emu_core::metrics::RunReport, gcs: u32) {
     }
 }
 
-/// A strided STREAM-ADD worker over three striped arrays.
-fn stream_worker(arrays: &[ArrayHandle; 3], start: u64, step: u64, n: u64) -> Box<dyn Kernel> {
-    let [a, b, c] = arrays.clone();
-    let mut i = start;
-    let mut phase = 0u8;
-    Box::new(move |ctx: &KernelCtx| {
-        if i >= n {
-            return Op::Quit;
-        }
-        match phase {
-            0 => {
-                phase = 1;
-                Op::Load {
-                    addr: a.addr(i, ctx.here),
-                    bytes: 8,
-                }
-            }
-            1 => {
-                phase = 2;
-                Op::Load {
-                    addr: b.addr(i, ctx.here),
-                    bytes: 8,
-                }
-            }
-            2 => {
-                phase = 3;
-                Op::Compute { cycles: 9 }
-            }
-            _ => {
-                phase = 0;
-                let addr = c.addr(i, ctx.here);
-                i += step;
-                Op::Store { addr, bytes: 8 }
-            }
-        }
-    })
-}
-
 fn main() {
-    if let Err(e) = run() {
-        eprintln!("[timeline] simulation failed: {e}");
-        std::process::exit(2);
-    }
-}
-
-fn run() -> Result<(), SimError> {
-    let threads = 512usize;
-    let n = 1u64 << 15;
-
-    for strategy in [SpawnStrategy::Serial, SpawnStrategy::RecursiveRemote] {
-        let cfg = presets::chick_prototype();
-        let mut ms = MemSpace::new(8);
-        let arrays: [ArrayHandle; 3] = [ms.striped(n, 8), ms.striped(n, 8), ms.striped(n, 8)];
-        let factory: WorkerFactory =
-            { std::sync::Arc::new(move |w| stream_worker(&arrays, w as u64, threads as u64, n)) };
-        let mut engine = Engine::new(cfg.clone())?;
-        engine.enable_timeline(Time::from_us(50))?;
-        engine.spawn_at(
-            NodeletId(0),
-            emu_core::spawn::root_kernel(strategy, threads, 8, factory),
-        )?;
-        let report = engine.run()?;
-        show(
-            &format!("STREAM ADD, 512 threads, {}", strategy.name()),
-            &report,
-            cfg.gcs_per_nodelet,
-        );
-    }
-
-    // Chase visual: migration engines saturated at block 1.
     let cfg = presets::chick_prototype();
-    let mut ms = MemSpace::new(8);
-    let mut engine = Engine::new(cfg.clone())?;
-    engine.enable_timeline(Time::from_us(20))?;
-    for l in 0..threads {
-        let elems_per_list = 1024usize;
-        let owners: Vec<NodeletId> = (0..elems_per_list)
-            .map(|b| NodeletId(((b + l) % 8) as u32))
-            .collect();
-        let elems = ms.blocked(owners, 1, elems_per_list as u64, 16);
-        let order = traversal_order(
-            elems_per_list,
-            1,
-            ShuffleMode::FullBlock,
-            desim::rng::trial_seed(1, l as u64),
-        );
-        let first = elems.owner(order[0] as u64, NodeletId(0));
-        let mut pos = 0usize;
-        let mut phase = 0u8;
-        engine.spawn_at(
-            first,
-            Box::new(move |ctx: &KernelCtx| {
-                if pos >= order.len() {
-                    return Op::Quit;
-                }
-                if phase == 0 {
-                    phase = 1;
-                    Op::Load {
-                        addr: elems.addr(order[pos] as u64, ctx.here),
-                        bytes: 16,
-                    }
-                } else {
-                    phase = 0;
-                    pos += 1;
-                    Op::Compute { cycles: 15 }
-                }
-            }),
-        )?;
+    let stream = |strategy: SpawnStrategy| {
+        let title = format!("STREAM ADD, 512 threads, {}", strategy.name());
+        let sc = EmuStreamConfig {
+            total_elems: 1 << 15,
+            nthreads: 512,
+            strategy,
+            stack_touch_period: 0,
+            ..Default::default()
+        };
+        (title, Stream(sc), 50)
+    };
+    let chase = ChaseConfig {
+        elems_per_list: 1024,
+        nlists: 512,
+        block_elems: 1,
+        mode: ShuffleMode::FullBlock,
+        seed: 1,
+    };
+    // (title, workload, timeline bucket in µs)
+    let runs = [
+        stream(SpawnStrategy::Serial),
+        stream(SpawnStrategy::RecursiveRemote),
+        (
+            "pointer chase, block 1, 512 threads (engines pinned)".to_string(),
+            Chase(chase),
+            20,
+        ),
+    ];
+    let reports = emu_bench::sweep::run_indexed(runs.len(), |i| {
+        let (_, w, bucket_us) = &runs[i];
+        let telemetry = TelemetryConfig {
+            event_capacity: 0,
+            timeline_bucket: Some(Time::from_us(*bucket_us)),
+        };
+        let ctx = RunCtx {
+            telemetry,
+            ..RunCtx::current()
+        };
+        let x = ctx.scope(|| scenario::exec::execute(&cfg, w))?;
+        assert!(x.problems.is_empty(), "{w:?}: {}", x.problems.join("; "));
+        Ok::<_, SimError>(x.reports)
+    });
+    for ((title, ..), r) in runs.iter().zip(reports) {
+        match r {
+            Ok(reports) => show(title, &reports[0], cfg.gcs_per_nodelet),
+            Err(e) => {
+                eprintln!("[timeline] simulation failed: {e}");
+                std::process::exit(2);
+            }
+        }
     }
-    let report = engine.run()?;
-    show(
-        "pointer chase, block 1, 512 threads (engines pinned)",
-        &report,
-        cfg.gcs_per_nodelet,
-    );
-    Ok(())
 }

@@ -16,13 +16,13 @@
 //! so a pathological configuration yields a labelled `error`/`timeout`
 //! row instead of killing the sweep.
 
+use crate::figures::{chase_cfg, emu_numbers, mbs, stream};
 use crate::harness::{run_point, PointOutcome, RunPolicy};
 use crate::output::Table;
-use crate::runcfg::{sized, sized_usize};
+use crate::runcfg::{quick, sized, sized_usize};
 use crate::sweep;
 use emu_core::prelude::*;
-use membench::chase::{run_chase_emu, ChaseConfig, ShuffleMode};
-use membench::stream::{run_stream_emu, EmuStreamConfig};
+use scenario::ResolvedWorkload::{self, Chase};
 use std::time::Duration;
 
 /// One measured sweep point: bandwidth plus the fault-recovery counters
@@ -37,46 +37,58 @@ pub struct DegSample {
     pub faults: FaultTotals,
 }
 
-fn stream_sample(cfg: &MachineConfig) -> Result<DegSample, SimError> {
-    let r = run_stream_emu(
-        cfg,
-        &EmuStreamConfig {
-            total_elems: sized(1 << 16, 1 << 12),
-            nthreads: 512,
-            strategy: SpawnStrategy::RecursiveRemote,
-            ..Default::default()
-        },
-    )?;
+/// The two probes, by bench name: STREAM (bandwidth-bound) and block-1
+/// pointer chasing (migration-bound).
+fn probes() -> [(&'static str, ResolvedWorkload); 2] {
+    let elems = sized(1 << 16, 1 << 12);
+    [
+        (
+            "stream",
+            stream(elems, 512, SpawnStrategy::RecursiveRemote, false),
+        ),
+        (
+            "chase1",
+            Chase(chase_cfg(sized_usize(1024, 256), 256, 1, 17)),
+        ),
+    ]
+}
+
+/// Measure `w` on the faulted machine `cfg`: one checked, memoized
+/// point.
+fn sample(cfg: &MachineConfig, w: &ResolvedWorkload) -> Result<DegSample, SimError> {
+    let v = emu_numbers(cfg, w, "faults", |x| {
+        let r = &x.reports[0];
+        let f = r.fault_totals();
+        [
+            mbs(x),
+            r.total_migrations() as f64,
+            f.nacks as f64,
+            f.retries as f64,
+            f.ecc_retries as f64,
+            f.link_retransmits as f64,
+            f.redirects as f64,
+        ]
+    })?;
+    let n = |i: usize| v[i] as u64;
     Ok(DegSample {
-        mb_per_sec: r.bandwidth.mb_per_sec(),
-        migrations: r.report.total_migrations(),
-        faults: r.report.fault_totals(),
+        mb_per_sec: v[0],
+        migrations: n(1),
+        faults: FaultTotals {
+            nacks: n(2),
+            retries: n(3),
+            ecc_retries: n(4),
+            link_retransmits: n(5),
+            redirects: n(6),
+        },
     })
 }
 
-fn chase_sample(cfg: &MachineConfig) -> Result<DegSample, SimError> {
-    let r = run_chase_emu(
-        cfg,
-        &ChaseConfig {
-            elems_per_list: sized_usize(1024, 256),
-            nlists: 256,
-            block_elems: 1,
-            mode: ShuffleMode::FullBlock,
-            seed: 17,
-        },
-    )?;
-    Ok(DegSample {
-        mb_per_sec: r.bandwidth.mb_per_sec(),
-        migrations: r.migrations,
-        faults: r.faults,
-    })
-}
-
-/// A sweep point: axis name, axis value, workload, faulted config.
+/// A sweep point: axis name, axis value, probe, faulted config.
 struct Point {
     axis: &'static str,
     value: f64,
     bench: &'static str,
+    w: ResolvedWorkload,
     cfg: MachineConfig,
 }
 
@@ -85,11 +97,12 @@ fn plan_points() -> Vec<Point> {
     let total = base.total_nodelets();
     let mut pts = Vec::new();
     let mut add = |axis: &'static str, value: f64, faults: FaultPlan| {
-        for bench in ["stream", "chase1"] {
+        for (bench, w) in probes() {
             pts.push(Point {
                 axis,
                 value,
                 bench,
+                w,
                 cfg: MachineConfig {
                     faults: faults.clone(),
                     ..base.clone()
@@ -126,19 +139,14 @@ fn plan_points() -> Vec<Point> {
 /// labelled rows, never a crash.
 pub fn fig_degradation() -> Table {
     let policy = RunPolicy {
-        timeout: Duration::from_secs(if crate::runcfg::quick() { 60 } else { 300 }),
+        timeout: Duration::from_secs(if quick() { 60 } else { 300 }),
         attempts: 2,
     };
     let points = plan_points();
     let rows = sweep::run_indexed(points.len(), |i| {
         let p = &points[i];
-        let bench = p.bench;
-        let cfg = p.cfg.clone();
-        let outcome = run_point(policy, move || match bench {
-            "stream" => stream_sample(&cfg),
-            _ => chase_sample(&cfg),
-        });
-        render_row(p.axis, p.value, bench, &outcome)
+        let outcome = run_point(policy, || sample(&p.cfg, &p.w));
+        render_row(p.axis, p.value, p.bench, &outcome)
     });
 
     let mut t = Table::new(
@@ -197,8 +205,9 @@ mod tests {
         let base = presets::chick_prototype();
         let mut faulted = base.clone();
         faulted.faults.mig_nack_prob = 0.2;
-        let clean = chase_sample(&base).unwrap();
-        let noisy = chase_sample(&faulted).unwrap();
+        let [_, (_, chase)] = probes();
+        let clean = sample(&base, &chase).unwrap();
+        let noisy = sample(&faulted, &chase).unwrap();
         assert_eq!(clean.faults.nacks, 0);
         assert!(noisy.faults.nacks > 0, "NACKs must be counted");
         assert!(
@@ -214,8 +223,9 @@ mod tests {
         let base = presets::chick_prototype();
         let mut faulted = base.clone();
         faulted.faults = FaultPlan::none().with_dead_fraction(base.total_nodelets(), 0.25);
-        let clean = stream_sample(&base).unwrap();
-        let degraded = stream_sample(&faulted).unwrap();
+        let [(_, stream), _] = probes();
+        let clean = sample(&base, &stream).unwrap();
+        let degraded = sample(&faulted, &stream).unwrap();
         assert!(degraded.faults.redirects > 0, "dead traffic must redirect");
         assert!(degraded.mb_per_sec < clean.mb_per_sec);
     }

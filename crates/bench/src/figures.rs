@@ -17,7 +17,9 @@
 //! Sweep points are independent simulations, so every figure fans its
 //! grid across the worker pool in [`crate::sweep`] (`--jobs`/`-j`) and
 //! assembles rows in sweep order — the tables and CSVs are identical at
-//! any job count.
+//! any job count. The experiment tables ([`crate::validate`],
+//! [`crate::ablations`], [`crate::extensions`],
+//! [`crate::degradation`]) build their points with the same helpers.
 
 use crate::cache;
 use crate::output::{fmt_mbs, Table};
@@ -31,6 +33,7 @@ use membench::spmv_cpu::{run_spmv_cpu, CpuSpmvConfig, CpuStrategy};
 use membench::spmv_emu::{x_vector, EmuLayout};
 use membench::stream::cpu::{run_stream_cpu, CpuStreamConfig};
 use membench::stream::{EmuStreamConfig, StreamKernel};
+use scenario::exec::Executed;
 use scenario::ResolvedWorkload::{self, Chase, Spmv, Stream};
 use spmat::{laplacian, LaplacianSpec};
 use std::sync::{Arc, OnceLock};
@@ -48,7 +51,7 @@ pub const CHASE_BLOCKS: [usize; 13] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 10
 /// then its cells to one decimal (first error in sweep order wins).
 /// A cell is a function of its row and column alone, so equal rows
 /// are evaluated once and share their cells.
-fn grid<R: Sync + ToString + PartialEq, C: Sync>(
+pub(crate) fn grid<R: Sync + ToString + PartialEq, C: Sync>(
     t: &mut Table,
     rows: &[R],
     cols: &[C],
@@ -71,42 +74,67 @@ fn grid<R: Sync + ToString + PartialEq, C: Sync>(
     });
     let cells: Vec<f64> = cells.into_iter().collect::<Result<_, _>>()?;
     for (label, &slot) in rows.iter().zip(&slots) {
-        let mut row = vec![label.to_string()];
-        row.extend(cells[slot * nc..][..nc].iter().map(|v| format!("{v:.1}")));
-        t.row(row);
+        t.row(labeled(label.to_string(), &cells[slot * nc..][..nc]));
     }
     Ok(())
 }
 
+/// A table row: `label`, then `cells` to one decimal.
+pub(crate) fn labeled(label: String, cells: &[f64]) -> Vec<String> {
+    let mut row = vec![label];
+    row.extend(cells.iter().map(|v| format!("{v:.1}")));
+    row
+}
+
 /// A scalar measurement, as one point of a [`batch`].
-type Scalar = Thunk<Result<f64, SimError>>;
+pub(crate) type Scalar = Thunk<Result<f64, SimError>>;
 
 /// Run a batch of heterogeneous scalar measurements across the pool;
 /// first error in batch order wins.
-fn batch(thunks: Vec<Scalar>) -> Result<Vec<f64>, SimError> {
+pub(crate) fn batch(thunks: Vec<Scalar>) -> Result<Vec<f64>, SimError> {
     sweep::run_thunks(thunks).into_iter().collect()
 }
 
-/// MB/s of one Emu point, run through [`scenario::exec::execute`] and
-/// memoized on the point. A point that misses its functional reference
-/// or breaks an audit invariant aborts the figure.
-fn emu_mbs(cfg: &MachineConfig, w: &ResolvedWorkload) -> Result<f64, SimError> {
-    let [mbs] = cache::memo(cfg, w, || {
-        let x = scenario::exec::execute(cfg, w)?;
-        assert!(x.problems.is_empty(), "{w:?}: {}", x.problems.join("; "));
-        Ok([x.bandwidth.expect("a bandwidth workload").mb_per_sec()])
-    })?;
-    Ok(mbs)
+/// Run one Emu point through [`scenario::exec::execute`]. A point that
+/// misses its functional reference or breaks an audit invariant aborts
+/// the table that asked for it.
+fn checked(cfg: &MachineConfig, w: &ResolvedWorkload) -> Result<Executed, SimError> {
+    let x = scenario::exec::execute(cfg, w)?;
+    assert!(x.problems.is_empty(), "{w:?}: {}", x.problems.join("; "));
+    Ok(x)
+}
+
+/// MB/s of a checked run of a STREAM, chase, MTTKRP or SpMV point.
+pub(crate) fn mbs(x: &Executed) -> f64 {
+    x.bandwidth.expect("a bandwidth workload").mb_per_sec()
+}
+
+/// MB/s of one checked Emu point, memoized on the point.
+pub(crate) fn emu_mbs(cfg: &MachineConfig, w: &ResolvedWorkload) -> Result<f64, SimError> {
+    let [v] = cache::memo(cfg, w, || Ok([mbs(&checked(cfg, w)?)]))?;
+    Ok(v)
+}
+
+/// The numbers `read` takes from one checked Emu point, memoized on
+/// the point and `what` (which names the numbers, so two readers of
+/// one point keep apart).
+pub(crate) fn emu_numbers<const N: usize>(
+    cfg: &MachineConfig,
+    w: &ResolvedWorkload,
+    what: &str,
+    read: impl FnOnce(&Executed) -> [f64; N],
+) -> Result<[f64; N], SimError> {
+    cache::memo(cfg, &(what, w), || Ok(read(&checked(cfg, w)?)))
 }
 
 /// [`emu_mbs`] as a batch point.
-fn emu(cfg: MachineConfig, w: ResolvedWorkload) -> Scalar {
+pub(crate) fn emu(cfg: MachineConfig, w: ResolvedWorkload) -> Scalar {
     Box::new(move || emu_mbs(&cfg, &w))
 }
 
 /// MB/s of a pointer chase on a Xeon, memoized on the point. The
 /// payload checksum must match.
-fn xeon_chase_mbs(cfg: &CpuConfig, cc: &ChaseConfig) -> f64 {
+pub(crate) fn xeon_chase_mbs(cfg: &CpuConfig, cc: &ChaseConfig) -> f64 {
     let [mbs] = cache::memo(cfg, cc, || {
         let r = chase::cpu::run_chase_cpu(cfg, cc);
         assert_eq!(r.checksum, cc.expected_checksum());
@@ -116,14 +144,19 @@ fn xeon_chase_mbs(cfg: &CpuConfig, cc: &ChaseConfig) -> f64 {
     mbs
 }
 
-/// A ping-pong point as a batch point: its migration rate in M/s or,
-/// with `latency`, its mean migration latency in us. The memo stores
-/// both numbers.
-fn pingpong(cfg: MachineConfig, threads: usize, latency: bool) -> Scalar {
+/// A ping-pong point of `round_trips` per thread as a batch point: its
+/// migration rate in M/s or, with `latency`, its mean migration latency
+/// in us. The memo stores both numbers.
+pub(crate) fn pingpong(
+    cfg: MachineConfig,
+    threads: usize,
+    round_trips: u32,
+    latency: bool,
+) -> Scalar {
     Box::new(move || {
         let pc = PingPongConfig {
             nthreads: threads,
-            round_trips: sized(2000, 200) as u32,
+            round_trips,
             ..Default::default()
         };
         let [rate, latency_ns] = cache::memo(&cfg, &pc, || {
@@ -139,7 +172,7 @@ fn pingpong(cfg: MachineConfig, threads: usize, latency: bool) -> Scalar {
 }
 
 /// STREAM ADD over `total_elems` elements with `nthreads` workers.
-fn stream(
+pub(crate) fn stream(
     total_elems: u64,
     nthreads: usize,
     strategy: SpawnStrategy,
@@ -155,7 +188,7 @@ fn stream(
 }
 
 /// A full-block-shuffle chase of `nlists` lists of `elems` elements.
-fn chase_cfg(elems: usize, nlists: usize, block: usize, seed: u64) -> ChaseConfig {
+pub(crate) fn chase_cfg(elems: usize, nlists: usize, block: usize, seed: u64) -> ChaseConfig {
     ChaseConfig {
         elems_per_list: elems,
         nlists,
@@ -422,9 +455,10 @@ pub fn fig10() -> Result<Table, SimError> {
     }
     // Ping-pong: the migration rate at load, and the latency at light
     // load (the paper's 1-2 us estimate).
+    let round_trips = sized(2000, 200) as u32;
     for (threads, latency) in [(64, false), (8, true)] {
-        points.push(pingpong(hw.clone(), threads, latency));
-        points.push(pingpong(sim.clone(), threads, latency));
+        points.push(pingpong(hw.clone(), threads, round_trips, latency));
+        points.push(pingpong(sim.clone(), threads, round_trips, latency));
     }
     let v = batch(points)?;
     let mut t = Table::new(
@@ -467,6 +501,7 @@ pub fn fig11() -> Result<Table, SimError> {
 /// conclusions), as one table.
 pub fn headline() -> Result<Table, SimError> {
     let emu_cfg = presets::chick_prototype();
+    let round_trips = sized(2000, 200) as u32;
     // Stage 1: the scalar measurements, one batch.
     let scalars = batch(vec![
         Box::new(emu_peak_stream_mbs),
@@ -480,9 +515,9 @@ pub fn headline() -> Result<Table, SimError> {
             ),
         ),
         Box::new(|| Ok(xeon_peak_stream_mbs())),
-        pingpong(emu_cfg.clone(), 64, false),
-        pingpong(presets::chick_toolchain_sim(), 64, false),
-        pingpong(emu_cfg.clone(), 8, true),
+        pingpong(emu_cfg.clone(), 64, round_trips, false),
+        pingpong(presets::chick_toolchain_sim(), 64, round_trips, false),
+        pingpong(emu_cfg.clone(), 8, round_trips, true),
     ])?;
     let (emu_peak, eight, xeon_peak, pp_hw, pp_sim, pp_latency_us) = (
         scalars[0], scalars[1], scalars[2], scalars[3], scalars[4], scalars[5],

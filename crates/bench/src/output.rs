@@ -2,6 +2,7 @@
 //! and CSV files (what plots consume), written under `results/`.
 
 use emu_core::ctx::RunCtx;
+use emu_core::fault::SimError;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -79,26 +80,48 @@ impl Table {
     }
 
     /// Print the table and persist it as CSV, reporting the path.
-    pub fn emit(&self, name: &str) {
+    /// Returns whether the CSV was written.
+    #[must_use = "a CSV that was not written must fail the run"]
+    pub fn emit(&self, name: &str) -> bool {
         println!("{}", self.render());
         match self.write_csv(name) {
             Ok(p) => println!("[csv] {}", p.display()),
-            Err(e) => eprintln!("[csv] write failed: {e}"),
+            Err(e) => {
+                eprintln!("[csv] write failed: {e}");
+                return false;
+            }
         }
+        true
     }
 }
+
+/// A function computing one table: a figure or an experiment table.
+pub type FigureFn = fn() -> Result<Table, SimError>;
 
 /// Emit a fallible table, printing the error and exiting nonzero when
 /// the simulation failed — the figure binaries are thin wrappers over
 /// this, so a faulted machine config degrades to a clean error message
-/// instead of a panic.
-pub fn emit_result(name: &str, table: Result<Table, emu_core::fault::SimError>) {
+/// instead of a panic. Returns whether the CSV was written.
+#[must_use = "a CSV that was not written must fail the run"]
+pub fn emit_result(name: &str, table: Result<Table, SimError>) -> bool {
     match table {
         Ok(t) => t.emit(name),
         Err(e) => {
             eprintln!("[{name}] simulation failed: {e}");
             std::process::exit(2);
         }
+    }
+}
+
+/// Compute and emit each named table in order, as [`emit_result`]
+/// does; then exit 1 if a CSV could not be written.
+pub fn emit_tables(tables: &[(&str, FigureFn)]) {
+    let mut written = true;
+    for &(name, table) in tables {
+        written &= emit_result(name, table());
+    }
+    if !written {
+        std::process::exit(1);
     }
 }
 
@@ -211,11 +234,42 @@ pub fn args_or_exit(label: &str) -> TelemetryArgs {
 
 /// Run a figure with telemetry plumbing: parses the shared flags
 /// ([`args_or_exit`]), then runs it as [`run_figure_with`] does, and
-/// exits 1 if a requested artifact could not be written.
-pub fn run_figure(name: &str, f: impl FnOnce() -> Result<Table, emu_core::fault::SimError>) {
+/// exits 1 if a requested artifact or the CSV could not be written.
+pub fn run_figure(name: &str, f: impl FnOnce() -> Result<Table, SimError>) {
     if !run_figure_with(&args_or_exit(name), name, f) {
         std::process::exit(1);
     }
+}
+
+/// Run `figures` in order as one campaign, each as [`run_figure_with`]
+/// does, with every requested artifact at the figure's own path
+/// (`r.json` becomes `r.fig04.json`) so no figure overwrites another's.
+/// Returns whether every requested artifact and every CSV was written.
+pub fn run_campaign(args: &TelemetryArgs, figures: &[(&str, FigureFn)]) -> bool {
+    let mut written = true;
+    for &(name, run) in figures {
+        let own = |path: &Option<PathBuf>| path.as_deref().map(|p| figure_path(p, name));
+        let args = TelemetryArgs {
+            report_json: own(&args.report_json),
+            trace_out: own(&args.trace_out),
+            jsonl_out: own(&args.jsonl_out),
+            ..args.clone()
+        };
+        written &= run_figure_with(&args, name, run);
+    }
+    written
+}
+
+/// `path` with `.<figure>` inserted before its extension: `r.json`
+/// becomes `r.fig04.json`, and `r` becomes `r.fig04`.
+fn figure_path(path: &Path, figure: &str) -> PathBuf {
+    let mut name = path.file_stem().unwrap_or_default().to_os_string();
+    name.push(format!(".{figure}"));
+    if let Some(ext) = path.extension() {
+        name.push(".");
+        name.push(ext);
+    }
+    path.with_file_name(name)
 }
 
 /// Run a figure in the [`RunCtx`] that already-parsed flags describe
@@ -223,12 +277,12 @@ pub fn run_figure(name: &str, f: impl FnOnce() -> Result<Table, emu_core::fault:
 /// trace is), write the requested artifacts, then emit the table
 /// exactly like [`emit_result`]. With no flags the run is untraced and
 /// uncollected. Returns `false` if a requested `--report-json`,
-/// `--trace-out` or `--jsonl-out` write failed; every other artifact
-/// and the table are still written.
+/// `--trace-out` or `--jsonl-out` write, or the CSV's, failed; every
+/// other artifact and the table are still written.
 pub fn run_figure_with(
     args: &TelemetryArgs,
     name: &str,
-    f: impl FnOnce() -> Result<Table, emu_core::fault::SimError>,
+    f: impl FnOnce() -> Result<Table, SimError>,
 ) -> bool {
     let ctx = RunCtx {
         telemetry: args.config(),
@@ -265,8 +319,7 @@ pub fn run_figure_with(
             None => eprintln!("[jsonl-out] no traced emu run to export"),
         }
     }
-    emit_result(name, table);
-    written
+    emit_result(name, table) && written
 }
 
 /// The directory figure CSVs are written to: `$EMU_RESULTS_DIR` or
@@ -375,8 +428,13 @@ mod tests {
         }
     }
 
+    /// Held by each test that points `EMU_RESULTS_DIR` somewhere, so
+    /// no test's CSV lands in another's directory, or in `results/`.
+    static RESULTS_DIR: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn csv_round_trip() {
+        let _dir = RESULTS_DIR.lock().unwrap_or_else(|e| e.into_inner());
         std::env::set_var(
             "EMU_RESULTS_DIR",
             std::env::temp_dir().join("emu_test_results"),
@@ -387,5 +445,43 @@ mod tests {
         let body = std::fs::read_to_string(p).unwrap();
         assert_eq!(body, "x,y\n1,2.5\n");
         std::env::remove_var("EMU_RESULTS_DIR");
+    }
+
+    #[test]
+    fn figure_paths_insert_the_figure_before_the_extension() {
+        for (path, want) in [
+            ("r.json", "r.fig04.json"),
+            ("r", "r.fig04"),
+            ("out/t.trace.json", "out/t.trace.fig04.json"),
+            ("/tmp/e.jsonl", "/tmp/e.fig04.jsonl"),
+        ] {
+            assert_eq!(figure_path(Path::new(path), "fig04"), Path::new(want));
+        }
+    }
+
+    #[test]
+    fn a_campaign_keeps_every_figures_report() {
+        fn one() -> Result<Table, SimError> {
+            Ok(Table::new("one", &["x"]))
+        }
+        fn two() -> Result<Table, SimError> {
+            Ok(Table::new("two", &["x"]))
+        }
+        let _dir = RESULTS_DIR.lock().unwrap_or_else(|e| e.into_inner());
+        let dir = std::env::temp_dir().join(format!("emu-bench-campaign-{}", std::process::id()));
+        std::env::set_var("EMU_RESULTS_DIR", &dir);
+        let args = TelemetryArgs {
+            report_json: Some(dir.join("r.json")),
+            ..TelemetryArgs::default()
+        };
+        let written = run_campaign(&args, &[("one", one), ("two", two)]);
+        std::env::remove_var("EMU_RESULTS_DIR");
+        let report = |name: &str| std::fs::read_to_string(dir.join(name)).ok();
+        let (one, two, shared) = (report("r.one.json"), report("r.two.json"), report("r.json"));
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(written);
+        assert!(one.unwrap().starts_with("{\"source\":\"one\""));
+        assert!(two.unwrap().starts_with("{\"source\":\"two\""));
+        assert!(shared.is_none(), "a figure wrote the campaign's path");
     }
 }

@@ -4,18 +4,14 @@
 //! nonzero if any band is violated — the regression gate for model or
 //! calibration changes.
 
+use crate::figures::{batch, chase_cfg, emu, pingpong, stream, xeon_chase_mbs, Scalar};
 use crate::output::Table;
-use crate::runcfg::{sized, sized_usize};
+use crate::runcfg::{quick, sized, sized_usize};
 use emu_core::prelude::*;
-use membench::chase::{self, ChaseConfig, ShuffleMode};
-use membench::pingpong::{run_pingpong, PingPongConfig};
-use membench::spmv_emu::{run_spmv_emu, EmuLayout, EmuSpmvConfig};
-use membench::stream::{
-    cpu::{run_stream_cpu, CpuStreamConfig},
-    run_stream_emu, EmuStreamConfig,
-};
-use spmat::{laplacian, LaplacianSpec};
-use std::sync::Arc;
+use membench::spmv_emu::EmuLayout;
+use membench::stream::cpu::{run_stream_cpu, CpuStreamConfig};
+use scenario::ResolvedWorkload::{Chase, Spmv};
+use SpawnStrategy::{RecursiveRemote, Serial};
 
 /// One calibration check.
 pub struct Check {
@@ -36,268 +32,209 @@ impl Check {
     }
 }
 
-fn emu_stream_mbs(threads: usize, strategy: SpawnStrategy, single: bool) -> Result<f64, SimError> {
-    Ok(run_stream_emu(
-        &presets::chick_prototype(),
-        &EmuStreamConfig {
-            total_elems: sized(1 << 17, 1 << 13),
-            nthreads: threads,
-            strategy,
-            single_nodelet: single,
-            ..Default::default()
-        },
-    )?
-    .bandwidth
-    .mb_per_sec())
-}
-
-fn emu_chase_mbs(block: usize, threads: usize) -> Result<f64, SimError> {
-    Ok(chase::run_chase_emu(
-        &presets::chick_prototype(),
-        &ChaseConfig {
-            elems_per_list: sized_usize(2048, 512).max(block),
-            nlists: threads,
-            block_elems: block,
-            mode: ShuffleMode::FullBlock,
-            seed: 17,
-        },
-    )?
-    .bandwidth
-    .mb_per_sec())
-}
-
 /// Run every calibration check; returns the list (render with
-/// [`render`]) — callers decide what failure means. A simulation
-/// error (bad config, watchdog trip) aborts the whole suite.
+/// [`render`]) — callers decide what failure means. Each measurement
+/// is one point, run across the sweep pool; a simulation error (bad
+/// config, watchdog trip) aborts the whole suite.
 pub fn run_all() -> Result<Vec<Check>, SimError> {
-    let mut checks = Vec::new();
-    let mut push = |name: &str, measured: f64, lo: f64, hi: f64, unit: &'static str| {
-        checks.push(Check {
+    let hw = presets::chick_prototype();
+    let sim = presets::chick_toolchain_sim();
+    let stream_at = |cfg: &MachineConfig, threads, strategy, single| {
+        emu(
+            cfg.clone(),
+            stream(sized(1 << 17, 1 << 13), threads, strategy, single),
+        )
+    };
+    let chase_at = |cfg: &MachineConfig, block| {
+        let cc = chase_cfg(sized_usize(2048, 512).max(block), 512, block, 17);
+        emu(cfg.clone(), Chase(cc))
+    };
+    let n = if quick() { 30 } else { 100 };
+    let spmv = |layout| {
+        let grain = 16;
+        emu(hw.clone(), Spmv { n, layout, grain })
+    };
+    let round_trips = sized(1000, 100) as u32;
+    let xeon = xeon_sim::config::sandy_bridge;
+    let xeon_stream = CpuStreamConfig {
+        total_elems: sized(1 << 19, 1 << 14),
+        nthreads: 16,
+        ..Default::default()
+    };
+    let xeon_cc = chase_cfg(sized_usize(1 << 17, 1 << 13), 32, 64, 17);
+    // Each measurement is one point of one batch; `v[i]` is the value
+    // of the point `add` numbered `i`.
+    let mut points: Vec<Scalar> = Vec::new();
+    let mut add = |point: Scalar| {
+        points.push(point);
+        points.len() - 1
+    };
+    let stream8 = add(stream_at(&hw, 512, RecursiveRemote, false));
+    let [s8, s32, s64] = [8, 32, 64].map(|threads| add(stream_at(&hw, threads, Serial, true)));
+    let serial = add(stream_at(&hw, 256, Serial, false));
+    let remote = add(stream_at(&hw, 256, RecursiveRemote, false));
+    let b1 = add(chase_at(&hw, 1));
+    let flat = [8, 32, 128, 512, 1024].map(|block| add(chase_at(&hw, block)));
+    let b128 = flat[2];
+    let b64 = add(chase_at(&hw, 64));
+    let xeon_peak = add(Box::new(move || {
+        Ok(run_stream_cpu(&xeon(), &xeon_stream).bandwidth.mb_per_sec())
+    }));
+    let xeon_chase = add(Box::new(move || Ok(xeon_chase_mbs(&xeon(), &xeon_cc))));
+    let [local, one_d, two_d] = EmuLayout::ALL.map(|layout| add(spmv(layout)));
+    let pp_hw = add(pingpong(hw.clone(), 64, round_trips, false));
+    let pp_sim = add(pingpong(sim.clone(), 64, round_trips, false));
+    let latency = add(pingpong(hw.clone(), 8, round_trips, true));
+    let stream_sim = add(stream_at(&sim, 512, RecursiveRemote, false));
+    let chase1_sim = add(chase_at(&sim, 1));
+    let v = batch(points)?;
+    let flat = flat.map(|i| v[i]);
+    let bmax = flat.iter().cloned().fold(f64::MIN, f64::max);
+    let bmin = flat.iter().cloned().fold(f64::MAX, f64::min);
+    let checks = [
+        // §IV-A: single-node STREAM ~1.2 GB/s.
+        (
+            "Emu 1-node STREAM (paper 1.2 GB/s)",
+            v[stream8] / 1000.0,
+            0.9,
+            1.5,
+            "GB/s",
+        ),
+        // Fig 4: knee behaviour on one nodelet.
+        (
+            "Fig4 scaling 8->32 threads (x)",
+            v[s32] / v[s8],
+            2.5,
+            4.5,
+            "x",
+        ),
+        (
+            "Fig4 plateau 32->64 threads (x)",
+            v[s64] / v[s32],
+            0.9,
+            1.15,
+            "x",
+        ),
+        // Fig 5: remote-spawn advantage at 256 threads.
+        (
+            "Fig5 remote/serial spawn at 256 thr (x)",
+            v[remote] / v[serial],
+            1.7,
+            5.0,
+            "x",
+        ),
+        // Fig 6: flatness and the block-1 dip.
+        (
+            "Fig6 flatness max/min, blocks 8-1024 (x)",
+            bmax / bmin,
+            1.0,
+            1.35,
+            "x",
+        ),
+        (
+            "Fig6 block-1 dip vs block-128 (frac)",
+            v[b1] / v[b128],
+            0.5,
+            0.95,
+            "",
+        ),
+        // Fig 8: utilization bands.
+        (
+            "Fig8 Emu utilization at block 64 (%)",
+            100.0 * v[b64] / v[stream8],
+            65.0,
+            95.0,
+            "%",
+        ),
+        (
+            "Xeon STREAM (paper ~51.2 GB/s nominal)",
+            v[xeon_peak] / 1000.0,
+            40.0,
+            52.0,
+            "GB/s",
+        ),
+        (
+            "Fig8 Xeon utilization at block 64 (%)",
+            100.0 * v[xeon_chase] / v[xeon_peak],
+            10.0,
+            40.0,
+            "%",
+        ),
+        // Fig 9a: layout ordering and the 2D magnitude.
+        (
+            "Fig9a local layout (paper ~50 MB/s)",
+            v[local],
+            25.0,
+            80.0,
+            "MB/s",
+        ),
+        (
+            "Fig9a 2D layout (paper ~250 MB/s)",
+            v[two_d],
+            150.0,
+            600.0,
+            "MB/s",
+        ),
+        (
+            "Fig9a ordering 1D/local (x)",
+            v[one_d] / v[local],
+            1.5,
+            10.0,
+            "x",
+        ),
+        (
+            "Fig9a ordering 2D/1D (x)",
+            v[two_d] / v[one_d],
+            1.05,
+            5.0,
+            "x",
+        ),
+        // Fig 10: validation gap.
+        (
+            "Ping-pong hardware (paper 9 M/s)",
+            v[pp_hw],
+            8.0,
+            10.0,
+            "M/s",
+        ),
+        (
+            "Ping-pong simulator (paper 16 M/s)",
+            v[pp_sim],
+            14.0,
+            18.0,
+            "M/s",
+        ),
+        (
+            "Migration latency (paper 1-2 us)",
+            v[latency],
+            0.3,
+            2.5,
+            "us",
+        ),
+        (
+            "Fig10 STREAM sim/hw agreement (x)",
+            v[stream_sim] / v[stream8],
+            0.98,
+            1.02,
+            "x",
+        ),
+        (
+            "Fig10 chase blk1 sim/hw divergence (x)",
+            v[chase1_sim] / v[b1],
+            1.15,
+            2.5,
+            "x",
+        ),
+    ];
+    Ok(checks
+        .into_iter()
+        .map(|(name, measured, lo, hi, unit)| Check {
             name: name.to_string(),
             measured,
             band: (lo, hi),
             unit,
-        });
-    };
-
-    // §IV-A: single-node STREAM ~1.2 GB/s.
-    let stream8 = emu_stream_mbs(512, SpawnStrategy::RecursiveRemote, false)?;
-    push(
-        "Emu 1-node STREAM (paper 1.2 GB/s)",
-        stream8 / 1000.0,
-        0.9,
-        1.5,
-        "GB/s",
-    );
-
-    // Fig 4: knee behaviour on one nodelet.
-    let s8 = emu_stream_mbs(8, SpawnStrategy::Serial, true)?;
-    let s32 = emu_stream_mbs(32, SpawnStrategy::Serial, true)?;
-    let s64 = emu_stream_mbs(64, SpawnStrategy::Serial, true)?;
-    push("Fig4 scaling 8->32 threads (x)", s32 / s8, 2.5, 4.5, "x");
-    push("Fig4 plateau 32->64 threads (x)", s64 / s32, 0.9, 1.15, "x");
-
-    // Fig 5: remote-spawn advantage at 256 threads.
-    let serial = emu_stream_mbs(256, SpawnStrategy::Serial, false)?;
-    let remote = emu_stream_mbs(256, SpawnStrategy::RecursiveRemote, false)?;
-    push(
-        "Fig5 remote/serial spawn at 256 thr (x)",
-        remote / serial,
-        1.7,
-        5.0,
-        "x",
-    );
-
-    // Fig 6: flatness and the block-1 dip.
-    let b1 = emu_chase_mbs(1, 512)?;
-    let mut blocks = Vec::new();
-    for b in [8usize, 32, 128, 512, 1024] {
-        blocks.push(emu_chase_mbs(b, 512)?);
-    }
-    let bmax = blocks.iter().cloned().fold(f64::MIN, f64::max);
-    let bmin = blocks.iter().cloned().fold(f64::MAX, f64::min);
-    push(
-        "Fig6 flatness max/min, blocks 8-1024 (x)",
-        bmax / bmin,
-        1.0,
-        1.35,
-        "x",
-    );
-    push(
-        "Fig6 block-1 dip vs block-128 (frac)",
-        b1 / emu_chase_mbs(128, 512)?,
-        0.5,
-        0.95,
-        "",
-    );
-
-    // Fig 8: utilization bands.
-    push(
-        "Fig8 Emu utilization at block 64 (%)",
-        100.0 * emu_chase_mbs(64, 512)? / stream8,
-        65.0,
-        95.0,
-        "%",
-    );
-    let xeon_peak = run_stream_cpu(
-        &xeon_sim::config::sandy_bridge(),
-        &CpuStreamConfig {
-            total_elems: sized(1 << 19, 1 << 14),
-            nthreads: 16,
-            ..Default::default()
-        },
-    )
-    .bandwidth
-    .mb_per_sec();
-    push(
-        "Xeon STREAM (paper ~51.2 GB/s nominal)",
-        xeon_peak / 1000.0,
-        40.0,
-        52.0,
-        "GB/s",
-    );
-    let xeon_chase = chase::cpu::run_chase_cpu(
-        &xeon_sim::config::sandy_bridge(),
-        &ChaseConfig {
-            elems_per_list: sized_usize(1 << 17, 1 << 13),
-            nlists: 32,
-            block_elems: 64,
-            mode: ShuffleMode::FullBlock,
-            seed: 17,
-        },
-    )
-    .bandwidth
-    .mb_per_sec();
-    push(
-        "Fig8 Xeon utilization at block 64 (%)",
-        100.0 * xeon_chase / xeon_peak,
-        10.0,
-        40.0,
-        "%",
-    );
-
-    // Fig 9a: layout ordering and the 2D magnitude.
-    let m = Arc::new(laplacian(LaplacianSpec::paper(if crate::runcfg::quick() {
-        30
-    } else {
-        100
-    })));
-    let spmv = |layout| -> Result<f64, SimError> {
-        Ok(run_spmv_emu(
-            &presets::chick_prototype(),
-            Arc::clone(&m),
-            &EmuSpmvConfig {
-                layout,
-                grain_nnz: 16,
-            },
-        )?
-        .bandwidth
-        .mb_per_sec())
-    };
-    let (local, one_d, two_d) = (
-        spmv(EmuLayout::Local)?,
-        spmv(EmuLayout::OneD)?,
-        spmv(EmuLayout::TwoD)?,
-    );
-    push(
-        "Fig9a local layout (paper ~50 MB/s)",
-        local,
-        25.0,
-        80.0,
-        "MB/s",
-    );
-    push(
-        "Fig9a 2D layout (paper ~250 MB/s)",
-        two_d,
-        150.0,
-        600.0,
-        "MB/s",
-    );
-    push("Fig9a ordering 1D/local (x)", one_d / local, 1.5, 10.0, "x");
-    push("Fig9a ordering 2D/1D (x)", two_d / one_d, 1.05, 5.0, "x");
-
-    // Fig 10: validation gap.
-    let pp = |cfg: &MachineConfig| {
-        run_pingpong(
-            cfg,
-            &PingPongConfig {
-                nthreads: 64,
-                round_trips: sized(1000, 100) as u32,
-                ..Default::default()
-            },
-        )
-    };
-    let hw = pp(&presets::chick_prototype())?;
-    let sim = pp(&presets::chick_toolchain_sim())?;
-    push(
-        "Ping-pong hardware (paper 9 M/s)",
-        hw.migrations_per_sec / 1e6,
-        8.0,
-        10.0,
-        "M/s",
-    );
-    push(
-        "Ping-pong simulator (paper 16 M/s)",
-        sim.migrations_per_sec / 1e6,
-        14.0,
-        18.0,
-        "M/s",
-    );
-    let lat = run_pingpong(
-        &presets::chick_prototype(),
-        &PingPongConfig {
-            nthreads: 8,
-            round_trips: sized(1000, 100) as u32,
-            ..Default::default()
-        },
-    )?;
-    push(
-        "Migration latency (paper 1-2 us)",
-        lat.mean_latency_ns / 1000.0,
-        0.3,
-        2.5,
-        "us",
-    );
-
-    let stream_hw = emu_stream_mbs(512, SpawnStrategy::RecursiveRemote, false)?;
-    let stream_sim = run_stream_emu(
-        &presets::chick_toolchain_sim(),
-        &EmuStreamConfig {
-            total_elems: sized(1 << 17, 1 << 13),
-            nthreads: 512,
-            ..Default::default()
-        },
-    )?
-    .bandwidth
-    .mb_per_sec();
-    push(
-        "Fig10 STREAM sim/hw agreement (x)",
-        stream_sim / stream_hw,
-        0.98,
-        1.02,
-        "x",
-    );
-    let chase1_sim = chase::run_chase_emu(
-        &presets::chick_toolchain_sim(),
-        &ChaseConfig {
-            elems_per_list: sized_usize(2048, 512),
-            nlists: 512,
-            block_elems: 1,
-            mode: ShuffleMode::FullBlock,
-            seed: 17,
-        },
-    )?
-    .bandwidth
-    .mb_per_sec();
-    push(
-        "Fig10 chase blk1 sim/hw divergence (x)",
-        chase1_sim / b1,
-        1.15,
-        2.5,
-        "x",
-    );
-
-    Ok(checks)
+        })
+        .collect())
 }
 
 /// Render checks as a table, PASS/FAIL per row.

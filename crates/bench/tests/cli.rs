@@ -35,11 +35,24 @@ fn a_figure_whose_requested_report_cannot_be_written_exits_1() {
         .output()
         .expect("fig04 starts");
     let csv_written = dir.join("fig04.csv").is_file();
-    std::fs::remove_dir_all(&dir).unwrap();
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("[report-json] write failed"), "{stderr}");
     assert!(csv_written, "the table's CSV must still be written");
+
+    // A CSV that cannot be written (its directory is under a file)
+    // fails the run the same way, after the table is printed.
+    let out = Command::new(env!("CARGO_BIN_EXE_fig04"))
+        .env("EMU_QUICK", "1")
+        .env("EMU_RESULTS_DIR", dir.join("file/sub"))
+        .output()
+        .expect("fig04 starts");
+    std::fs::remove_dir_all(&dir).unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("[csv] write failed"), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with("## Fig 4:"), "{stdout}");
 }
 
 const SIMCTL: &str = env!("CARGO_BIN_EXE_simctl");
@@ -57,6 +70,12 @@ fn simctl_prints_its_usage_for_usage_errors_only() {
     assert_eq!(code, Some(2), "{err}");
     assert!(err.starts_with("error: unknown option --blocks"), "{err}");
     assert!(err.contains("USAGE: simctl"), "{err}");
+
+    // `mttkrp` always builds a 256x64x64 tensor, so `--dims` is no
+    // option of it.
+    let (code, err) = simctl(Command::new(SIMCTL).args(["mttkrp", "--dims", "8,8,8"]));
+    assert_eq!(code, Some(2), "{err}");
+    assert!(err.starts_with("error: unknown option --dims"), "{err}");
 
     // A trace that cannot be written (its directory is a file) is a
     // failed run: one `error:` line and exit 1.

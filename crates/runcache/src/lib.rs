@@ -13,8 +13,8 @@
 //!   model's source, so any source change invalidates every old entry
 //!   at once.
 //! - [`Store`]: the on-disk object store (`.emu-cache/` by default,
-//!   `EMU_CACHE_DIR` override) with atomic tmp+rename writes, an
-//!   advisory `index.jsonl`, and mtime-ordered [`Store::gc`].
+//!   `EMU_CACHE_DIR` override) with atomic tmp+rename writes and
+//!   mtime-ordered [`Store::gc`].
 //! - module-level [`active`], [`lookup`], and [`publish`]: the gate the
 //!   execution paths call. [`active`] is the one admission guard (cache
 //!   enabled, run not observed); lookups and publishes no-op unless
@@ -196,7 +196,6 @@ pub struct GcResult {
 ///
 /// ```text
 /// <root>/objects/<digest>.json   one Entry per object, atomic writes
-/// <root>/index.jsonl             advisory append log (rebuilt by gc)
 /// ```
 #[derive(Debug, Clone)]
 pub struct Store {
@@ -251,20 +250,6 @@ impl Store {
         std::fs::rename(&tmp, &dest).inspect_err(|_| {
             let _ = std::fs::remove_file(&tmp);
         })?;
-        // Advisory index line; best-effort (the objects dir is the
-        // source of truth — stats and gc scan it directly).
-        let line = format!(
-            "{{\"digest\":{},\"kind\":{},\"label\":{},\"bytes\":{}}}\n",
-            jstr(digest),
-            jstr(&entry.kind),
-            jstr(&entry.label),
-            doc.len()
-        );
-        let _ = std::fs::OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(self.root.join("index.jsonl"))
-            .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()));
         Ok(doc.len() as u64)
     }
 
@@ -295,14 +280,12 @@ impl Store {
     }
 
     /// Evict oldest-first (by mtime, digest as tiebreak) until total
-    /// object bytes fit within `max_bytes`, then rebuild the index from
-    /// the survivors.
+    /// object bytes fit within `max_bytes`.
     pub fn gc(&self, max_bytes: u64) -> GcResult {
         let mut objs = self.scan();
         objs.sort_by(|a, b| a.mtime.cmp(&b.mtime).then(a.digest.cmp(&b.digest)));
         let mut total: u64 = objs.iter().map(|o| o.bytes).sum();
         let mut res = GcResult::default();
-        let mut removed = std::collections::BTreeSet::new();
         for o in &objs {
             if total <= max_bytes {
                 break;
@@ -311,35 +294,11 @@ impl Store {
                 total -= o.bytes;
                 res.removed += 1;
                 res.freed_bytes += o.bytes;
-                removed.insert(o.digest.clone());
             }
         }
         res.kept = objs.len() - res.removed;
         res.kept_bytes = total;
-        if res.removed > 0 {
-            self.rebuild_index(&removed);
-        }
         res
-    }
-
-    /// Drop index lines whose digest was evicted (textual filter over
-    /// the advisory log; losing the whole index is harmless).
-    fn rebuild_index(&self, removed: &std::collections::BTreeSet<String>) {
-        let path = self.root.join("index.jsonl");
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            return;
-        };
-        let kept: String = text
-            .lines()
-            .filter(|line| {
-                jsonread::parse(line)
-                    .ok()
-                    .and_then(|v| v.get("digest").and_then(|d| d.as_str().map(str::to_string)))
-                    .is_none_or(|d| !removed.contains(&d))
-            })
-            .map(|l| format!("{l}\n"))
-            .collect();
-        let _ = std::fs::write(&path, kept);
     }
 }
 
@@ -535,9 +494,6 @@ mod tests {
         assert_eq!(objs.len(), 1);
         assert_eq!(objs[0].digest, digest);
         assert_eq!(objs[0].bytes, n);
-        // Index got an advisory line.
-        let idx = std::fs::read_to_string(dir.join("index.jsonl")).unwrap();
-        assert!(idx.contains(&digest));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -570,10 +526,6 @@ mod tests {
         assert!(store.load(&digests[1]).is_none());
         assert!(store.load(&digests[2]).is_some());
         assert!(store.load(&digests[3]).is_some());
-        // Index was rebuilt to drop evicted digests.
-        let idx = std::fs::read_to_string(dir.join("index.jsonl")).unwrap();
-        assert!(!idx.contains(&digests[0]));
-        assert!(idx.contains(&digests[3]));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

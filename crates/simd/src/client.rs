@@ -110,12 +110,6 @@ pub fn run_cli(args: &[String]) -> Result<(), String> {
         addr: std::env::var("EMU_SIMD_ADDR").unwrap_or_else(|_| "127.0.0.1:7677".into()),
         ..ClientOpts::default()
     };
-    if let Ok(v) = std::env::var("EMU_SIMD_RETRIES") {
-        opts.retries = v.parse().map_err(|_| "bad EMU_SIMD_RETRIES")?;
-    }
-    if let Ok(v) = std::env::var("EMU_SIMD_BACKOFF_MS") {
-        opts.backoff_ms = v.parse().map_err(|_| "bad EMU_SIMD_BACKOFF_MS")?;
-    }
     let mut preset = "chick".to_string();
     let mut kernel = "add".to_string();
     let mut strategy = "recursive-remote".to_string();
